@@ -6,7 +6,7 @@ Subcommands::
     hopperdissect run table07_mma      # one experiment + checks
     hopperdissect run --all            # everything
     hopperdissect run --all --jobs 4   # ... on four processes
-    hopperdissect run --all --profile  # ... + timings → BENCH_perf.json
+    hopperdissect run --all --profile  # ... + per-experiment timings
     hopperdissect run --devices A100   # single-device sweep
     hopperdissect run --all --seed 7   # reseed the RNG-using workloads
     hopperdissect devices              # Table III
@@ -217,9 +217,9 @@ def _cmd_run(args) -> int:
     _finish_obs(session, args, context)
     if args.profile:
         print(report.profiler.render())
-        bench_path = args.bench_json or "BENCH_perf.json"
-        write_bench_json(bench_path, report.profiler)
-        print(f"wrote {bench_path}")
+        if args.bench_json:
+            write_bench_json(args.bench_json, report.profiler)
+            print(f"wrote {args.bench_json}")
         if args.bench_history:
             append_bench_history(args.bench_history, report.profiler,
                                  label=context.token())
@@ -542,11 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_context_flags(run_p)
     add_obs_flags(run_p)
     run_p.add_argument("--profile", action="store_true",
-                       help="print per-experiment timings and write "
-                            "the BENCH_perf.json trajectory")
+                       help="print per-experiment timings")
     run_p.add_argument("--bench-json", default=None, metavar="PATH",
-                       help="where --profile writes timings "
-                            "(default: BENCH_perf.json)")
+                       help="with --profile, also write the timings "
+                            "to PATH as a BENCH_perf.json trajectory")
     run_p.add_argument("--bench-history", default=None, metavar="PATH",
                        help="also append a timestamped --profile "
                             "snapshot to this .jsonl archive")

@@ -27,6 +27,31 @@ computes, while its runner imports ``repro.core`` wholesale and would
 otherwise re-glue everything.  Builders living outside ``repro`` fall
 back to the conservative whole-tree digest.
 
+A key must cost far less than the entry it addresses, so the parses
+behind the cuts are paid at most once per file and process, and on a
+warm cache not at all (:class:`CacheKeys`):
+
+* a **parse memo** shared by every cut in the process, keyed on the
+  module name, the sha256 of its source and the set of module names —
+  overlapping cuts parse each file once, and an edited file is simply
+  a different key;
+* a persisted **cut-digest index**: one JSON file in the cache root,
+  ``cut-index.json``, mapping each builder module to its ``cut=``
+  digest under the whole-tree digest (every ``.py`` path and its
+  bytes — the value :func:`source_digest` returns).  Deriving keys
+  reads and hashes the tree once; while the stored tree digest
+  matches, cut digests come from the index and nothing is parsed.  Any
+  edit, added or removed file changes the tree digest and drops the
+  whole index; a corrupt or truncated index is ignored.  It is
+  rewritten atomically, and only by :meth:`ResultCache.put` and
+  :meth:`ResultCache.put_blob`, so ``--no-cache`` runs and read-only
+  keyers never create it.  It is not a ``*.pkl`` entry: the LRU bound,
+  the hit/miss/store tallies and the provenance counters never see
+  it, and :meth:`ResultCache.clear` removes it.
+
+A key is the same bytes whichever way its cut digest was found, so
+caches filled before the index existed stay warm.
+
 Entries store the pickled :class:`~repro.core.tables.Table` and
 :class:`~repro.core.checks.Check` tuple, *not* the
 :class:`~repro.core.registry.ExperimentResult` itself: the result
@@ -58,6 +83,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import json
 import os
 import pickle
 import tempfile
@@ -82,11 +108,16 @@ def _record_provenance(event: str, name: str) -> None:
                             cat="result_cache",
                             args={"experiment": name, "event": event})
 
-__all__ = ["ResultCache", "ResultCacheStats", "default_cache_dir",
-           "source_digest", "device_digest", "dependency_cut"]
+__all__ = ["ResultCache", "ResultCacheStats", "CacheKeys",
+           "default_cache_dir", "source_digest", "device_digest",
+           "dependency_cut"]
 
 #: bump when the on-disk payload layout changes
 _SCHEMA = 2
+
+#: file name and layout version of the persisted cut-digest index
+_INDEX_NAME = "cut-index.json"
+_INDEX_SCHEMA = 1
 
 #: orchestration modules kept out of dependency graphs — they decide
 #: how builders run, never what they compute (see the module docstring)
@@ -174,38 +205,76 @@ def _imported_modules(module: str, source: bytes,
     return found
 
 
-def dependency_cut(module: str) -> Tuple[str, ...]:
-    """Every ``repro.*`` module transitively imported by ``module``
-    (inclusive), sorted — the invalidation scope of a builder."""
+@dataclass(frozen=True)
+class _Tree:
+    """One read of the ``repro`` source tree."""
+
+    index: Dict[str, Path]          # module name -> file
+    digest: str                     # every relative path and its bytes
+    names: str                      # digest of the module names
+
+
+def _read_tree() -> _Tree:
+    """Hash every module through :func:`_read_source`; the bytes are
+    not kept, since a warm key derivation needs only the digest."""
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
     index = _module_index()
-    if module not in index:
+    h = hashlib.sha256()
+    for path in sorted(set(index.values())):
+        h.update(str(path.relative_to(root)).encode())
+        h.update(b"\0")
+        h.update(_read_source(path))
+        h.update(b"\0")
+    names = hashlib.sha256("\0".join(index).encode()).hexdigest()
+    return _Tree(index=index, digest=h.hexdigest(), names=names)
+
+
+#: the parse memo every cut in the process shares:
+#: (module, sha256 of its source, _Tree.names) -> its repro imports.
+#: Keyed on content, so it never answers for an edited file; the bound
+#: only matters to processes that stub many variants of the tree.
+_IMPORTS_MEMO: Dict[Tuple[str, str, str], List[str]] = {}
+_IMPORTS_MEMO_MAX = 4096
+
+
+def _imports(module: str, tree: _Tree) -> List[str]:
+    source = _read_source(tree.index[module])
+    key = (module, hashlib.sha256(source).hexdigest(), tree.names)
+    found = _IMPORTS_MEMO.get(key)
+    if found is None:
+        if len(_IMPORTS_MEMO) >= _IMPORTS_MEMO_MAX:
+            _IMPORTS_MEMO.clear()
+        found = _IMPORTS_MEMO[key] = _imported_modules(
+            module, source, tree.index)
+    return found
+
+
+def _cut(module: str, tree: _Tree) -> Tuple[str, ...]:
+    if module not in tree.index:
         return ()
     seen = {module}
     frontier = [module]
     while frontier:
-        current = frontier.pop()
-        deps = _imported_modules(current,
-                                 _read_source(index[current]), index)
-        for dep in deps:
+        for dep in _imports(frontier.pop(), tree):
             if dep not in seen:
                 seen.add(dep)
                 frontier.append(dep)
     return tuple(sorted(seen))
 
 
+def dependency_cut(module: str) -> Tuple[str, ...]:
+    """Every ``repro.*`` module transitively imported by ``module``
+    (inclusive), sorted — the invalidation scope of a builder."""
+    return _cut(module, _read_tree())
+
+
 def source_digest() -> str:
     """Digest of every ``.py`` file in the installed ``repro`` tree —
-    the conservative fallback for builders outside ``repro``."""
-    import repro
-
-    root = Path(repro.__file__).resolve().parent
-    h = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        h.update(str(path.relative_to(root)).encode())
-        h.update(b"\0")
-        h.update(_read_source(path))
-        h.update(b"\0")
-    return h.hexdigest()
+    the conservative fallback for builders outside ``repro``, and the
+    validity stamp of the cut-digest index."""
+    return _read_tree().digest
 
 
 def device_digest(devices: Optional[Tuple[str, ...]] = None) -> str:
@@ -218,6 +287,119 @@ def device_digest(devices: Optional[Tuple[str, ...]] = None) -> str:
         h.update(repr(get_device(name)).encode())
         h.update(b"\0")
     return h.hexdigest()
+
+
+def _write_atomic(path: Path, data: bytes, prefix: str) -> None:
+    """Write ``data`` to ``path`` through a temp file +
+    :func:`os.replace`, so readers never observe a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix,
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+class CacheKeys:
+    """Derives result-cache keys for one view of the source tree.
+
+    The tree is hashed on first use.  Each builder module's source
+    digest then comes from memory, from the cut-digest index at
+    ``index_path`` when it was written for the same tree digest, or
+    from the cut walked through the shared parse memo.
+    ``index_path=None`` keeps everything in memory.
+    """
+
+    def __init__(self, index_path: Optional[Path] = None) -> None:
+        self.index_path = index_path
+        self._tree: Optional[_Tree] = None
+        self._digests: Dict[str, str] = {}
+        self._unsaved = False
+
+    def key_for(self, name: str,
+                context: Optional[RunContext] = None) -> str:
+        """The full content-address of one (experiment, context)."""
+        import repro
+
+        ctx = DEFAULT_CONTEXT if context is None else context
+        module = getattr(get_experiment(name).builder, "__module__",
+                         "") or ""
+        h = hashlib.sha256()
+        h.update(f"schema={_SCHEMA}\n".encode())
+        h.update(f"version={repro.__version__}\n".encode())
+        h.update(f"name={name}\n".encode())
+        h.update(f"context={ctx.token()}\n".encode())
+        h.update(f"devices={device_digest(ctx.devices)}\n".encode())
+        h.update(f"source:{self.module_digest(module)}\n".encode())
+        return h.hexdigest()
+
+    def module_digest(self, module: str) -> str:
+        """``cut=<sha256>`` over ``module``'s dependency cut, or
+        ``tree=<sha256>`` when ``module`` is not a ``repro`` module."""
+        if self._tree is None:
+            self._tree = _read_tree()
+            self._digests.update(self._load(self._tree.digest))
+        tree = self._tree
+        if module not in self._digests:
+            cut = _cut(module, tree)
+            if not cut:
+                self._digests[module] = f"tree={tree.digest}"
+            else:
+                h = hashlib.sha256()
+                for dep in cut:
+                    h.update(dep.encode())
+                    h.update(b"\0")
+                    h.update(_read_source(tree.index[dep]))
+                    h.update(b"\0")
+                self._digests[module] = f"cut={h.hexdigest()}"
+                self._unsaved = True
+        return self._digests[module]
+
+    def _load(self, tree_digest: str) -> Dict[str, str]:
+        """The stored cut digests if the index was written for
+        ``tree_digest``; empty when missing, stale or unreadable."""
+        if self.index_path is None:
+            return {}
+        try:
+            payload = json.loads(self.index_path.read_bytes())
+            cuts = payload["cuts"]
+            if (payload["schema"] != _INDEX_SCHEMA
+                    or payload["tree"] != tree_digest
+                    or not all(isinstance(m, str)
+                               and isinstance(d, str)
+                               and d.startswith("cut=")
+                               for m, d in cuts.items())):
+                return {}
+        except (OSError, ValueError, KeyError, TypeError,
+                AttributeError):
+            return {}
+        return dict(cuts)
+
+    def save(self) -> None:
+        """Rewrite the index if this instance derived cut digests it
+        did not load.  The index only saves work, so failing to write
+        it never fails the caller."""
+        if self.index_path is None or not self._unsaved:
+            return
+        payload = {
+            "schema": _INDEX_SCHEMA,
+            "tree": self._tree.digest,
+            "cuts": {m: d for m, d in sorted(self._digests.items())
+                     if d.startswith("cut=")},
+        }
+        try:
+            _write_atomic(self.index_path, json.dumps(payload).encode(),
+                          prefix=".cut-index-")
+        except OSError:
+            return
+        self._unsaved = False
 
 
 @dataclass
@@ -257,9 +439,7 @@ class ResultCache:
     root: Optional[Path] = None
     stats: ResultCacheStats = field(default_factory=ResultCacheStats)
     max_entries: Optional[int] = None
-    _cut_digests: Dict[str, str] = field(default_factory=dict,
-                                         repr=False)
-    _fallback_digest: Optional[str] = field(default=None, repr=False)
+    _keys: CacheKeys = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.root is None:
@@ -269,47 +449,19 @@ class ResultCache:
             self.max_entries = default_max_entries()
         if self.max_entries is not None and self.max_entries < 1:
             raise ValueError("max_entries must be positive or None")
+        self._keys = CacheKeys(self.index_path)
 
     # -- keys ---------------------------------------------------------------
 
-    def _cut_digest(self, module: str) -> str:
-        """Digest of ``module``'s dependency cut (memoised — source
-        cannot change under a running process in a way we could
-        honour anyway)."""
-        if module not in self._cut_digests:
-            index = _module_index()
-            cut = dependency_cut(module)
-            if not cut:          # builder outside repro: whole tree
-                if self._fallback_digest is None:
-                    self._fallback_digest = source_digest()
-                self._cut_digests[module] = \
-                    f"tree={self._fallback_digest}"
-            else:
-                h = hashlib.sha256()
-                for dep in cut:
-                    h.update(dep.encode())
-                    h.update(b"\0")
-                    h.update(_read_source(index[dep]))
-                    h.update(b"\0")
-                self._cut_digests[module] = f"cut={h.hexdigest()}"
-        return self._cut_digests[module]
+    @property
+    def index_path(self) -> Path:
+        """The cut-digest index file (see the module docstring)."""
+        return self.root / _INDEX_NAME
 
     def key_for(self, name: str,
                 context: Optional[RunContext] = None) -> str:
         """The full content-address of one (experiment, context)."""
-        import repro
-
-        ctx = DEFAULT_CONTEXT if context is None else context
-        module = getattr(get_experiment(name).builder, "__module__",
-                         "") or ""
-        h = hashlib.sha256()
-        h.update(f"schema={_SCHEMA}\n".encode())
-        h.update(f"version={repro.__version__}\n".encode())
-        h.update(f"name={name}\n".encode())
-        h.update(f"context={ctx.token()}\n".encode())
-        h.update(f"devices={device_digest(ctx.devices)}\n".encode())
-        h.update(f"source:{self._cut_digest(module)}\n".encode())
-        return h.hexdigest()
+        return self._keys.key_for(name, context)
 
     def path_for(self, name: str,
                  context: Optional[RunContext] = None) -> Path:
@@ -352,7 +504,6 @@ class ResultCache:
         """Store ``result`` under ``name`` + context (atomic)."""
         ctx = context or result.context or DEFAULT_CONTEXT
         path = self.path_for(name, ctx)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": _SCHEMA,
             "name": name,
@@ -360,21 +511,12 @@ class ResultCache:
             "table": result.table,
             "checks": tuple(result.checks),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                   prefix=f".{name}-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, pickle.dumps(
+            payload, protocol=pickle.HIGHEST_PROTOCOL),
+            prefix=f".{name}-")
         self.stats.stores += 1
         _record_provenance("store", name)
+        self._keys.save()
         self._enforce_bound(keep=path)
         return path
 
@@ -412,24 +554,14 @@ class ResultCache:
         """Store a picklable ``value`` under (``kind``, ``key``)
         atomically, then enforce the LRU bound."""
         path = self.blob_path(kind, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"schema": _SCHEMA, "kind": kind, "key": key,
                    "value": value}
-        fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                   prefix=f".{kind}-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, pickle.dumps(
+            payload, protocol=pickle.HIGHEST_PROTOCOL),
+            prefix=f".{kind}-")
         self.stats.stores += 1
         _record_provenance("store", kind)
+        self._keys.save()
         self._enforce_bound(keep=path)
         return path
 
@@ -478,11 +610,14 @@ class ResultCache:
         return evicted
 
     def clear(self) -> int:
-        """Delete every entry under the cache root; returns a count."""
+        """Delete every entry and the cut-digest index under the cache
+        root; returns the entry count."""
         if not self.root.is_dir():
             return 0
         n = 0
         for p in self.root.glob("*.pkl"):
             p.unlink(missing_ok=True)
             n += 1
+        self.index_path.unlink(missing_ok=True)
+        self._keys = CacheKeys(self.index_path)
         return n

@@ -136,6 +136,8 @@ class QueryService:
         #: Deliberately not the session's — see the module docstring.
         self.stats = CounterSet()
         self._memo: "OrderedDict[str, _Entry]" = OrderedDict()
+        #: derives experiment-family keys (see _experiment_key)
+        self._keys: Optional[Any] = None
 
     # -- the memo tier ------------------------------------------------------
 
@@ -213,21 +215,14 @@ class QueryService:
             # stable sentinel keeps the shard dispatchable so the
             # in-stream error path answers the query
             return f"badctx={exc}"
-        return f"experiment={self._keyer.key_for(name, ctx)}"
+        if self._keys is None:
+            from repro.perf.cache import CacheKeys, ResultCache
 
-    @property
-    def _keyer(self):
-        """A :class:`~repro.perf.cache.ResultCache` used purely for
-        :meth:`~repro.perf.cache.ResultCache.key_for` (dependency-cut
-        digests are memoised on the instance; nothing is read or
-        written through it unless it *is* the service cache)."""
-        from repro.perf.cache import ResultCache
-
-        if isinstance(self.cache, ResultCache):
-            return self.cache
-        if getattr(self, "_key_cache", None) is None:
-            self._key_cache = ResultCache(root="_serve_keys_unused")
-        return self._key_cache
+            # the service cache keys through its persisted cut-digest
+            # index; without one, the same keys are derived in memory
+            self._keys = self.cache if isinstance(
+                self.cache, ResultCache) else CacheKeys()
+        return f"experiment={self._keys.key_for(name, ctx)}"
 
     # -- the batch path -----------------------------------------------------
 

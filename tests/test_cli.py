@@ -104,6 +104,16 @@ class TestPerfFlags:
         data = load_bench_json(bench)
         assert "table03_devices" in data["experiments"]
 
+    def test_profile_without_bench_json_writes_no_file(
+            self, tmp_path, monkeypatch, capsys):
+        # run from a checkout's root, a default path would overwrite
+        # the committed BENCH_perf.json baseline
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "table03_devices", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "table03_devices" in out and "wrote" not in out
+        assert not (tmp_path / "BENCH_perf.json").exists()
+
     def test_report_accepts_jobs(self, tmp_path, capsys):
         import repro.cli as cli
 
