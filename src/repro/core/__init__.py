@@ -35,9 +35,6 @@ from repro.core.registry import (
     run_all,
     supported_experiments,
 )
-
-# importing the experiment modules populates the registry
-from repro.core import experiments as _experiments  # noqa: F401
 from repro.core.fidelity import fidelity_report
 from repro.core.report import experiments_markdown
 

@@ -7,15 +7,9 @@ from typing import List, Tuple
 from repro.arch import get_device
 from repro.core.checks import Check
 from repro.core.context import RunContext
-from repro.core.registry import register
 from repro.core.tables import Table
 
 
-@register(
-    "table03_devices",
-    "Table III",
-    "Properties of the Ampere, Ada Lovelace and Hopper devices",
-)
 def table03(ctx: RunContext) -> Tuple[Table, List[Check]]:
     names = ctx.device_order("A100", "RTX4090", "H800")
     devices = [get_device(n) for n in names]

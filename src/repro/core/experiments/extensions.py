@@ -16,16 +16,9 @@ import numpy as np
 from repro.arch import get_device
 from repro.core.checks import Check, approx
 from repro.core.context import RunContext
-from repro.core.registry import register
 from repro.core.tables import Table
 
 
-@register(
-    "ext_tma_vs_cpasync",
-    "§III-D2 (extension)",
-    "TMA bulk copies vs cp.async: issue-slot savings by tile size",
-    devices=("H800",),
-)
 def ext_tma(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.asynccopy import TmaModel
     from repro.isa.memory_ops import TmaCopy
@@ -61,15 +54,6 @@ def ext_tma(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_cache_detection",
-    "§III-A (extension)",
-    "P-chase sweeps recover the cache geometry (methodology check)",
-    # the capacity sweep mixes pow2 and 1.5×pow2 sizes, so A100's
-    # 192 KiB L1 resolves too; any present device with a registered
-    # cache geometry will do (the lineage/Blackwell packs included)
-    devices_any=("RTX4090", "A100", "H800", "B200", "V100"),
-)
 def ext_cache_detection(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.memory import CacheProbe
     table = Table(
@@ -102,11 +86,6 @@ def ext_cache_detection(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_dpx_applications",
-    "§III-D1 (extension)",
-    "DPX at application level: alignment + Floyd-Warshall speedups",
-)
 def ext_dpx_apps(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.dp import FloydWarshall, SmithWaterman, \
         estimate_kernel_time
@@ -158,11 +137,6 @@ def ext_dpx_apps(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_fp8_accuracy",
-    "§III-C (extension)",
-    "What FP8 costs in accuracy through real layers",
-)
 def ext_fp8_accuracy(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.te import Precision
     from repro.te.accuracy import layer_accuracy, linear_accuracy
@@ -191,12 +165,6 @@ def ext_fp8_accuracy(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_tma_pipeline",
-    "§III-D2 (extension)",
-    "Predicted TmaPipe variant of the async-copy study (H800)",
-    devices=("H800",),
-)
 def ext_tma_pipeline(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.asynccopy import AsyncCopyConfig, CopyVariant, \
         TiledMatmulModel
@@ -234,11 +202,6 @@ def ext_tma_pipeline(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_mma_full_matrix",
-    "Table VII (extension)",
-    "The complete mma type matrix: BF16, INT4, binary, FP64 included",
-)
 def ext_mma_full(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.isa.dtypes import DType
     from repro.isa.lowering import UnsupportedInstruction
@@ -314,11 +277,6 @@ def ext_mma_full(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_coalescing",
-    "§III-A (extension)",
-    "Warp coalescing: efficiency vs stride and alignment",
-)
 def ext_coalescing(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.memory.coalescing import efficiency_vs_stride, \
         strided_access
@@ -342,12 +300,6 @@ def ext_coalescing(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_trace_simulator",
-    "§II (extension)",
-    "Trace-driven SM simulator validated against the pipe models",
-    devices=("H800",),
-)
 def ext_trace_sim(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.isa import MatrixShape, MmaInstruction
     from repro.isa.dtypes import DType
@@ -385,12 +337,6 @@ def ext_trace_sim(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_llm_batch_sweep",
-    "§III-C3 (extension)",
-    "LLM throughput vs batch size: when does FP8 start paying?",
-    devices=("H800",),
-)
 def ext_llm_batch(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.te import LLAMA_MODELS, LlmInferenceModel, Precision
     m = LlmInferenceModel(get_device(ctx.pin("H800")))
@@ -427,12 +373,6 @@ def ext_llm_batch(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_attention_scaling",
-    "§III-C2 (extension)",
-    "Flash-attention cost scaling: quadratic compute vs linear IO",
-    devices=("H800",),
-)
 def ext_attention(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.te import CostModel, DotProductAttention, Precision
     cm = CostModel(get_device(ctx.pin("H800")))
@@ -460,11 +400,6 @@ def ext_attention(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_roofline",
-    "§I/§II (extension)",
-    "Roofline summary: where the paper's workloads sit per device",
-)
 def ext_roofline(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.sm import BlockConfig, KernelSpec, Roofline
     devices = ctx.device_order("A100", "RTX4090", "H800")
@@ -516,11 +451,6 @@ def ext_roofline(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "ext_numeric_probes",
-    "Fasi et al. (extension)",
-    "Tensor-core numeric behaviour probes",
-)
 def ext_numeric_probes(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.tensorcore.numerics_study import run_all_probes
     table = Table("Numeric behaviour of the modelled tensor cores",

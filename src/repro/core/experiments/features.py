@@ -8,7 +8,6 @@ from repro.arch import get_device
 from repro.asynccopy import benchmark_table
 from repro.core.checks import Check, approx, ordered
 from repro.core.context import RunContext
-from repro.core.registry import register
 from repro.core.tables import Table
 from repro.dpx import DPX_FUNCTIONS, DpxTimingModel, block_sweep, \
     get_dpx_function
@@ -30,11 +29,6 @@ _DPX_SAMPLE = (
 )
 
 
-@register(
-    "fig06_dpx_latency",
-    "Fig. 6",
-    "DPX intrinsic latency: hardware (H800) vs emulation (A100, 4090)",
-)
 def fig06(ctx: RunContext) -> Tuple[Table, List[Check]]:
     devices = ctx.device_order("RTX4090", "A100", "H800")
     models = {d: DpxTimingModel(get_device(d)) for d in devices}
@@ -74,11 +68,6 @@ def fig06(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "fig07_dpx_throughput",
-    "Fig. 7",
-    "DPX throughput per device + the SM-multiple block sawtooth",
-)
 def fig07(ctx: RunContext) -> Tuple[Table, List[Check]]:
     devices = ctx.device_order("RTX4090", "A100", "H800")
     models = {d: DpxTimingModel(get_device(d)) for d in devices}
@@ -157,12 +146,6 @@ def _async_table(dev_name: str):
     return table, rows, gains
 
 
-@register(
-    "table13_async_h800",
-    "Table XIII",
-    "Async vs sync tile copies in tiled matmul, H800",
-    devices=("H800",),
-)
 def table13(ctx: RunContext) -> Tuple[Table, List[Check]]:
     table, rows, gains = _async_table(ctx.pin("H800"))
     checks = [
@@ -181,12 +164,6 @@ def table13(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "table14_async_a100",
-    "Table XIV",
-    "Async vs sync tile copies in tiled matmul, A100",
-    devices=("A100",),
-)
 def table14(ctx: RunContext) -> Tuple[Table, List[Check]]:
     table, rows, gains = _async_table(ctx.pin("A100"))
     checks = [
@@ -201,12 +178,6 @@ def table14(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "fig08_dsm_rbc",
-    "Fig. 8",
-    "SM-to-SM ring-based copy throughput on H800",
-    devices=("H800",),
-)
 def fig08(ctx: RunContext) -> Tuple[Table, List[Check]]:
     h800 = get_device(ctx.pin("H800"))
     rbc = RingCopyBenchmark(h800)
@@ -244,12 +215,6 @@ def fig08(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "fig09_dsm_histogram",
-    "Fig. 9",
-    "DSM histogram throughput: occupancy vs SM-to-SM traffic",
-    devices=("H800",),
-)
 def fig09(ctx: RunContext) -> Tuple[Table, List[Check]]:
     h800 = get_device(ctx.pin("H800"))
     hist = DsmHistogram(h800)

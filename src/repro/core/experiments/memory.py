@@ -7,7 +7,6 @@ from typing import List, Tuple
 from repro.arch import get_device
 from repro.core.checks import Check, approx, ordered, ratio_between
 from repro.core.context import RunContext
-from repro.core.registry import register
 from repro.core.tables import Table
 from repro.memory import measure_latencies, measure_throughputs
 from repro.memory.throughput import MemoryThroughputModel
@@ -16,11 +15,6 @@ from repro.memory.throughput import MemoryThroughputModel
 _PAPER_ORDER = ("RTX4090", "A100", "H800")
 
 
-@register(
-    "table04_mem_latency",
-    "Table IV",
-    "P-chase latency (clock cycles) of L1, shared, L2 and global memory",
-)
 def table04(ctx: RunContext) -> Tuple[Table, List[Check]]:
     devices = ctx.device_order(*_PAPER_ORDER)
     # Chains stay sequential (seed=None): the over-L2 global probe is
@@ -72,11 +66,6 @@ def table04(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "table05_mem_throughput",
-    "Table V",
-    "Sustained throughput at each memory level per access pattern",
-)
 def table05(ctx: RunContext) -> Tuple[Table, List[Check]]:
     devices = ctx.device_order(*_PAPER_ORDER)
     results = {name: measure_throughputs(get_device(name))
@@ -138,11 +127,6 @@ def table05(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "table05x_shared_parity",
-    "Table V (shared row)",
-    "Shared-memory throughput parity across the three devices",
-)
 def table05_shared(ctx: RunContext) -> Tuple[Table, List[Check]]:
     devices = ctx.device_order(*_PAPER_ORDER)
     table = Table("Shared-memory throughput (byte/clk/SM)",

@@ -9,7 +9,6 @@ import numpy as np
 from repro.arch import get_device
 from repro.core.checks import Check, ratio_between
 from repro.core.context import RunContext
-from repro.core.registry import register
 from repro.core.tables import Table
 from repro.te import (
     CostModel,
@@ -22,12 +21,6 @@ from repro.te import (
 _NS = (1024, 2048, 4096, 8192, 16384)
 
 
-@register(
-    "fig03_te_breakdown",
-    "Fig. 3",
-    "Operator time shares of an FP8 te.Linear matmul",
-    devices=("H800",),
-)
 def fig03(ctx: RunContext) -> Tuple[Table, List[Check]]:
     cm = CostModel(get_device(ctx.pin("H800")))
     table = Table(
@@ -67,11 +60,6 @@ def fig03(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "fig04_te_linear",
-    "Fig. 4",
-    "te.Linear throughput (TFLOPS) vs matrix size, dtype and device",
-)
 def fig04(ctx: RunContext) -> Tuple[Table, List[Check]]:
     devices = ctx.device_order("H800", "RTX4090", "A100")
     table = Table(
@@ -114,11 +102,6 @@ def fig04(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "fig05_te_layer",
-    "Fig. 5",
-    "te.TransformerLayer single-layer latency vs hidden size",
-)
 def fig05(ctx: RunContext) -> Tuple[Table, List[Check]]:
     devices = ctx.device_order("H800", "RTX4090", "A100")
     hiddens = sorted(TransformerLayerConfig.PAPER_CONFIGS)
@@ -173,11 +156,6 @@ def fig05(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "table12_llm",
-    "Table XII",
-    "Decode-only LLM generation throughput (tokens/s)",
-)
 def table12(ctx: RunContext) -> Tuple[Table, List[Check]]:
     devices = ctx.device_order("RTX4090", "A100", "H800")
     table = Table(

@@ -7,7 +7,6 @@ from typing import List, Tuple
 from repro.arch import get_device
 from repro.core.checks import Check, approx, ordered, ratio_between
 from repro.core.context import RunContext
-from repro.core.registry import register
 from repro.core.tables import Table
 from repro.isa.dtypes import DType
 from repro.isa.lowering import sass_table
@@ -42,11 +41,6 @@ _WGMMA_PAIRS = [
 ]
 
 
-@register(
-    "table06_sass",
-    "Table VI",
-    "SASS lowering of Hopper tensor-core PTX instructions",
-)
 def table06(ctx: RunContext) -> Tuple[Table, List[Check]]:
     # The paper lowers on the H800; any other context sweeps its own
     # lead device's architecture through the same Table VI grid.
@@ -102,11 +96,6 @@ def _lat_thpt_cell(entry) -> str:
             f"/{entry.throughput_tflops():.1f}")
 
 
-@register(
-    "table07_mma",
-    "Table VII",
-    "Dense/sparse mma latency and throughput on A100, RTX4090, H800",
-)
 def table07(ctx: RunContext) -> Tuple[Table, List[Check]]:
     devices = ctx.device_order(*_PAPER_ORDER)
     table = Table(
@@ -220,12 +209,6 @@ def _wgmma_rows(device: str, sparse: bool):
             for i, pair in enumerate(_WGMMA_PAIRS)}
 
 
-@register(
-    "table08_wgmma_dense",
-    "Table VIII",
-    "Dense wgmma variants on H800: SS/RS × zero/random operands",
-    devices=("H800",),
-)
 def table08(ctx: RunContext) -> Tuple[Table, List[Check]]:
     rows = _wgmma_rows(ctx.pin("H800"), sparse=False)
     table = Table(
@@ -271,12 +254,6 @@ def table08(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "table09_wgmma_sparse",
-    "Table IX",
-    "Sparse wgmma variants on H800: the SS-mode penalty",
-    devices=("H800",),
-)
 def table09(ctx: RunContext) -> Tuple[Table, List[Check]]:
     rows = _wgmma_rows(ctx.pin("H800"), sparse=True)
     table = Table(
@@ -312,12 +289,6 @@ def table09(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "table10_wgmma_nsweep",
-    "Table X",
-    "wgmma throughput vs N: compute density hides operand latency",
-    devices=("H800",),
-)
 def table10(ctx: RunContext) -> Tuple[Table, List[Check]]:
     dev = get_device(ctx.pin("H800"))
     tm = TensorCoreTimingModel(dev)
@@ -377,11 +348,6 @@ def table10(ctx: RunContext) -> Tuple[Table, List[Check]]:
     return table, checks
 
 
-@register(
-    "table11_energy",
-    "Table XI",
-    "Power and energy efficiency of max-shape mma instructions",
-)
 def table11(ctx: RunContext) -> Tuple[Table, List[Check]]:
     devices = ctx.device_order("A100", "H800", "RTX4090")
     grid = [

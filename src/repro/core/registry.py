@@ -4,25 +4,32 @@ An :class:`Experiment` bundles an artefact id (``table04_mem_latency``),
 the paper reference, a builder that produces the result table and the
 shape checks that verify the paper's findings on it.
 
+The registry starts as the experiment table in
+:mod:`repro.core.experiments`, whose rows name their builders as
+``"module:function"`` paths: a lookup, a pin check or a cache key
+imports no builder module, and :meth:`Experiment.run` imports one on
+first use.  :func:`register` adds callables at run time.
+
 Builders are **context-parameterized**: they take a
 :class:`~repro.core.context.RunContext` and draw their device list,
 seed and fidelity tier from it instead of hardcoding the paper's
-testbed.  Zero-argument builders are no longer accepted —
-:func:`register` raises a :class:`TypeError` (the adapter shim warned
-via ``DeprecationWarning`` for two releases before being removed).
+testbed.  Zero-argument builders are not accepted — :func:`register`
+raises a :class:`TypeError`.
 """
 
 from __future__ import annotations
 
 import difflib
+import importlib
 import inspect
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.checks import Check
 from repro.core.context import DEFAULT_CONTEXT, DeviceNotInContext, \
     RunContext
+from repro.core.experiments import EXPERIMENTS
 from repro.core.tables import Table
 
 __all__ = [
@@ -77,20 +84,39 @@ class ExperimentResult:
 class Experiment:
     """One paper artefact reproduction.
 
-    ``devices`` names the devices the artefact is *pinned* to (the
-    paper measured it on exactly those GPUs — the context must provide
-    **all** of them); ``devices_any`` is the weaker "any of" mode: the
-    builder adapts to whichever of the named devices the context
-    offers, so one present device suffices.  ``None`` for both means
-    the builder sweeps whatever the context provides.
+    ``builder`` is the callable, or its ``"module:function"`` path,
+    imported by :meth:`resolve`.  ``devices`` names the devices the
+    artefact is *pinned* to (the paper measured it on exactly those
+    GPUs — the context must provide **all** of them); ``devices_any``
+    is the weaker "any of" mode: the builder adapts to whichever of
+    the named devices the context offers, so one present device
+    suffices.  ``None`` for both means the builder sweeps whatever the
+    context provides.
     """
 
     name: str
     paper_ref: str        # e.g. "Table IV" / "Fig. 8"
     description: str
-    builder: Builder
+    builder: Union[Builder, str]
     devices: Optional[Tuple[str, ...]] = None
     devices_any: Optional[Tuple[str, ...]] = None
+
+    @property
+    def target(self) -> str:
+        """The builder as ``"module:function"``, read without
+        importing it."""
+        if isinstance(self.builder, str):
+            return self.builder
+        return (f"{getattr(self.builder, '__module__', '') or ''}:"
+                f"{getattr(self.builder, '__qualname__', '')}")
+
+    def resolve(self) -> Builder:
+        """The builder callable, importing its module if the
+        experiment names it by path."""
+        if not isinstance(self.builder, str):
+            return self.builder
+        module, _, attr = self.builder.partition(":")
+        return getattr(importlib.import_module(module), attr)
 
     def supports(self, context: RunContext) -> bool:
         """Can this experiment run under ``context``'s device sweep?"""
@@ -119,24 +145,27 @@ class Experiment:
                 f"{self.name} is {self.pin_note()} but the context "
                 f"only provides {list(ctx.devices)}"
             )
+        builder = self.resolve()
         t0 = time.perf_counter()
-        table, checks = self.builder(ctx)
+        table, checks = builder(ctx)
         ctx.emit(self.name, time.perf_counter() - t0)
         return ExperimentResult(self, table, tuple(checks), context=ctx)
 
 
-_REGISTRY: Dict[str, Experiment] = {}
+_REGISTRY: Dict[str, Experiment] = {
+    row.name: Experiment(*row) for row in EXPERIMENTS}
 
 
 def register(name: str, paper_ref: str, description: str, *,
              devices: Optional[Tuple[str, ...]] = None,
              devices_any: Optional[Tuple[str, ...]] = None):
-    """Decorator registering a builder function as an experiment.
+    """Decorator registering a builder function as an experiment at
+    run time; the package's own experiments are rows of the table in
+    :mod:`repro.core.experiments`.
 
     The builder must accept a :class:`RunContext` as its positional
     parameter; registering a zero-argument builder raises
-    :class:`TypeError` (the back-compat shim was removed after its
-    deprecation period).  ``devices`` requires every named device in
+    :class:`TypeError`.  ``devices`` requires every named device in
     the context; ``devices_any`` requires at least one (for builders
     that adapt their sweep).
     """

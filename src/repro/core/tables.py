@@ -3,13 +3,13 @@
 Every experiment returns a :class:`Table`; ``render()`` prints the
 same rows/columns the paper's artefact reports.
 
-Storage is **column-major**: one Python list per column, packed into
-typed NumPy arrays when the table crosses a process boundary.  The
-parallel runner and the result cache pickle whole tables, and a
-columnar payload serialises N cells as one array op instead of N
-per-row object walks.  The row-oriented API (:meth:`add_row`,
-:attr:`rows`, :meth:`cell`) is preserved via lightweight row views, and
-``render()`` output is byte-for-byte what the row-major table printed.
+Storage is **column-major**: one Python list per column.  The parallel
+runner and the result cache pickle whole tables with the default
+``__slots__`` pickling, so columns travel as plain lists and loading a
+cached table imports nothing beyond this module.  The row-oriented API
+(:meth:`add_row`, :attr:`rows`, :meth:`cell`) is preserved via
+lightweight row views, and ``render()`` output is byte-for-byte what
+the row-major table printed.
 """
 
 from __future__ import annotations
@@ -29,25 +29,6 @@ def _fmt(v: Any) -> str:
             return f"{v:.1f}"
         return f"{v:.3g}"
     return str(v)
-
-
-def _pack(column: List[Any]):
-    """A column as a typed NumPy array when homogeneous, else as-is.
-
-    Only pure ``float`` and pure ``int`` columns pack — mixed or
-    object columns ship unchanged, so unpacking (``tolist``) restores
-    the exact Python types and ``render()`` stays byte-identical
-    across a pickle round-trip.
-    """
-    if column and all(type(v) is float for v in column):
-        import numpy as np
-
-        return np.asarray(column, dtype=np.float64)
-    if column and all(type(v) is int for v in column):
-        import numpy as np
-
-        return np.asarray(column, dtype=np.int64)
-    return list(column)
 
 
 class _RowsView(Sequence):
@@ -195,20 +176,3 @@ class Table:
     def __repr__(self) -> str:
         return (f"Table(title={self.title!r}, "
                 f"columns={self.columns!r}, rows={len(self)})")
-
-    # -- pickling: ship columns, not rows ------------------------------------
-
-    def __getstate__(self) -> dict:
-        return {
-            "title": self.title,
-            "columns": self.columns,
-            "data": [_pack(col) for col in self._data],
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.title = state["title"]
-        self.columns = state["columns"]
-        self._data = [
-            col.tolist() if hasattr(col, "tolist") else list(col)
-            for col in state["data"]
-        ]

@@ -3,12 +3,18 @@
 An experiment's output is a pure function of (a) its builder code and
 everything it transitively calls, and (b) the :class:`RunContext` it
 ran under (device sweep, seed, fidelity) plus the registered specs of
-those devices.  The cache key therefore hashes the experiment name
-together with the package version, the context token, a digest of the
-context's :class:`~repro.arch.DeviceSpec` objects and — the part that
-makes warm caches survive edits — a digest of only the ``repro``
-modules the builder *transitively imports* (its **dependency cut**),
-not the whole source tree.
+those devices and the architecture packs they resolve to.  The cache
+key therefore hashes the experiment name and its builder's
+``"module:function"`` path together with the package version, the
+context token, a digest of the context's
+:class:`~repro.arch.DeviceSpec` objects and their
+:class:`~repro.arch.ArchPack` objects and — the part that makes warm
+caches survive edits — a digest of only the ``repro`` modules the
+builder *transitively imports* (its **dependency cut**), not the whole
+source tree.  The builder's module and path come from the experiment
+table (:mod:`repro.core.experiments`), so deriving a key imports no
+builder; the path is key material because the table itself is in no
+cut.
 
 The cut is computed statically: each module's AST is scanned for
 ``import``/``from`` statements (including ones nested inside
@@ -17,12 +23,12 @@ functions, which the experiment modules use liberally) and the
 ``repro/te/modules.py`` therefore invalidates the Transformer-Engine
 experiments but leaves the memory-hierarchy entries warm.  Imports are
 mapped to *submodule files*, deliberately not to the parent package's
-``__init__`` — ``repro/core/__init__.py`` imports every experiment
-module, so routing through it would glue all cuts together and undo
-the point of the exercise.  For the same reason the orchestration
-layer itself (``repro.perf``, ``repro.cli``) is excluded from the
-graph: it fans work out and caches results but — by contract, and by
-the parallel-equals-serial tests — never changes what an experiment
+``__init__``: a package ``__init__`` re-exports its submodules, so
+routing through it would glue unrelated cuts together and undo the
+point of the exercise.  For the same reason the orchestration layer
+itself (``repro.perf``, ``repro.cli``) is excluded from the graph: it
+fans work out and caches results but — by contract, and by the
+parallel-equals-serial tests — never changes what an experiment
 computes, while its runner imports ``repro.core`` wholesale and would
 otherwise re-glue everything.  Builders living outside ``repro`` fall
 back to the conservative whole-tree digest.
@@ -55,12 +61,14 @@ caches filled before the index existed stay warm.
 Entries store the pickled :class:`~repro.core.tables.Table` and
 :class:`~repro.core.checks.Check` tuple, *not* the
 :class:`~repro.core.registry.ExperimentResult` itself: the result
-holds the experiment (whose builder is an arbitrary callable, often
-unpicklable) and is re-attached from the live registry on load.
-Corrupt or truncated files are treated as misses.  Writes go through a
-temp file + :func:`os.replace` so concurrent runners never observe a
-partial entry.  Keys embed the context token, so the same experiment
-cached under different contexts coexists on disk.
+holds the experiment (whose builder may be an arbitrary callable,
+often unpicklable) and is re-attached from the live registry on load.
+Both classes pickle as plain Python data, so a hit imports no numpy
+and no engine.  Corrupt or truncated files are treated as misses.
+Writes go through a temp file + :func:`os.replace` so concurrent
+runners never observe a partial entry.  Keys embed the context token,
+so the same experiment cached under different contexts coexists on
+disk.
 
 Two extensions serve the long-running query service
 (:mod:`repro.serve`):
@@ -113,7 +121,7 @@ __all__ = ["ResultCache", "ResultCacheStats", "CacheKeys",
            "dependency_cut"]
 
 #: bump when the on-disk payload layout changes
-_SCHEMA = 2
+_SCHEMA = 3
 
 #: file name and layout version of the persisted cut-digest index
 _INDEX_NAME = "cut-index.json"
@@ -278,13 +286,19 @@ def source_digest() -> str:
 
 
 def device_digest(devices: Optional[Tuple[str, ...]] = None) -> str:
-    """Digest of the named device specs (default: all registered)."""
+    """Digest of the named device specs and the architecture packs
+    they resolve to (default: all registered devices).  A stock
+    device's repr names its :class:`~repro.arch.Architecture` but not
+    the pack registered for it, so the pack is hashed too."""
     from repro.arch import get_device, list_devices
 
     names = list(devices) if devices else list_devices()
     h = hashlib.sha256()
     for name in sorted(names):
-        h.update(repr(get_device(name)).encode())
+        spec = get_device(name)
+        h.update(repr(spec).encode())
+        h.update(b"\0")
+        h.update(repr(spec.pack).encode())
         h.update(b"\0")
     return h.hexdigest()
 
@@ -329,12 +343,13 @@ class CacheKeys:
         import repro
 
         ctx = DEFAULT_CONTEXT if context is None else context
-        module = getattr(get_experiment(name).builder, "__module__",
-                         "") or ""
+        target = get_experiment(name).target
+        module = target.partition(":")[0]
         h = hashlib.sha256()
         h.update(f"schema={_SCHEMA}\n".encode())
         h.update(f"version={repro.__version__}\n".encode())
         h.update(f"name={name}\n".encode())
+        h.update(f"builder={target}\n".encode())
         h.update(f"context={ctx.token()}\n".encode())
         h.update(f"devices={device_digest(ctx.devices)}\n".encode())
         h.update(f"source:{self.module_digest(module)}\n".encode())

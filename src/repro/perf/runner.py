@@ -32,9 +32,7 @@ Two dispatch disciplines coexist:
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
@@ -67,9 +65,11 @@ def _run_one(task: Tuple[str, dict, Optional[dict]]) \
         -> Tuple[str, object, tuple, float, Optional[dict]]:
     """Worker entry point — must stay module-level for pickling.
 
-    Importing :mod:`repro.core` on the worker side (re)populates the
-    registry, so this also works under spawn-style process start
-    methods where the child begins with a blank interpreter.
+    The registry is the experiment table, read when this module is
+    imported, so this also works under spawn-style process start
+    methods where the child begins with a blank interpreter.  The
+    builder is resolved before the clock starts: importing its module
+    is start-up cost, not experiment time.
 
     When observability is requested (``obs_cfg``), the experiment runs
     under a **fresh nested session** and its counter/event delta ships
@@ -78,10 +78,9 @@ def _run_one(task: Tuple[str, dict, Optional[dict]]) \
     requested-name order either way — which is what makes serial and
     ``--jobs N`` counter dumps byte-identical.
     """
-    import repro.core  # noqa: F401  (registers experiments)
-
     name, ctx_payload, obs_cfg = task
     ctx = RunContext.from_payload(ctx_payload)
+    get_experiment(name).resolve()
     t0 = time.perf_counter()
     if obs_cfg is not None:
         session = ObsSession(trace=bool(obs_cfg.get("trace")))
@@ -159,8 +158,12 @@ def run_experiments(
         else:
             pending.append(name)
 
-    # 2. run the rest, fanned out if asked to
+    # 2. run the rest, fanned out if asked to — resolving the
+    # builders first, so forked workers inherit their imports
     if pending:
+        if jobs > 1:
+            for name in pending:
+                get_experiment(name).resolve()
         obs_cfg = ({"trace": sess.tracer is not None}
                    if sess is not None else None)
         with _span("runner.context_serialize"):
@@ -240,6 +243,8 @@ def parallel_imap(
         for i, x in enumerate(items):
             yield i, fn(x)
         return
+    import multiprocessing
+
     tasks = [(fn, i, x) for i, x in enumerate(items)]
     with multiprocessing.Pool(
         processes=min(jobs, len(items))
@@ -277,6 +282,8 @@ def parallel_map(
                                        chunksize=chunksize):
             out[i] = result
         return out
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(items))
     ) as pool:

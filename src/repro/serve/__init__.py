@@ -26,7 +26,6 @@ serial-vs-parallel / cold-vs-warm determinism tests pin that the
 service's caching and fan-out change wall time only.
 """
 
-from repro.serve.oracle import CostOracle
 from repro.serve.planner import Plan, Shard, plan_queries
 from repro.serve.schema import (
     KINDS,
@@ -51,3 +50,13 @@ __all__ = [
     "parse_query_line",
     "plan_queries",
 ]
+
+
+def __getattr__(name: str):
+    # the oracle pulls in numpy and the engines; a batch answered from
+    # the blob tier never needs it, so it loads on first access
+    if name == "CostOracle":
+        from repro.serve.oracle import CostOracle
+
+        return CostOracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

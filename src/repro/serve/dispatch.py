@@ -54,7 +54,6 @@ def _experiment_predictions(queries: List[Query],
     experiment under a context derived from the base, one at a time
     (these are heavyweight by construction — the grid path is for
     point queries)."""
-    import repro.core  # noqa: F401  (registers experiments)
     from repro.core.context import DeviceNotInContext
     from repro.core.registry import get_experiment
     from repro.perf.runner import run_experiments

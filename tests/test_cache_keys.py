@@ -7,15 +7,20 @@ case, where a stale index must never answer for an edited tree.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 
 import repro
+from repro.arch import ArchPack, get_pack, register_pack
+from repro.arch import packs as packs_mod
 from repro.cli import main
 from repro.core import list_experiments, run_experiment
+from repro.core import registry as regmod
 from repro.core.context import DEFAULT_CONTEXT, RunContext
 from repro.core.registry import get_experiment
 from repro.obs import ObsSession
@@ -26,17 +31,23 @@ from repro.perf import (
     run_experiments,
 )
 from repro.perf import cache as cmod
+from repro.perf.cache import CacheKeys
 
 EXP = "table03_devices"
 #: a device/seed sweep beside the default context
 SWEEP = RunContext(devices=("A100", "H800"), seed=7)
 
 
+def _module(name):
+    """The module of ``name``'s builder, read from the registry."""
+    return get_experiment(name).target.partition(":")[0]
+
+
 def _builders():
     """Each builder module, with one experiment it builds."""
     out = {}
     for name in list_experiments():
-        out.setdefault(get_experiment(name).builder.__module__, name)
+        out.setdefault(_module(name), name)
     return out
 
 
@@ -65,12 +76,13 @@ def _reference_cut_digest(module):
 def _reference_key(name, ctx, cut_digests):
     """The key as specified, with ``cut_digests`` caching
     :func:`_reference_cut_digest` by builder module."""
-    module = get_experiment(name).builder.__module__
+    module = _module(name)
     if module not in cut_digests:
         cut_digests[module] = _reference_cut_digest(module)
     h = hashlib.sha256()
     for line in (f"schema={cmod._SCHEMA}",
                  f"version={repro.__version__}", f"name={name}",
+                 f"builder={get_experiment(name).target}",
                  f"context={ctx.token()}",
                  f"devices={cmod.device_digest(ctx.devices)}",
                  f"source:{cut_digests[module]}"):
@@ -182,6 +194,120 @@ class TestKeySoundness:
             else real_read(path))
         assert ResultCache(root).key_for(EXP) == keys[EXP]
         assert parses, "an index stored for another tree was trusted"
+
+
+#: a stock pack's perturbations must reach this key: the experiment
+#: is pinned to H800, a Hopper device in the default context
+PACK_EXP = "table08_wgmma_dense"
+
+
+def _bump(value):
+    """``value`` perturbed; a calibration dataclass or table changes
+    one leaf (its first field or entry, recursively)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if value is None:           # Hopper's one None field: mma_peak_keys
+        return frozenset({"fp16"})
+    if isinstance(value, frozenset):
+        return value | {"x"}
+    if isinstance(value, Mapping):
+        first = next(iter(value))
+        return {**value, first: _bump(value[first])}
+    first = dataclasses.fields(value)[0].name
+    return dataclasses.replace(
+        value, **{first: _bump(getattr(value, first))})
+
+
+def _key_with_pack(cache, arch, pack):
+    """``PACK_EXP``'s key while ``pack`` stands in for the stock
+    ``arch`` pack; the stock pack is restored whatever happens."""
+    stock = packs_mod._PACKS[arch]
+    packs_mod._PACKS[arch] = pack
+    try:
+        return cache.key_for(PACK_EXP)
+    finally:
+        packs_mod._PACKS[arch] = stock
+
+
+class TestPackSoundness:
+    """Replacing a stock pack changes the keys of every context that
+    holds one of its devices — a warm cache never serves results
+    computed with the old pack."""
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(ArchPack)])
+    def test_perturbed_pack_field_changes_the_key(self, tmp_path,
+                                                  field):
+        cache = ResultCache(tmp_path / "rc")
+        key = cache.key_for(PACK_EXP)
+        hopper = get_pack("hopper")
+        bumped = dataclasses.replace(
+            hopper, **{field: _bump(getattr(hopper, field))})
+        assert bumped != hopper
+        assert _key_with_pack(cache, "hopper", bumped) != key, \
+            f"perturbing ArchPack.{field} left {PACK_EXP}'s key unchanged"
+        assert cache.key_for(PACK_EXP) == key
+
+    def test_registered_replacement_reaches_both_digests(self):
+        before = (cmod.device_digest(("H800",)), CacheKeys().key_for(
+            PACK_EXP))
+        stock = get_pack("hopper")
+        try:
+            register_pack(dataclasses.replace(stock, has_fp8=False),
+                          overwrite=True)
+            after = (cmod.device_digest(("H800",)),
+                     CacheKeys().key_for(PACK_EXP))
+        finally:
+            register_pack(stock, overwrite=True)
+        assert after[0] != before[0] and after[1] != before[1]
+
+    def test_pack_outside_the_context_keeps_the_key(self, tmp_path):
+        cache = ResultCache(tmp_path / "rc")
+        volta = get_pack("volta")          # V100 is not in the default
+        assert _key_with_pack(             # context
+            cache, "volta", dataclasses.replace(
+                volta, has_fp8=not volta.has_fp8)) \
+            == cache.key_for(PACK_EXP)
+
+
+class TestBuilderPath:
+    """The experiment table is in no builder's cut, so the builder's
+    path is what makes a re-pointed row a different key."""
+
+    TABLE = "repro.core.experiments"
+
+    def test_table_is_in_no_cut(self):
+        for module in BUILDERS:
+            assert self.TABLE not in dependency_cut(module)
+
+    def _key_after_table_edit(self, indexed, monkeypatch, **changes):
+        root, _ = indexed
+        monkeypatch.setitem(regmod._REGISTRY, PACK_EXP,
+                            dataclasses.replace(
+                                get_experiment(PACK_EXP), **changes))
+        _append_byte(monkeypatch, [self.TABLE])
+        return ResultCache(root).key_for(PACK_EXP)
+
+    def test_repointed_builder_changes_the_key(self, indexed,
+                                               monkeypatch):
+        _, keys = indexed
+        target = get_experiment(PACK_EXP).target
+        sibling = target.replace(":table08", ":table09")
+        assert sibling != target and _module(PACK_EXP) == \
+            sibling.partition(":")[0]
+        assert self._key_after_table_edit(
+            indexed, monkeypatch, builder=sibling) != keys[PACK_EXP]
+
+    def test_edited_description_keeps_the_key(self, indexed,
+                                              monkeypatch):
+        _, keys = indexed
+        assert self._key_after_table_edit(
+            indexed, monkeypatch, description="reworded") \
+            == keys[PACK_EXP]
 
 
 class TestParseCounts:

@@ -138,8 +138,8 @@ class TestColumnarTable:
         small.add_row(0.0)
         per_row = (len(pickle.dumps(big)) - len(pickle.dumps(small))) \
             / 4095
-        # a packed float64 column costs ~8 bytes/row; the old
-        # row-of-python-floats layout cost several dozen
+        # a column list pickles each float as one 9-byte BINFLOAT;
+        # the old row-of-python-floats layout cost several dozen
         assert per_row < 12, per_row
 
     def test_rows_equality_supports_determinism_checks(self):

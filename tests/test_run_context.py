@@ -144,10 +144,19 @@ class TestRegistryIntegration:
             get_experiment("table04_mem_latencies")
 
     def test_every_builder_takes_the_context(self):
-        # the refactor is complete: no registered builder is legacy
+        # every table row is registered under its own name and
+        # resolves to a callable, named by its real path, that takes
+        # the RunContext
+        from repro.core.experiments import EXPERIMENTS
         from repro.core.registry import _accepts_context
-        for name in list_experiments():
-            assert _accepts_context(get_experiment(name).builder), name
+        assert sorted(row.name for row in EXPERIMENTS) \
+            == list_experiments()
+        for row in EXPERIMENTS:
+            exp = get_experiment(row.name)
+            assert exp == Experiment(*row)
+            fn = exp.resolve()
+            assert callable(fn) and _accepts_context(fn), row.name
+            assert f"{fn.__module__}:{fn.__qualname__}" == row.builder
 
     def test_zero_arg_builder_registration_raises(self):
         # the shim warned since PR 2; it's gone now
