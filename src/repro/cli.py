@@ -99,7 +99,10 @@ def _make_cache(args):
         return None
     from repro.perf import ResultCache
 
-    return ResultCache()
+    try:
+        return ResultCache()
+    except ValueError as exc:      # a malformed $..._MAX_ENTRIES
+        raise SystemExit(f"hopperdissect: {exc}")
 
 
 def _make_obs(args):
@@ -192,11 +195,7 @@ def _cmd_run(args) -> int:
         print("nothing to run: name experiments or pass --all",
               file=sys.stderr)
         return 2
-    from repro.perf import (
-        append_bench_history,
-        run_experiments,
-        write_bench_json,
-    )
+    from repro.perf import run_experiments
 
     session = _make_obs(args)
     if session is not None:
@@ -217,13 +216,6 @@ def _cmd_run(args) -> int:
     _finish_obs(session, args, context)
     if args.profile:
         print(report.profiler.render())
-        if args.bench_json:
-            write_bench_json(args.bench_json, report.profiler)
-            print(f"wrote {args.bench_json}")
-        if args.bench_history:
-            append_bench_history(args.bench_history, report.profiler,
-                                 label=context.token())
-            print(f"appended {args.bench_history}")
     if failed:
         print(f"{failed} finding check(s) FAILED", file=sys.stderr)
         return 1
@@ -344,8 +336,12 @@ def _parse_param(item: str):
 def _make_service(args, context):
     from repro.serve import QueryService
 
-    return QueryService(context=context, cache=_make_cache(args),
-                        jobs=args.jobs)
+    cache = _make_cache(args)
+    try:
+        return QueryService(context=context, cache=cache,
+                            jobs=args.jobs)
+    except ValueError as exc:      # a malformed $..._MAX_ENTRIES
+        raise SystemExit(f"hopperdissect: {exc}")
 
 
 def _cmd_serve(args) -> int:
@@ -543,12 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_flags(run_p)
     run_p.add_argument("--profile", action="store_true",
                        help="print per-experiment timings")
-    run_p.add_argument("--bench-json", default=None, metavar="PATH",
-                       help="with --profile, also write the timings "
-                            "to PATH as a BENCH_perf.json trajectory")
-    run_p.add_argument("--bench-history", default=None, metavar="PATH",
-                       help="also append a timestamped --profile "
-                            "snapshot to this .jsonl archive")
     run_p.set_defaults(fn=_cmd_run)
 
     sub.add_parser(

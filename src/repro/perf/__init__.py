@@ -12,14 +12,11 @@ exists so the full suite re-runs fast enough to live in an edit loop:
   returned when re-running the builder would provably produce the
   same table and checks — while edits to unrelated modules leave warm
   entries warm.
-* :mod:`repro.perf.profile` — per-experiment wall-clock timings, the
-  ``BENCH_perf.json`` trajectory format, the append-only
-  ``BENCH_perf_history.jsonl`` archive and the regression comparator
-  CI runs against the committed baseline.
 * :mod:`repro.perf.runner` — the parallel experiment runner
   (:func:`~repro.perf.runner.run_experiments`) that fans
-  context-parameterized builders out over a process pool and merges
-  results deterministically in requested-name order, plus the generic
+  context-parameterized builders out over a process pool, merges
+  results deterministically in requested-name order and times each
+  experiment for ``run --profile``, plus the generic
   :func:`~repro.perf.runner.parallel_map` used by the probe sweeps.
 """
 
@@ -30,18 +27,14 @@ from repro.perf.cache import (
     ResultCacheStats,
     dependency_cut,
 )
-from repro.perf.profile import (
+from repro.perf.runner import (
     ExperimentTiming,
     Profiler,
-    append_bench_history,
-    compare_bench,
-    latest_bench_entry,
-    load_bench_history,
-    load_bench_json,
-    write_bench_json,
+    RunReport,
+    parallel_imap,
+    parallel_map,
+    run_experiments,
 )
-from repro.perf.runner import (RunReport, parallel_imap, parallel_map,
-                               run_experiments)
 
 __all__ = [
     "ResultCache",
@@ -49,12 +42,6 @@ __all__ = [
     "dependency_cut",
     "ExperimentTiming",
     "Profiler",
-    "compare_bench",
-    "load_bench_json",
-    "write_bench_json",
-    "append_bench_history",
-    "load_bench_history",
-    "latest_bench_entry",
     "RunReport",
     "run_experiments",
     "parallel_imap",

@@ -431,14 +431,19 @@ class ResultCacheStats:
         return self.hits + self.misses
 
 
-def default_max_entries() -> Optional[int]:
-    """``$HOPPERDISSECT_CACHE_MAX_ENTRIES`` as an int (``0`` or unset
-    meaning unbounded, the historical behaviour)."""
-    raw = os.environ.get("HOPPERDISSECT_CACHE_MAX_ENTRIES", "")
+def env_bound(name: str, default: Optional[int]) -> Optional[int]:
+    """An entry bound read from ``$name``: unset or empty means
+    ``default``, an integer is the bound (``<= 0`` means unbounded,
+    ``None``).  Anything else raises :class:`ValueError` naming the
+    variable — a typo must not silently unbound a cache."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
     try:
         value = int(raw)
     except ValueError:
-        return None
+        raise ValueError(
+            f"${name} must be an integer, got {raw!r}") from None
     return value if value > 0 else None
 
 
@@ -447,7 +452,8 @@ class ResultCache:
     """Content-addressed store of experiment results.
 
     ``root=None`` resolves to :func:`default_cache_dir` at first use.
-    ``max_entries=None`` reads :func:`default_max_entries`; a positive
+    ``max_entries=None`` reads ``$HOPPERDISSECT_CACHE_MAX_ENTRIES``
+    (:func:`env_bound`; unset means unbounded); a positive
     bound turns on LRU eviction (see the module docstring).
     """
 
@@ -461,7 +467,8 @@ class ResultCache:
             self.root = default_cache_dir()
         self.root = Path(self.root)
         if self.max_entries is None:
-            self.max_entries = default_max_entries()
+            self.max_entries = env_bound(
+                "HOPPERDISSECT_CACHE_MAX_ENTRIES", None)
         if self.max_entries is not None and self.max_entries < 1:
             raise ValueError("max_entries must be positive or None")
         self._keys = CacheKeys(self.index_path)

@@ -15,26 +15,24 @@ arbitrary callable too — never crosses the process boundary).
 workloads (the cache-study probe sweeps): a module-level worker
 function fanned over a pool, results in input order.
 
-Two dispatch disciplines coexist:
+There is one dispatch discipline, **work-stealing**
+(:func:`parallel_imap` — ``imap_unordered`` over index-tagged items,
+one item at a time): an idle worker immediately pulls the next item,
+so a heavy-tailed job mix never strands light items behind a
+pre-assigned chunk (``benchmarks/gates.py`` gates the ≥2x claim
+against chunked ``Pool.map``).  Results stream in completion order;
+:func:`parallel_map` and the experiment runner re-merge by the
+yielded index, so determinism is untouched.
 
-* **chunked** (``pool.map`` with a chunksize) — lowest per-item
-  overhead, but a pool worker owns its chunk to completion, so a
-  heavy-tailed job mix strands the light chunks behind the heavy one;
-* **work-stealing** (:func:`parallel_imap` —
-  ``imap_unordered`` over index-tagged items) — completion-order
-  streaming where idle workers immediately pull the next item, which
-  is what lets thousands of small jobs saturate the pool
-  (``benchmarks/bench_fuzz.py`` gates the ≥2x claim).  Callers
-  re-merge by the yielded index when they need input order —
-  ``parallel_map(..., unordered=True)`` and the experiment runner do
-  exactly that, so determinism is untouched.
+The runner also times every experiment into a :class:`Profiler`,
+which renders the ``run --profile`` table.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -55,10 +53,53 @@ from repro.core.registry import (
 from repro.obs import session as _obs
 from repro.obs.session import ObsSession
 from repro.perf.cache import ResultCache
-from repro.perf.profile import Profiler
 
-__all__ = ["RunReport", "run_experiments", "parallel_map",
-           "parallel_imap"]
+__all__ = ["ExperimentTiming", "Profiler", "RunReport",
+           "run_experiments", "parallel_map", "parallel_imap"]
+
+
+@dataclass(frozen=True)
+class ExperimentTiming:
+    """Wall time of one experiment in one run."""
+
+    name: str
+    wall_s: float
+    cached: bool = False
+
+
+@dataclass
+class Profiler:
+    """Collects per-experiment timings for one suite run."""
+
+    timings: List[ExperimentTiming] = field(default_factory=list)
+    cache_hits: int = 0
+    cache_misses: int = 0
+    jobs: int = 1
+
+    def add(self, name: str, wall_s: float, *,
+            cached: bool = False) -> None:
+        self.timings.append(ExperimentTiming(name, wall_s, cached))
+
+    @property
+    def total_s(self) -> float:
+        return sum(t.wall_s for t in self.timings)
+
+    def render(self) -> str:
+        """The ``--profile`` table, slowest first."""
+        lines = [f"{'experiment':<30} {'wall':>10}  source"]
+        lines.append("-" * 50)
+        for t in sorted(self.timings, key=lambda t: -t.wall_s):
+            src = "cache" if t.cached else "run"
+            lines.append(f"{t.name:<30} {t.wall_s * 1e3:>8.1f}ms  {src}")
+        lines.append("-" * 50)
+        summary = f"{'total':<30} {self.total_s * 1e3:>8.1f}ms"
+        if self.cache_hits or self.cache_misses:
+            summary += (f"  ({self.cache_hits} cached, "
+                        f"{self.cache_misses} run)")
+        if self.jobs > 1:
+            summary += f"  [jobs={self.jobs}]"
+        lines.append(summary)
+        return "\n".join(lines)
 
 
 def _run_one(task: Tuple[str, dict, Optional[dict]]) \
@@ -222,21 +263,20 @@ def parallel_imap(
     items: Sequence[Any],
     *,
     jobs: int = 1,
-    chunksize: int = 1,
 ) -> Iterator[Tuple[int, Any]]:
     """Work-stealing map: yields ``(index, fn(item))`` in
     **completion order**.
 
-    Built on ``multiprocessing.Pool.imap_unordered`` with a small
-    chunksize, so an idle worker steals the next pending item instead
-    of sitting behind a pre-assigned chunk — on heavy-tailed job
-    mixes this is what keeps the pool saturated.  ``jobs <= 1`` or a
-    single item short-circuits to a serial generator (indices then
-    arrive in input order, trivially).
+    Built on ``multiprocessing.Pool.imap_unordered`` with chunksize 1,
+    so an idle worker steals the next pending item instead of sitting
+    behind a pre-assigned chunk — on heavy-tailed job mixes this is
+    what keeps the pool saturated.  ``jobs <= 1`` or a single item
+    short-circuits to a serial generator (indices then arrive in input
+    order, trivially).
 
     Callers needing input order re-merge by the yielded index
-    (:func:`parallel_map` with ``unordered=True`` does, as do the
-    experiment runner and the fuzz driver's reorder window).
+    (:func:`parallel_map` does, as do the experiment runner and the
+    fuzz driver's reorder window).
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
@@ -249,8 +289,7 @@ def parallel_imap(
     with multiprocessing.Pool(
         processes=min(jobs, len(items))
     ) as pool:
-        yield from pool.imap_unordered(_indexed_call, tasks,
-                                       chunksize=max(1, chunksize))
+        yield from pool.imap_unordered(_indexed_call, tasks)
 
 
 def parallel_map(
@@ -258,33 +297,17 @@ def parallel_map(
     items: Sequence[Any],
     *,
     jobs: int = 1,
-    chunksize: int = 1,
-    unordered: bool = False,
 ) -> List[Any]:
     """``[fn(x) for x in items]``, fanned over a process pool.
 
-    ``fn`` must be a module-level (picklable) callable; results come
-    back in input order regardless of completion order.  ``jobs <= 1``
-    or a single item short-circuits to the serial loop, so callers can
-    pass a user-controlled job count straight through.
-
-    ``unordered=True`` switches the dispatch discipline to the
-    work-stealing pool (:func:`parallel_imap`) and re-merges by index
-    — same results, same order, better wall time when item costs are
-    skewed.  ``chunksize`` keeps its ``pool.map`` meaning either way.
+    ``fn`` must be a module-level (picklable) callable.  Items are
+    dispatched work-stealing (:func:`parallel_imap`) and re-merged by
+    index, so results come back in input order whatever order they
+    finished in.  ``jobs <= 1`` or a single item runs serially, so
+    callers can pass a user-controlled job count straight through.
     """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    if unordered:
-        out: List[Any] = [None] * len(items)
-        for i, result in parallel_imap(fn, items, jobs=jobs,
-                                       chunksize=chunksize):
-            out[i] = result
-        return out
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(items))
-    ) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, chunksize)))
+    out: List[Any] = [None] * len(items)
+    for i, result in parallel_imap(fn, items, jobs=jobs):
+        out[i] = result
+    return out

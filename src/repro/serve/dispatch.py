@@ -190,11 +190,10 @@ def dispatch_shards(shards: List[Shard], *, jobs: int = 1,
         for s in shards
     ]
     # work-stealing dispatch: shards of very different weights (one
-    # heavy memory chase vs many light sweep shards) no longer strand
-    # a worker; parallel_map re-merges by index so plan order — and
+    # heavy memory chase vs many light sweep shards) never strand a
+    # worker; parallel_map re-merges by index so plan order — and
     # with it the deterministic counter merge — is preserved
-    outcomes = parallel_map(answer_shard, tasks, jobs=jobs,
-                            unordered=True)
+    outcomes = parallel_map(answer_shard, tasks, jobs=jobs)
     results = []
     for shard, (payloads, dump) in zip(shards, outcomes):
         results.append(ShardResult(

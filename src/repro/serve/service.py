@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -78,15 +77,14 @@ _MEMO_DEFAULT = 512
 
 
 def default_memo_entries() -> Optional[int]:
-    """``$HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES`` as an int — the
-    warm-tier sibling of the on-disk tier's
-    ``$HOPPERDISSECT_CACHE_MAX_ENTRIES``.  Unset means the bounded
-    default; ``0`` means unbounded (an explicit opt-out)."""
-    raw = os.environ.get("HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES", "")
-    if not raw.strip():
-        return _MEMO_DEFAULT
-    value = int(raw)
-    return value if value > 0 else None
+    """``$HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES`` — the warm-tier
+    sibling of the on-disk tier's ``$HOPPERDISSECT_CACHE_MAX_ENTRIES``,
+    read by the same parser.  Unset means the bounded default; ``0``
+    means unbounded (an explicit opt-out)."""
+    from repro.perf.cache import env_bound
+
+    return env_bound("HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES",
+                     _MEMO_DEFAULT)
 
 #: blob-tier namespace of shard-level prediction entries
 _BLOB_KIND = "serve-shard"

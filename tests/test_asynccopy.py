@@ -103,6 +103,8 @@ class TestBenchmarkTable:
         assert rows["32x32"]["perf_gain"] < 0.02
 
     def test_a100_gains_positive_but_smaller(self, a100, h800):
+        assert len(benchmark_table(a100)) == 3
+        assert len(benchmark_table(h800)) == 3
         a_rows = {r["block"]: r for r in benchmark_table(a100)}
         h_rows = {r["block"]: r for r in benchmark_table(h800)}
         assert a_rows["8x8"]["perf_gain"] > 0.05

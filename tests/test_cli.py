@@ -72,7 +72,8 @@ class TestCli:
         args = p.parse_args(["run", "--all"])
         assert args.all
         assert args.jobs == 1 and not args.no_cache
-        assert not args.profile and args.bench_json is None
+        assert not args.profile
+        assert not hasattr(args, "bench_json")
 
 
 class TestPerfFlags:
@@ -94,20 +95,31 @@ class TestPerfFlags:
         assert "HGMMA" in out and "H800" in out
         assert out.index("H800") < out.index("HGMMA")
 
-    def test_run_profile_writes_bench_json(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_perf.json"
-        assert main(["run", "table03_devices", "--profile",
-                     "--bench-json", str(bench)]) == 0
-        out = capsys.readouterr().out
-        assert "table03_devices" in out and f"wrote {bench}" in out
-        from repro.perf import load_bench_json
-        data = load_bench_json(bench)
-        assert "table03_devices" in data["experiments"]
+    @pytest.mark.parametrize("argv", [["run", "table03_devices"],
+                                      ["report", "-o", "EXP.md"]])
+    def test_malformed_cache_bound_exits_with_message(
+            self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("HOPPERDISSECT_CACHE_MAX_ENTRIES", "abc")
+        with pytest.raises(SystemExit, match=(
+                r"^hopperdissect: \$HOPPERDISSECT_CACHE_MAX_ENTRIES "
+                r"must be an integer, got 'abc'$")):
+            main(argv)
+
+    @pytest.mark.parametrize("cache_flag", [[], ["--no-cache"]])
+    def test_malformed_memo_bound_exits_with_message(
+            self, tmp_path, monkeypatch, cache_flag):
+        batch = tmp_path / "q.jsonl"
+        batch.write_text("")
+        monkeypatch.setenv("HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES", "1e3")
+        with pytest.raises(SystemExit, match=(
+                r"^hopperdissect: \$HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES "
+                r"must be an integer, got '1e3'$")):
+            main(["serve", "-i", str(batch), *cache_flag])
 
     def test_profile_without_bench_json_writes_no_file(
             self, tmp_path, monkeypatch, capsys):
-        # run from a checkout's root, a default path would overwrite
-        # the committed BENCH_perf.json baseline
+        # --profile only prints its table; it leaves no file behind
         monkeypatch.chdir(tmp_path)
         assert main(["run", "table03_devices", "--profile"]) == 0
         out = capsys.readouterr().out
@@ -194,21 +206,6 @@ class TestContextFlags:
         assert capsys.readouterr().out == first
         assert main(["run", "--no-cache", "ext_fp8_accuracy"]) == 0
         assert capsys.readouterr().out != first
-
-    def test_bench_history_flag_appends(self, tmp_path, capsys):
-        hist = tmp_path / "hist.jsonl"
-        for _ in range(2):
-            assert main(["run", "table03_devices", "--no-cache",
-                         "--profile",
-                         "--bench-json",
-                         str(tmp_path / "BENCH_perf.json"),
-                         "--bench-history", str(hist)]) == 0
-        from repro.perf import load_bench_history
-        entries = load_bench_history(hist)
-        assert len(entries) == 2
-        assert all("table03_devices" in e["experiments"]
-                   for e in entries)
-        assert entries[0]["label"].startswith("devices=")
 
 
 class TestCountersJson:

@@ -106,6 +106,13 @@ class TestPackedSemantics:
         hi, lo = unpack_s16x2(f(a, b, c))
         assert int(hi) == -100   # 32767+1 wraps to -32768 < -100
         assert int(lo) == 3
+        # the packed ReLU variant runs vectorized over 64k lanes
+        rng = np.random.default_rng(0)
+        lanes = [pack_s16x2(rng.integers(-100, 100, 65536),
+                            rng.integers(-100, 100, 65536))
+                 for _ in range(3)]
+        out = get_dpx_function("__viaddmax_s16x2_relu")(*lanes)
+        assert out.shape == (65536,)
 
     @settings(max_examples=200, deadline=None)
     @given(s16, s16, s16, s16, s16, s16)

@@ -66,6 +66,10 @@ class TestThroughput:
         half = models["H800"].throughput_gops(
             fn, num_blocks=get_device("H800").num_sms // 2)
         assert half == pytest.approx(full / 2, rel=0.01)
+        from repro.dpx import DPX_FUNCTIONS
+        for model in models.values():
+            for f in DPX_FUNCTIONS.values():
+                model.throughput_gops(f)        # every cell prices
 
 
 class TestSawtooth:
@@ -85,3 +89,4 @@ class TestSawtooth:
                for p in block_sweep(h800, fn, max_multiple=1)}
         assert pts[h800.num_sms // 2] == pytest.approx(
             pts[1] * (h800.num_sms // 2), rel=0.01)
+        assert len(block_sweep(h800, fn, 3)) >= 9

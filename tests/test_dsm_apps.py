@@ -18,6 +18,7 @@ class TestRingCopy:
         rbc = RingCopyBenchmark(h800)
         for cs in (2, 3, 8):
             assert rbc.run_functional(cluster_size=cs, threads=16)
+        assert rbc.run_functional(8, 64)
 
     def test_peak_matches_paper(self, h800):
         peak = RingCopyBenchmark(h800).peak_tbps()
@@ -56,6 +57,7 @@ class TestRingCopy:
             cluster_sizes=(2, 4), block_threads=(128, 1024),
             ilps=(1, 4))
         assert len(res) == 8
+        assert len(RingCopyBenchmark(h800).sweep()) == 4 * 4 * 4
 
 
 class TestHistogramFunctional:
@@ -67,6 +69,9 @@ class TestHistogramFunctional:
         counts = hist.compute(data, HistogramConfig(256, cs))
         assert np.array_equal(counts,
                               np.bincount(data, minlength=256))
+        data = rng.integers(0, 1024, 5000)
+        counts = hist.compute(data, HistogramConfig(1024, cs, 128))
+        assert counts.sum() == 5000
 
     def test_remote_traffic_fraction(self, h800):
         hist = DsmHistogram(h800)
@@ -113,6 +118,7 @@ class TestHistogramTiming:
         many = hist.resident_blocks(HistogramConfig(256, 1, 128))
         few = hist.resident_blocks(HistogramConfig(4096, 1, 128))
         assert few < many
+        assert len(hist.sweep()) == 5 * 4 * 2
 
     def test_network_limits_large_clusters(self, h800):
         hist = DsmHistogram(h800)

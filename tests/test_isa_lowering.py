@@ -175,6 +175,7 @@ class TestDpxLowering:
 
 class TestSassTable:
     def test_matches_paper_table6(self):
+        assert len(sass_table(H)) == 10
         rows = {(r["A/B"], r["C/D"]): r for r in sass_table(H)}
         assert rows[("FP16", "FP16")]["mma"] == "HMMA.16816.F16"
         assert rows[("FP16", "FP16")]["wgmma"] == "HGMMA.64x256x16.F16"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.memory import PChase, measure_latencies
@@ -82,6 +84,8 @@ class TestPerLevelLatency:
         assert r.hits_at_level == 1.0
         assert r.mean_latency_clk == pytest.approx(
             any_device.mem_latencies.l1_hit_clk, rel=1e-6)
+        assert PChase(any_device).l1_latency(
+            iters=2048).hits_at_level == 1.0
 
     def test_shared(self, any_device):
         r = PChase(any_device).shared_latency(iters=128)
@@ -93,6 +97,8 @@ class TestPerLevelLatency:
         assert r.hits_at_level == 1.0
         assert r.mean_latency_clk == pytest.approx(
             any_device.mem_latencies.l2_hit_clk, rel=1e-6)
+        assert PChase(any_device).l2_latency(
+            array_kib=4096, iters=2048).hits_at_level == 1.0
 
     def test_l2_probe_must_fit(self, h800):
         with pytest.raises(ValueError, match="fit in L2"):
@@ -103,6 +109,10 @@ class TestPerLevelLatency:
         assert r.hits_at_level > 0.99
         assert r.mean_latency_clk == pytest.approx(
             tiny_device.mem_latencies.global_clk, rel=0.01)
+        four_mib = tiny_device.with_overrides(
+            cache=replace(tiny_device.cache, l2_size_kib=4096))
+        assert PChase(four_mib).global_latency(
+            iters=2048).hits_at_level > 0.99
 
     def test_cold_tlb_costs_more(self, tiny_device):
         p = PChase(tiny_device)

@@ -48,6 +48,8 @@ class TestLimiters:
     def test_shared_is_bank_width(self, any_device):
         r = MemoryThroughputModel(any_device).shared()
         assert r.value == 128.0
+        assert measure_throughputs(any_device)[
+            "Shared (byte/clk/SM)"] == 128.0
 
     def test_unknown_pattern(self, h800):
         with pytest.raises(ValueError):

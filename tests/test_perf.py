@@ -1,17 +1,9 @@
-"""Tests for the result cache and the perf trajectory format."""
+"""Tests for the result cache and the ``--profile`` table."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import run_experiment
-from repro.perf import (
-    Profiler,
-    ResultCache,
-    compare_bench,
-    load_bench_json,
-    write_bench_json,
-)
+from repro.perf import Profiler, ResultCache
 
 EXP = "table03_devices"
 
@@ -71,63 +63,10 @@ def _profiler() -> Profiler:
 
 
 class TestBenchJson:
-    def test_write_load_roundtrip(self, tmp_path):
-        path = tmp_path / "BENCH_perf.json"
-        write_bench_json(path, _profiler())
-        data = load_bench_json(path)
-        assert data["experiments"]["exp_a"]["wall_s"] == 0.5
-        assert data["experiments"]["exp_b"]["cached"] is True
-        assert data["jobs"] == 2
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": 99}')
-        with pytest.raises(ValueError, match="schema"):
-            load_bench_json(path)
-
     def test_render_mentions_cache(self):
         out = _profiler().render()
         assert "exp_a" in out and "cache" in out
         assert "1 cached" in out
-
-
-def _bench(walls, cached=()):
-    return {
-        "schema": 1,
-        "experiments": {
-            name: {"wall_s": w, "cached": name in cached}
-            for name, w in walls.items()
-        },
-    }
-
-
-class TestCompareBench:
-    def test_no_regression(self):
-        base = _bench({"a": 0.2, "b": 1.0})
-        cur = _bench({"a": 0.3, "b": 1.5})
-        assert compare_bench(base, cur) == []
-
-    def test_regression_detected(self):
-        base = _bench({"a": 0.2})
-        cur = _bench({"a": 0.9})
-        problems = compare_bench(base, cur, threshold=3.0)
-        assert len(problems) == 1 and "a:" in problems[0]
-
-    def test_floor_suppresses_noise(self):
-        # 0.1ms -> 3ms is a 30x blowup but under the measurement floor
-        base = _bench({"a": 0.0001})
-        cur = _bench({"a": 0.003})
-        assert compare_bench(base, cur, floor_s=0.05) == []
-
-    def test_missing_experiment_reported(self):
-        problems = compare_bench(_bench({"a": 0.2, "b": 0.2}),
-                                 _bench({"a": 0.2}))
-        assert problems == ["b: missing from current run"]
-
-    def test_cached_timings_skipped(self):
-        base = _bench({"a": 0.2})
-        cur = _bench({"a": 5.0}, cached={"a"})
-        assert compare_bench(base, cur) == []
 
 
 class TestDependencyCutKeys:
@@ -219,55 +158,3 @@ class TestContextKeys:
         cache = ResultCache(tmp_path / "rc")
         assert cache.key_for(EXP) != \
             cache.key_for(EXP, RunContext(seed=1))
-
-
-class TestBenchHistory:
-    def test_append_and_latest(self, tmp_path):
-        from repro.perf import (
-            append_bench_history,
-            latest_bench_entry,
-            load_bench_history,
-        )
-
-        path = tmp_path / "BENCH_perf_history.jsonl"
-        append_bench_history(path, _profiler(), timestamp=100.0,
-                             label="first")
-        append_bench_history(path, _profiler(), timestamp=200.0)
-        entries = load_bench_history(path)
-        assert len(entries) == 2
-        assert entries[0]["label"] == "first"
-        latest = latest_bench_entry(path)
-        assert latest["timestamp"] == 200.0
-        assert latest["experiments"]["exp_a"]["wall_s"] == 0.5
-
-    def test_wrong_schema_line_rejected(self, tmp_path):
-        from repro.perf import load_bench_history
-
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"schema": 99}\n')
-        with pytest.raises(ValueError, match="schema"):
-            load_bench_history(path)
-
-    def test_empty_archive_rejected(self, tmp_path):
-        from repro.perf import latest_bench_entry
-
-        path = tmp_path / "h.jsonl"
-        path.write_text("\n")
-        with pytest.raises(ValueError, match="empty"):
-            latest_bench_entry(path)
-
-    def test_regression_gate_reads_jsonl(self, tmp_path):
-        import subprocess
-        import sys
-
-        from repro.perf import append_bench_history
-
-        path = tmp_path / "hist.jsonl"
-        append_bench_history(path, _profiler(), timestamp=1.0)
-        out = subprocess.run(
-            [sys.executable, "benchmarks/check_perf_regression.py",
-             str(path), str(path)],
-            capture_output=True, text=True,
-        )
-        assert out.returncode == 0, out.stderr
-        assert "no perf regressions" in out.stdout

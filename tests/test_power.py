@@ -63,6 +63,11 @@ class TestTable11:
             r_r.append(h / r)
         assert sum(r_a) / 4 == pytest.approx(1.60, rel=0.12)
         assert sum(r_r) / 4 == pytest.approx(1.69, rel=0.12)
+        # every cell of the grid, dense and sparse, draws real power
+        for dev in ("A100", "H800", "RTX4090"):
+            for ab, cd in pairs:
+                for sparse in (False, True):
+                    assert _report(dev, ab, cd, sparse).power_watts > 100
 
 
 class TestThrottle:

@@ -69,7 +69,7 @@ class TestCliFidelity:
 
         def fake_run_experiments(names, **_kw):
             from repro.perf.runner import RunReport
-            from repro.perf.profile import Profiler
+            from repro.perf.runner import Profiler
             ran.extend(names)
             return RunReport(
                 results={n: _fake_result(True) for n in names},
@@ -86,7 +86,7 @@ class TestCliFidelity:
     def test_run_reports_failures_via_exit_code(self, capsys,
                                                 monkeypatch):
         import repro.perf
-        from repro.perf.profile import Profiler
+        from repro.perf.runner import Profiler
         from repro.perf.runner import RunReport
 
         monkeypatch.setattr(

@@ -240,6 +240,17 @@ class TestMemoBound:
         monkeypatch.setenv("HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES",
                            "0")
         assert default_memo_entries() is None
+        monkeypatch.setenv("HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES",
+                           " ")
+        assert default_memo_entries() == _MEMO_DEFAULT
+        monkeypatch.setenv("HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES",
+                           "-3")
+        assert default_memo_entries() is None
+        monkeypatch.setenv("HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES",
+                           "abc")
+        with pytest.raises(ValueError,
+                           match="HOPPERDISSECT_SERVE_MEMO_MAX_ENTRIES"):
+            QueryService(cache=None)
 
     def test_eviction_does_not_change_answers(self):
         # evictions drop warm-start state only: a churning bounded
@@ -299,6 +310,15 @@ class TestCacheSizeGuard:
         assert ResultCache(root=tmp_path).max_entries is None
         monkeypatch.delenv("HOPPERDISSECT_CACHE_MAX_ENTRIES")
         assert ResultCache(root=tmp_path).max_entries is None
+        monkeypatch.setenv("HOPPERDISSECT_CACHE_MAX_ENTRIES", "")
+        assert ResultCache(root=tmp_path).max_entries is None
+        monkeypatch.setenv("HOPPERDISSECT_CACHE_MAX_ENTRIES", "-1")
+        assert ResultCache(root=tmp_path).max_entries is None
+        # a typo used to read as "unbounded" without a word
+        monkeypatch.setenv("HOPPERDISSECT_CACHE_MAX_ENTRIES", "abc")
+        with pytest.raises(ValueError,
+                           match="HOPPERDISSECT_CACHE_MAX_ENTRIES"):
+            ResultCache(root=tmp_path)
 
     def test_bound_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):

@@ -48,6 +48,13 @@ class TestKernelModel:
         assert est.limiter == "DRAM bandwidth"
         assert est.achieved_gbps == pytest.approx(
             h800.dram.effective_bandwidth_gbps(0.8), rel=0.02)
+        # a 10..1e5 FLOP/thread ladder over the same traffic prices
+        for i in range(1, 6):
+            m.estimate(KernelSpec(name=f"k{i}",
+                                  block=BlockConfig(threads=256),
+                                  num_blocks=1024,
+                                  flops_per_thread=float(10 ** i),
+                                  dram_bytes_per_thread=64.0))
 
     def test_gemm_like_kernel_is_tc_bound(self, h800):
         m = KernelModel(h800)

@@ -51,6 +51,8 @@ class TestCostModel:
         assert names == ["quantize_input", "gemm", "scale_out"]
         plain = cm.linear(1024, 1024, 1024, Precision.FP16)
         assert [o.name for o in plain] == ["gemm"]
+        for n in (2048, 4096, 8192, 16384):        # Fig. 3's sizes
+            assert len(cm.linear(n, n, n, Precision.FP8)) == 3
 
     def test_weight_cast_cache_toggle(self, h800):
         cm = CostModel(h800)
@@ -65,6 +67,22 @@ class TestCostModel:
         without = cm.linear_tflops(1024, Precision.FP8,
                                    include_overheads=False)
         assert without > 2 * with_ov
+
+        # DESIGN.md §4 ablation 5: zeroing the cast/amax/scale ops
+        # moves the FP8-vs-FP16 crossover from N ≈ 4–8k to almost 0 —
+        # the small-matrix FP8 loss is pure conversion overhead
+        def crossover(include_overheads: bool) -> int:
+            for n in (256, 512, 1024, 2048, 4096, 8192, 16384):
+                fp8 = cm.linear_tflops(
+                    n, Precision.FP8, include_overheads=include_overheads)
+                if fp8 > cm.linear_tflops(n, Precision.FP16):
+                    return n
+            return 1 << 30
+
+        with_ov, without = crossover(True), crossover(False)
+        assert with_ov >= 2048          # overhead pushes crossover out
+        assert without <= 512           # ablated: FP8 wins at once
+        assert without < with_ov
 
     def test_fig4_crossover(self, h800):
         cm = CostModel(h800)
@@ -135,6 +153,8 @@ class TestLlmInference:
                         Precision.BF16).tokens_per_second
              for n in ("llama-3B", "llama-2-7B", "llama-2-13B")]
         assert t[0] > t[1] > t[2]
+        for spec in LLAMA_MODELS.values():
+            assert m.estimate(spec, Precision.BF16).status == "ok"
 
     def test_workload_driven_estimate(self, h800):
         m = LlmInferenceModel(h800)
@@ -142,6 +162,9 @@ class TestLlmInference:
                                   Precision.BF16, n_requests=32)
         assert est.status == "ok"
         assert est.tokens_per_second > 0
+        assert m.estimate_workload(LLAMA_MODELS["llama-3B"],
+                                   Precision.BF16, n_requests=64) \
+            .tokens_per_second > 0
 
     def test_cell_formatting(self, h800):
         m = LlmInferenceModel(h800)

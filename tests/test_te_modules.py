@@ -62,6 +62,9 @@ class TestLinear:
         y16 = lin(x, precision=Precision.FP16)
         assert np.median(np.abs(y16 - ref)) \
             < np.median(np.abs(y8 - ref))
+        wide = Linear(512, 512, bias=False)
+        with fp8_autocast():
+            assert wide(_x((64, 512))).shape == (64, 512)
 
     def test_fp32_exact(self):
         lin = Linear(8, 8, bias=False)
@@ -202,6 +205,9 @@ class TestTransformerLayer:
         y = layer(x)
         assert y.shape == x.shape
         assert np.all(np.isfinite(y))
+        x = _x((2, 16, 128))
+        layer = TransformerLayer(TransformerLayerConfig(128, 256, 4))
+        assert layer.forward(x).shape == x.shape
 
     def test_latency_scaling(self, h800):
         cm = CostModel(h800)
@@ -213,6 +219,13 @@ class TestTransformerLayer:
         assert lat[1024] < lat[4096] < lat[8192]
         # roughly quadratic in hidden size at large sizes
         assert lat[8192] / lat[4096] > 2.5
+        # Fig. 5's grid: every paper config at every precision
+        configs = TransformerLayerConfig.PAPER_CONFIGS
+        assert len(configs) == 5
+        for cfg in configs.values():
+            for p in (Precision.FP8, Precision.FP16, Precision.FP32):
+                assert TransformerLayer(cfg).latency_ms(
+                    cm, precision=p) > 0
 
     def test_fp8_crossover(self, h800):
         cm = CostModel(h800)

@@ -11,8 +11,11 @@ from repro.isa import MatrixShape, MmaInstruction, WgmmaInstruction
 from repro.isa.dtypes import DType
 from repro.numerics import FP16
 from repro.tensorcore import (
+    compress_2_4,
+    decompress_2_4,
     matmul_quantized,
     mma_functional,
+    prune_2_4,
     wgmma_functional,
 )
 
@@ -144,6 +147,7 @@ class TestInstructionWrappers:
         b = _rand((16, 8), 3)
         d = mma_functional(i, a, b)
         ref = FP16.quantize(a) @ FP16.quantize(b)
+        assert d.shape == (16, 8)
         assert np.allclose(d, ref, rtol=1e-6)
 
     def test_sparse_mma_uses_effective_shape(self):
@@ -153,6 +157,11 @@ class TestInstructionWrappers:
         b = _rand((32, 8), 5)
         d = mma_functional(i, a, b)
         assert d.shape == (16, 8)
+        # the sparse wgmma pipeline: prune, compress, decompress, MMA
+        w = WgmmaInstruction(DType.FP16, DType.FP32, 64, sparse=True)
+        op = compress_2_4(prune_2_4(_rand((64, 32), 6)))
+        d = wgmma_functional(w, decompress_2_4(op), _rand((32, 64), 7))
+        assert d.shape == (64, 64)
 
     def test_wgmma_accumulates_into_d(self):
         w = WgmmaInstruction(DType.FP16, DType.FP32, 8)
@@ -161,6 +170,9 @@ class TestInstructionWrappers:
         d0 = np.full((64, 8), 10.0)
         d = wgmma_functional(w, a, b, d=d0)
         assert np.allclose(d, 26.0)  # 16 + 10
+        w64 = WgmmaInstruction(DType.FP16, DType.FP32, 64)
+        assert wgmma_functional(w64, _rand((64, 16), 8),
+                                _rand((16, 64), 9)).shape == (64, 64)
 
     def test_wgmma_shape_errors(self):
         w = WgmmaInstruction(DType.FP16, DType.FP32, 16)

@@ -57,6 +57,8 @@ class TestCompressDecompress:
         back = decompress_2_4(op)
         assert sparsity_pattern_valid(back)
         assert np.array_equal(back, prune_2_4(a))
+        big = np.random.default_rng(1).normal(size=(256, 512))
+        assert compress_2_4(big).values.shape == (256, 256)
 
     def test_metadata_range(self):
         a = np.random.default_rng(2).normal(size=(4, 8))

@@ -13,6 +13,7 @@ from repro.isa import (
 )
 from repro.isa.dtypes import DType
 from repro.isa.lowering import UnsupportedInstruction
+from repro.isa.mma import valid_wgmma_n
 from repro.tensorcore import TensorCoreTimingModel
 
 SS = OperandSource.SHARED
@@ -163,6 +164,11 @@ class TestWgmmaTiming:
                                       a_source=SS))
         drop = t.throughput_tflops("rand") / t.throughput_tflops("zero")
         assert 0.85 < drop < 0.95  # paper: 665.4 / 728.5 ≈ 0.913
+        for ab, cd in ((DType.FP16, DType.FP16), (DType.FP16, DType.FP32),
+                       (DType.TF32, DType.FP32), (DType.E4M3, DType.FP32),
+                       (DType.INT8, DType.INT32)):
+            assert tm.wgmma(WgmmaInstruction(ab, cd, 256)) \
+                .throughput_tflops("rand") > 0
 
     def test_nsweep_throughput_monotone(self, h800):
         tm = TensorCoreTimingModel(h800)
@@ -173,6 +179,13 @@ class TestWgmmaTiming:
         ]
         assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 4 * vals[0]
+        # Table X: every legal N prices, dense and sparse, SS and RS
+        for n in valid_wgmma_n():
+            for sparse in (False, True):
+                for src in OperandSource:
+                    assert tm.wgmma(WgmmaInstruction(
+                        DType.FP16, DType.FP32, n, sparse=sparse,
+                        a_source=src)).throughput_tflops() > 0
 
     def test_small_n_ss_worse_than_rs(self, h800):
         tm = TensorCoreTimingModel(h800)

@@ -37,6 +37,9 @@ class TestClosedForms:
         # fill (one latency) + (n-1)·II
         assert res.cycles == pytest.approx(20 + (n - 1) * 2.0,
                                            rel=0.05)
+        eight = sim.run([TraceBuilder.independent_stream(
+            500, latency=8.0, ii=2.0) for _ in range(8)])
+        assert eight.instructions == 4000
 
     def test_ilp_below_latency_limits_ipc(self):
         """ILP=2 with latency 20, II 1 → IPC = 2/20 (Little's law)."""
