@@ -14,12 +14,21 @@ bitmask) and ``_stamp`` (LRU timestamp) — with a flat
 ``line address → way`` dict as the lookup index, so a scalar
 :meth:`access` is O(1) in the associativity instead of a linear way
 scan, and constructing a cache is O(1) in its capacity (the matrices
-are callocated, never eagerly initialised).  The batched
-:meth:`access_many` additionally recognises the dominant warm-up
-pattern (monotonically ascending, single-sector accesses into an empty
-cache — what :meth:`warm` and the P-chase initialisation passes emit)
-and computes the final state matrices in closed form with array
-operations, skipping the per-access loop entirely.
+are callocated, never eagerly initialised).
+
+The batched :meth:`access_many` resolves the warm-up shape in closed
+form: an ascending single-sector stream into an empty cache whose
+distinct lines lie a constant ``d`` lines apart — what :meth:`warm`
+(``d = 1``, every sector of each line) and the P-chase initialisation
+passes (one sector per line) emit.  Its sets repeat with period
+``P = num_sets / gcd(d, num_sets)``, so true LRU keeps exactly the last
+``min(m, P · ways)`` of its ``m`` lines, each in way ``⌊i / P⌋`` of its
+set (``i`` counting the kept lines); the state matrices are written in
+O(kept lines) without sorting or visiting the evicted ones.
+:meth:`warm` goes through the same closed form.  Every other stream —
+non-constant strides, pointer chases, a non-empty cache — takes the
+exact lockstep path (or, for tiny or multi-sector batches, the scalar
+loop).
 
 Behaviour is access-for-access identical to the original scalar
 implementation, preserved as
@@ -30,6 +39,7 @@ enforced by property-based tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -287,14 +297,17 @@ class SetAssociativeCache:
         ``access`` once per address in order; returns the per-access
         hit booleans.
 
-        Ascending single-sector streams into an empty cache (the
-        ``warm()`` / initialisation-pass pattern) are resolved in
-        closed form without a per-access loop.  General single-sector
-        streams — pointer chases — run on the lockstep path: sets are
+        An ascending single-sector stream into an empty cache whose
+        distinct lines lie a constant stride apart (the ``warm()`` /
+        initialisation-pass shape) is resolved in closed form without
+        a per-access loop (:meth:`_stream_fill`).  Every other
+        single-sector stream — other strides, pointer chases, a cache
+        already holding lines — runs on the lockstep path: sets are
         independent, so the stream is split per set and one matrix
         step resolves the *i*-th access of every touched set at once
-        (see :meth:`_lockstep_access`).  Anything else falls back to
-        the exact scalar path.
+        (see :meth:`_lockstep_access`).  Batches under
+        ``_LOCKSTEP_MIN`` accesses and multi-sector accesses fall back
+        to the exact scalar path.
         """
         a = np.ascontiguousarray(addrs, dtype=np.int64)
         if a.ndim != 1:
@@ -302,8 +315,11 @@ class SetAssociativeCache:
         n = len(a)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        if allocate and self._empty and self._bulk_ok(a, size):
-            return self._bulk_fill(a, record)
+        if allocate and self._empty:
+            runs = self._stride_runs(a, size)
+            if runs is not None:
+                self._run_fill(a, *runs, record)
+                return np.zeros(n, dtype=bool)
         if n >= _LOCKSTEP_MIN and self._lockstep_ok(a, size):
             hit = self._all_hit_fast(a, record=record)
             if hit is not None:
@@ -345,9 +361,8 @@ class SetAssociativeCache:
         if start >= end:
             return
         if self._empty and start >= 0:
-            # the stream below is exactly the closed-form fill's
-            # eligible pattern; resolve it at line granularity without
-            # materialising the per-sector address array
+            # the stream below is a line-stride-1 closed-form stream;
+            # resolve it without materialising the per-sector addresses
             self._warm_fill(start, end, record)
             return
         addrs = np.arange(start, end, self.sector_bytes, dtype=np.int64)
@@ -399,180 +414,92 @@ class SetAssociativeCache:
         self._where[line_addr] = way     # access() built it via _index
         self._empty = False
 
-    def _bulk_ok(self, addrs: np.ndarray, size: int) -> bool:
-        """Is this stream eligible for the closed-form fill?"""
-        if size <= 0:
-            return False
-        if addrs[0] < 0:
-            return False
-        # single sector per access …
-        if np.any(addrs % self.sector_bytes + size > self.sector_bytes):
-            return False
-        # … and strictly ascending sectors (each touched once).
-        sectors = addrs // self.sector_bytes
-        return bool(np.all(np.diff(sectors) > 0)) if len(addrs) > 1 \
-            else True
+    def _stride_runs(self, a: np.ndarray, size: int) \
+            -> Optional[Tuple[int, Optional[np.ndarray]]]:
+        """``(d, first)`` if ``a`` is an ascending single-sector stream
+        whose distinct lines lie a constant ``d`` lines apart, else
+        None.
 
-    def _bulk_fill(self, addrs: np.ndarray, record: bool) -> np.ndarray:
-        """Closed-form fill of an empty cache from an ascending
-        single-sector stream.
-
-        Every access is a miss (first touch of its sector); a line's
-        sectors arrive consecutively, so per set the lines arrive in
-        ascending order and LRU keeps the last ``ways`` of them.
-        Stamps and insertion sequence are assigned exactly as the
-        sequential path would.
+        Ascending means every sector is touched once, so a line's
+        accesses are one consecutive run; ``first`` holds the run
+        starts, or is None when every access is its own line (the
+        init-pass shape, where the run bookkeeping is skipped).
         """
-        n = len(addrs)
-        line = addrs // self.line_bytes
-        sector = (addrs % self.line_bytes) // self.sector_bytes
-        first = np.flatnonzero(np.r_[True, line[1:] != line[:-1]])
-        bounds = np.r_[first[1:], n]
-        lines_u = line[first]
-        n_lines = len(lines_u)
-        valid_u = np.bitwise_or.reduceat(np.int64(1) << sector, first)
-        stamp_u = self._clock + bounds          # clock after last touch
-        ins_u = self._ins_counter + np.arange(n_lines)
-        set_u = lines_u % self.num_sets
-        self._ensure_sets(int(set_u.max()) + 1)
+        sb = self.sector_bytes
+        if not 0 < size <= sb or a[0] < 0 or np.any(a % sb > sb - size):
+            return None
+        step = np.diff(a // self.line_bytes)
+        if not len(step):
+            return 1, None
+        lo, hi = int(step.min()), int(step.max())
+        if lo == hi > 0:
+            return lo, None
+        if lo != 0 or np.any(np.diff(a // sb) <= 0) \
+                or np.any((step != 0) & (step != hi)):
+            return None
+        return max(hi, 1), np.flatnonzero(np.r_[True, step > 0])
 
-        # keep the newest `ways` lines of every set
-        order = np.argsort(set_u, kind="stable")
-        ss = set_u[order]
-        grp_first = np.flatnonzero(np.r_[True, ss[1:] != ss[:-1]])
-        grp_sizes = np.r_[grp_first[1:], n_lines] - grp_first
-        sizes_rep = np.repeat(grp_sizes, grp_sizes)
-        cum = np.arange(n_lines) - np.repeat(grp_first, grp_sizes)
-        keep = cum >= sizes_rep - self.ways
-        way_sorted = cum - np.maximum(sizes_rep - self.ways, 0)
+    def _kept(self, m: int, d: int) -> int:
+        """How many of ``m`` distinct lines ``d`` apart, streamed in
+        ascending order into an empty cache, LRU keeps.
 
-        kept = order[keep]
-        set_k = set_u[kept]
-        way_k = way_sorted[keep]
-        line_k = lines_u[kept]
-        self._lines[set_k, way_k] = line_k
-        self._valid[set_k, way_k] = valid_u[kept]
-        self._stamp[set_k, way_k] = stamp_u[kept]
-        self._ins[set_k, way_k] = ins_u[kept]
-        self._set_fill[ss[grp_first]] = np.minimum(grp_sizes, self.ways)
+        Their sets repeat with period ``P = S / gcd(d, S)``, so every
+        ``P``-th line shares a set and a line survives iff fewer than
+        ``ways`` later lines land on its set: the last
+        ``min(m, P · ways)`` lines stay.
+        """
+        S = self.num_sets
+        return min(m, S // gcd(d, S) * self.ways)
+
+    def _stream_fill(self, l0: int, d: int, m: int, n: int,
+                     valid: np.ndarray, last: np.ndarray,
+                     record: bool) -> None:
+        """Closed-form fill of an empty cache by ``n`` ascending
+        single-sector accesses over the ``m`` lines ``l0 + r·d``.
+
+        Every access misses (first touch of its sector): a tag miss per
+        line, a sector miss per further access in its run, an eviction
+        per line LRU drops.  ``valid`` and ``last`` are the sector
+        masks and the 1-based stream position of the last access of
+        the ``K = len(valid) = _kept(m, d)`` surviving lines, ranks
+        ``m - K .. m - 1``.  The ``i``-th of them goes to set
+        ``rows[i % P]``, way ``i // P`` — a set's kept lines in arrival
+        order (which way holds a line is unobservable: lookups go by
+        tag, LRU by stamp) — so each matrix takes one transposed
+        ``(K // P, P)`` block plus a partial way.  Stamps are the clock
+        after a line's last access and insertion numbers its rank, so
+        state, stats and clocks come out as streaming the accesses one
+        at a time leaves them, in O(K): nothing is sorted or built per
+        access.
+        """
+        S = self.num_sets
+        P = S // gcd(d, S)
+        K = len(valid)
+        k0 = m - K
+        full, rem = divmod(K, P)
+        t = np.arange(min(P, K), dtype=np.int64)
+        rows = (l0 + (k0 + t) * d) % S       # every way repeats these
+        self._ensure_sets(int(rows.max()) + 1)
+
+        def put(matrix: np.ndarray, values: np.ndarray) -> None:
+            if full:
+                matrix[rows, :full] = values[:full * P].reshape(full, P).T
+            if rem:
+                matrix[rows[:rem], full] = values[full * P:]
+
+        rank = np.arange(k0, m, dtype=np.int64)
+        put(self._lines, l0 + rank * d)
+        put(self._valid, valid)
+        put(self._stamp, self._clock + last)
+        put(self._ins, self._ins_counter + rank)
+        self._set_fill[rows] = full + (t < rem)
         self._where = None               # index rebuilt lazily
         self._empty = False
 
         self._clock += n
-        self._ins_counter += n_lines
-        if record:
-            evicted = int(np.maximum(grp_sizes - self.ways, 0).sum())
-            self.stats.accesses += n
-            self.stats.tag_misses += n_lines
-            self.stats.sector_misses += n - n_lines
-            self.stats.evictions += evicted
-            obs = self._obs
-            if obs.enabled:
-                obs.add(self._k_acc, n)
-                obs.add(self._k_tag, n_lines)
-                if n - n_lines:
-                    obs.add(self._k_sector, n - n_lines)
-                if evicted:
-                    obs.add(self._k_evict, evicted)
-        return np.zeros(n, dtype=bool)
-
-    def _warm_fill(self, start: int, end: int, record: bool) -> None:
-        """:meth:`warm` into an empty cache, in closed form at *line*
-        granularity.
-
-        The warm stream is one sector-ascending pass over
-        ``[start, end)``, so its :meth:`_bulk_fill` outcome is fully
-        determined by the touched line range: per set, consecutive
-        lines arrive in ascending order and LRU keeps the last
-        ``min(count, ways)``; a line's final stamp is the clock after
-        its last sector and its insertion number is its rank.  State,
-        stats and clocks land bit-identical to streaming the
-        addresses through :meth:`access_many` — pinned by tests —
-        without ever materialising per-sector arrays.
-        """
-        spl = self.sectors_per_line
-        sb = self.sector_bytes
-        s0 = start // sb
-        s1 = -(-end // sb)
-        n = s1 - s0                                   # sector accesses
-        l0 = s0 // spl
-        l1 = (s1 - 1) // spl + 1
-        m = l1 - l0                                   # lines touched
-        S = self.num_sets
-        W = self.ways
-        clock = self._clock
-        full = (np.int64(1) << spl) - np.int64(1)
-
-        def stamps(lines: np.ndarray) -> np.ndarray:
-            return clock + np.minimum((lines + 1) * spl, s1) - s0
-
-        def fix_edges(lines: np.ndarray, valid: np.ndarray) -> None:
-            # the first / last line of the range may be partial
-            if s0 % spl:
-                valid[lines == l0] &= full & ~((np.int64(1)
-                                                << (s0 % spl)) - 1)
-            if s1 % spl:
-                valid[lines == l1 - 1] &= \
-                    (np.int64(1) << (s1 - (l1 - 1) * spl)) - 1
-
-        evicted = 0
-        if m <= S:
-            # every touched set holds exactly one line, in way 0; the
-            # row indices are consecutive mod S, i.e. at most two
-            # contiguous slices — scatter with slice assignments
-            lines = np.arange(l0, l1, dtype=np.int64)
-            valid = np.full(m, full, dtype=np.int64)
-            if s0 % spl:
-                valid[0] &= full & ~((np.int64(1)
-                                      << (s0 % spl)) - 1)
-            if s1 % spl:
-                valid[-1] &= (np.int64(1)
-                              << (s1 - (l1 - 1) * spl)) - 1
-            st = clock + (lines + 1) * spl - s0
-            st[-1] = clock + n            # last line: clamp to range
-            ins = self._ins_counter + np.arange(m, dtype=np.int64)
-            r0 = l0 % S
-            first = min(m, S - r0)
-            self._ensure_sets(S if first < m else r0 + m)
-            for dst, src, ln in ((r0, 0, first),
-                                 (0, first, m - first)):
-                if ln <= 0:
-                    continue
-                d = slice(dst, dst + ln)
-                s_ = slice(src, src + ln)
-                self._lines[d, 0] = lines[s_]
-                self._valid[d, 0] = valid[s_]
-                self._stamp[d, 0] = st[s_]
-                self._ins[d, 0] = ins[s_]
-                self._set_fill[d] = 1
-        else:
-            # per set s: first line f = l0+i (i = rank of s in the
-            # touch order), count c, kept = the last K = min(c, W)
-            # lines f + (c-K..c-1)·S in ways 0..K-1
-            i = np.arange(S, dtype=np.int64)
-            f = l0 + i
-            rows = f % S
-            self._ensure_sets(S)
-            c = 1 + (l1 - 1 - f) // S
-            K = np.minimum(c, W)
-            evicted = int((c - K).sum())
-            grid = ((f + (c - K) * S)[:, None]
-                    + np.arange(W, dtype=np.int64)[None, :] * S)
-            occ = np.arange(W, dtype=np.int64)[None, :] < K[:, None]
-            valid = np.where(occ, full, np.int64(0))
-            fix_edges(grid, valid)
-            self._lines[rows] = grid
-            self._valid[rows] = valid
-            self._stamp[rows] = np.where(occ, stamps(grid), 0)
-            self._ins[rows] = np.where(
-                occ, self._ins_counter + grid - l0, 0)
-            self._set_fill[rows] = K
-
-        self._where = None
-        self._empty = False
-        self._clock += n
         self._ins_counter += m
         if record:
+            evicted = m - K
             self.stats.accesses += n
             self.stats.tag_misses += m
             self.stats.sector_misses += n - m
@@ -585,6 +512,47 @@ class SetAssociativeCache:
                     obs.add(self._k_sector, n - m)
                 if evicted:
                     obs.add(self._k_evict, evicted)
+
+    def _run_fill(self, a: np.ndarray, d: int,
+                  first: Optional[np.ndarray], record: bool) -> None:
+        """:meth:`_stream_fill` for a stream :meth:`_stride_runs`
+        accepted: only the kept lines' masks and stamps are gathered."""
+        n = len(a)
+        lb, sb = self.line_bytes, self.sector_bytes
+        m = n if first is None else len(first)
+        k0 = m - self._kept(m, d)
+        if first is None:
+            valid = np.int64(1) << (a[k0:] % lb // sb)
+            last = np.arange(k0 + 1, n + 1, dtype=np.int64)
+        else:
+            heads = first[k0:]
+            bits = np.int64(1) << (a[heads[0]:] % lb // sb)
+            valid = np.bitwise_or.reduceat(bits, heads - heads[0])
+            last = np.r_[heads[1:], n]
+        self._stream_fill(int(a[0]) // lb, d, m, n, valid, last, record)
+
+    def _warm_fill(self, start: int, end: int, record: bool) -> None:
+        """:meth:`warm` into an empty cache: the sector-ascending pass
+        over ``[start, end)`` is a line-stride-1 stream, so it goes
+        through :meth:`_stream_fill` with the kept lines' masks and
+        stamps computed from the range alone, without materialising
+        per-sector arrays."""
+        spl = self.sectors_per_line
+        s0 = start // self.sector_bytes
+        s1 = -(-end // self.sector_bytes)
+        l0 = s0 // spl
+        m = (s1 - 1) // spl + 1 - l0
+        k0 = m - self._kept(m, 1)
+        lines = np.arange(l0 + k0, l0 + m, dtype=np.int64)
+        full = (np.int64(1) << spl) - np.int64(1)
+        valid = np.full(len(lines), full, dtype=np.int64)
+        # the first / last line of the range may be partial
+        if s0 % spl and not k0:
+            valid[0] &= ~((np.int64(1) << (s0 % spl)) - 1)
+        if s1 % spl:
+            valid[-1] &= (np.int64(1) << (s1 % spl)) - 1
+        last = np.minimum((lines + 1) * spl, s1) - s0
+        self._stream_fill(l0, 1, m, s1 - s0, valid, last, record)
 
     def _all_hit_fast(self, a: np.ndarray, *,
                       record: bool) -> Optional[np.ndarray]:

@@ -48,12 +48,13 @@ class Tlb:
         """Batched :meth:`access` — per-access hit booleans, identical
         to sequential calls.
 
-        When every touched page is already resident nothing can be
-        evicted, so the whole batch hits and only the recency order
-        needs fixing: each touched page moves to the MRU end in order
-        of its *last* occurrence.  Otherwise runs of one page collapse
-        (the first access decides, the repeats are guaranteed hits) and
-        the run heads replay through :meth:`access`.
+        Runs of one page collapse first (the head decides, the repeats
+        are guaranteed hits), so the sorts below scale with the page
+        runs, not the accesses.  When every touched page is already
+        resident nothing can be evicted, so the whole batch hits and
+        only the recency order needs fixing: each touched page moves to
+        the MRU end in order of its *last* run.  Otherwise the run
+        heads replay through :meth:`access`.
         """
         a = np.ascontiguousarray(addrs, dtype=np.int64)
         n = len(a)
@@ -61,21 +62,21 @@ class Tlb:
         if not n:
             return hits
         pages = a // self.page_bytes
-        uniq = np.unique(pages)
+        starts = np.flatnonzero(np.r_[True, pages[1:] != pages[:-1]])
+        heads = pages[starts]
         resident = self._pages
-        if all(int(p) in resident for p in uniq):
+        if all(p in resident for p in np.unique(heads).tolist()):
             hits.fill(True)
             self.hits += n
-            rev_uniq, rev_idx = np.unique(pages[::-1],
+            rev_uniq, rev_idx = np.unique(heads[::-1],
                                           return_index=True)
-            last = n - 1 - rev_idx          # last occurrence per page
+            last = len(heads) - 1 - rev_idx   # last run per page
             for p in rev_uniq[np.argsort(last)].tolist():
                 resident.move_to_end(p)
             return hits
-        starts = np.flatnonzero(np.r_[True, pages[1:] != pages[:-1]])
         ends = np.r_[starts[1:], n]
         for s, e, page in zip(starts.tolist(), ends.tolist(),
-                              pages[starts].tolist()):
+                              heads.tolist()):
             hits[s] = self.access(page * self.page_bytes)
             if e > s + 1:
                 hits[s + 1:e] = True

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from math import gcd
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory import SetAssociativeCache
+from repro.memory import CacheStats, SetAssociativeCache
 
 
 def small_cache(**kw):
@@ -207,8 +210,6 @@ class TestScalarEquivalence:
         st.booleans(),
     )
     def test_access_many_matches_sequential(self, addrs, size, allocate):
-        import numpy as np
-
         batched = small_cache()
         seq = small_cache()
         got = batched.access_many(np.array(addrs, dtype=np.int64),
@@ -223,9 +224,9 @@ class TestScalarEquivalence:
     @given(st.integers(min_value=0, max_value=1 << 12),
            st.integers(min_value=1, max_value=64))
     def test_warm_bulk_path_equivalence(self, base, n_sectors):
-        """The ascending single-sector stream (the warm/init-pass
-        shape) takes the closed-form bulk path; the scalar model is
-        the ground truth for it."""
+        """``warm()`` into an empty cache resolves its sector-ascending
+        pass in closed form at line granularity (``_warm_fill``); the
+        scalar model is the ground truth for it."""
         from repro.memory import ScalarSetAssociativeCache
 
         base = (base // 32) * 32
@@ -282,8 +283,6 @@ class TestScalarEquivalence:
         """A bulk fill may defer index bookkeeping; scalar accesses
         right after it must still behave exactly like a cache that
         took every access one at a time."""
-        import numpy as np
-
         bulk = small_cache()
         bulk.access_many(np.arange(0, 2048, 32, dtype=np.int64))
         seq = small_cache()
@@ -292,6 +291,104 @@ class TestScalarEquivalence:
         for a in (0, 64, 4096, 96, 8192, 0):
             assert bulk.access(a) == seq.access(a), a
         assert bulk.stats == seq.stats
+
+
+@st.composite
+def strided_streams(draw):
+    """An ascending single-sector stream over ``m`` lines a constant
+    ``d`` apart, one or several sectors per line, from any base line.
+
+    ``small_cache()`` has S = 8 sets and W = 4 ways; the stream's sets
+    repeat every P = S / gcd(d, S) lines and LRU keeps the last
+    min(m, P·W), so ``m`` is drawn below S, between S and P·W, or
+    above P·W (for d = 32 and 16384, P = 1 and the middle range is
+    empty)."""
+    sets, ways = 8, 4
+    d = draw(st.sampled_from((1, 2, 3, 32, 16384)))
+    kept = sets // gcd(d, sets) * ways
+    m = draw(st.one_of(st.integers(1, sets - 1),
+                       st.integers(min(sets, kept), kept),
+                       st.integers(kept + 1, kept + 2 * sets)))
+    base = draw(st.integers(0, 1 << 12))
+    size = draw(st.sampled_from((4, 32)))
+    offset = draw(st.integers(0, (32 - size) // 4)) * 4
+    per_line = draw(st.lists(st.sets(st.integers(0, 3), min_size=1),
+                             min_size=m, max_size=m))
+    addrs = [(base + r * d) * 128 + sector * 32 + offset
+             for r, sectors in enumerate(per_line)
+             for sector in sorted(sectors)]
+    return d, m, size, addrs
+
+
+class TestStrideFill:
+    """``access_many`` resolves an ascending constant-line-stride
+    stream into an empty cache in closed form; anything else goes to
+    the exact lockstep path.  The scalar model is the ground truth."""
+
+    @staticmethod
+    def _pair(flushed: bool):
+        from repro.memory import ScalarSetAssociativeCache
+
+        vec = small_cache()
+        ref = ScalarSetAssociativeCache(
+            4096, line_bytes=128, sector_bytes=32, ways=4, name="ref")
+        if flushed:
+            for cache in (vec, ref):
+                for a in range(0, 1 << 14, 352):
+                    cache.access(a, 64)
+                cache.flush()
+        return vec, ref
+
+    @settings(max_examples=120, deadline=None)
+    @given(stream=strided_streams(), flushed=st.booleans(),
+           record=st.booleans())
+    def test_matches_scalar(self, stream, flushed, record):
+        d, m, size, addrs = stream
+        vec, ref = self._pair(flushed)
+        a = np.asarray(addrs, dtype=np.int64)
+        assert vec._stride_runs(a, size)[0] == (d if m > 1 else 1)
+        got = vec.access_many(a, size, record=record)
+        assert got.tolist() == [ref.access(x, size) for x in addrs]
+        if not record:
+            assert vec.stats == CacheStats()
+            ref.stats.reset()
+        assert vec.stats == ref.stats
+        assert _state_fingerprint(vec, addrs) == \
+            _state_fingerprint(ref, addrs)
+        # revisit kept, evicted and never-touched lines of the
+        # stream's sets: the LRU order the fill left decides them
+        for i in range(40):
+            x = (addrs[0] // 128 + (i * 7) % (m + 8) * d) * 128 \
+                + 32 * (i % 4)
+            assert vec.access(x) == ref.access(x), (i, x)
+        assert vec.stats == ref.stats
+
+    def test_irregular_stride_takes_lockstep(self, monkeypatch):
+        """Ascending lines whose gaps alternate between 1 and 2: not a
+        constant stride, so the exact lockstep path answers (64 sets
+        of 2 ways keep it off the scalar loop it degrades to when a
+        few sets take most of the stream)."""
+        from repro.memory import ScalarSetAssociativeCache
+
+        vec = SetAssociativeCache(1 << 14, ways=2, name="vec")
+        ref = ScalarSetAssociativeCache(1 << 14, ways=2, name="ref")
+        addrs = [(i + i // 3) * 128 for i in range(150)]
+        a = np.asarray(addrs, dtype=np.int64)
+        assert vec._stride_runs(a, 4) is None
+        steps = []
+        lockstep = vec._lockstep_access
+        monkeypatch.setattr(vec, "_access_loop", None)   # never reached
+        monkeypatch.setattr(vec, "_lockstep_access",
+                            lambda *args, **kw: steps.append(1)
+                            or lockstep(*args, **kw))
+        got = vec.access_many(a)
+        assert steps == [1]
+        assert got.tolist() == [ref.access(x) for x in addrs]
+        assert vec.stats == ref.stats and vec.stats.evictions
+        assert _state_fingerprint(vec, addrs) == \
+            _state_fingerprint(ref, addrs)
+        for x in addrs[::-3]:
+            assert vec.access(x) == ref.access(x), x
 
 
 class TestAllocationRetention:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.memory_ops import CacheOp
 from repro.memory import DramChannel, MemLevel, MemoryHierarchy, Tlb
+from repro.obs import ObsSession
 
 
 class TestTlb:
@@ -77,10 +78,60 @@ class TestTlbBatch:
         assert t.access(0)
         assert not t.access(4096)
 
+    def test_all_resident_runs_recur(self):
+        """All pages resident, each recurring in runs that are not
+        adjacent: recency follows every page's *last* run (3, 1, 0, 2
+        here), not its first run or its first access."""
+        page_bytes = 4096
+        batched = Tlb(entries=4, page_bytes=page_bytes)
+        seq = Tlb(entries=4, page_bytes=page_bytes)
+        for t in (batched, seq):
+            t.warm(0, 4 * page_bytes)
+        pages = [0, 0, 1, 2, 2, 0, 3, 3, 1, 1, 0, 2]
+        addrs = [p * page_bytes + 8 * i for i, p in enumerate(pages)]
+        got = batched.access_many(np.asarray(addrs, dtype=np.int64))
+        assert got.all()
+        assert got.tolist() == [seq.access(a) for a in addrs]
+        assert (batched.hits, batched.misses) == (seq.hits, seq.misses)
+        assert batched.state_digest() == seq.state_digest()
+        assert list(batched._pages) == [3, 1, 0, 2]
+
     def test_empty_batch(self):
         t = Tlb()
         assert len(t.access_many(np.asarray([], dtype=np.int64))) == 0
         assert t.hits == 0 and t.misses == 0
+
+
+class TestInitPass:
+    def test_global_probe_init_pass_matches_scalar_loads(self,
+                                                         tiny_device):
+        """The over-L2 initialisation pass of the global P-chase probe
+        — one access per line into empty caches, the closed-form
+        fill's shape — fires the same counters (``mem.*``,
+        ``cache.l1.*``, ``cache.l2.*``) and leaves the same TLB totals
+        and cache statistics as a scalar ``load()`` loop."""
+        size = int(tiny_device.cache.l2_size_bytes * 1.25)
+        addrs = np.arange(size // 128, dtype=np.int64) * 128
+
+        def init_pass(batched: bool):
+            session = ObsSession()
+            with session.activate():
+                mh = MemoryHierarchy(tiny_device)
+                mh.warm_tlb(0, size)
+                if batched:
+                    mh.load_many(addrs, 32)
+                else:
+                    for a in addrs.tolist():
+                        mh.load(a, 32)
+            return (session.counters.as_dict(),
+                    (mh.tlb.hits, mh.tlb.misses),
+                    mh.l1_for_sm(0).stats, mh.l2.stats)
+
+        batched = init_pass(True)
+        assert batched == init_pass(False)
+        counters = batched[0]
+        assert counters["mem.loads"] == len(addrs)
+        assert counters["cache.l2.evictions"] > 0
 
 
 class TestDramChannel:
