@@ -28,9 +28,9 @@ clear error (named explicitly).
 
 Results are served from a content-addressed on-disk cache
 (``~/.cache/hopperdissect`` or ``$HOPPERDISSECT_CACHE_DIR``) keyed on
-the run context, the context's device specs and each builder's
-transitive ``repro`` imports, so a re-run with nothing relevant
-changed is near-instant; ``--no-cache`` forces fresh builds.
+the run context, the context's device specs and a digest of the
+``repro`` source, so a re-run with no model or experiment code changed
+is near-instant; ``--no-cache`` forces fresh builds.
 """
 
 from __future__ import annotations

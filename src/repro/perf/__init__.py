@@ -4,14 +4,13 @@ Nothing in here changes *what* an experiment computes — this package
 exists so the full suite re-runs fast enough to live in an edit loop:
 
 * :mod:`repro.perf.cache` — a content-addressed on-disk result cache.
-  Keys cover the experiment name, the package version, the
-  :class:`~repro.core.context.RunContext` token, a digest of the
-  context's device specs and a digest of the builder's *dependency
-  cut* (the ``repro`` modules it transitively imports), so a cached
-  :class:`~repro.core.registry.ExperimentResult` can only ever be
-  returned when re-running the builder would provably produce the
-  same table and checks — while edits to unrelated modules leave warm
-  entries warm.
+  Keys cover the experiment name and builder, the package version,
+  the :class:`~repro.core.context.RunContext` token, a digest of the
+  context's device specs and one digest of the ``repro`` source, so a
+  cached :class:`~repro.core.registry.ExperimentResult` is only
+  returned when re-running the builder would produce the same table
+  and checks.  An edit to any module outside orchestration (this
+  package, ``repro.cli``, ``repro.fuzz``) re-keys every entry.
 * :mod:`repro.perf.runner` — the parallel experiment runner
   (:func:`~repro.perf.runner.run_experiments`) that fans
   context-parameterized builders out over a process pool, merges
@@ -22,11 +21,7 @@ exists so the full suite re-runs fast enough to live in an edit loop:
 
 from __future__ import annotations
 
-from repro.perf.cache import (
-    ResultCache,
-    ResultCacheStats,
-    dependency_cut,
-)
+from repro.perf.cache import ResultCache, ResultCacheStats
 from repro.perf.runner import (
     ExperimentTiming,
     Profiler,
@@ -39,7 +34,6 @@ from repro.perf.runner import (
 __all__ = [
     "ResultCache",
     "ResultCacheStats",
-    "dependency_cut",
     "ExperimentTiming",
     "Profiler",
     "RunReport",

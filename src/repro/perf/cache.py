@@ -1,62 +1,28 @@
 """Content-addressed on-disk cache for experiment results.
 
-An experiment's output is a pure function of (a) its builder code and
-everything it transitively calls, and (b) the :class:`RunContext` it
-ran under (device sweep, seed, fidelity) plus the registered specs of
-those devices and the architecture packs they resolve to.  The cache
-key therefore hashes the experiment name and its builder's
-``"module:function"`` path together with the package version, the
-context token, a digest of the context's
-:class:`~repro.arch.DeviceSpec` objects and their
-:class:`~repro.arch.ArchPack` objects and — the part that makes warm
-caches survive edits — a digest of only the ``repro`` modules the
-builder *transitively imports* (its **dependency cut**), not the whole
-source tree.  The builder's module and path come from the experiment
-table (:mod:`repro.core.experiments`), so deriving a key imports no
-builder; the path is key material because the table itself is in no
-cut.
+An experiment's output is a pure function of (a) the ``repro`` source
+and (b) the :class:`RunContext` it ran under (device sweep, seed,
+fidelity) plus the registered specs of those devices and the
+architecture packs they resolve to.  The cache key therefore hashes
+the experiment name and its builder's ``"module:function"`` path
+together with the package version, the context token, a digest of the
+context's :class:`~repro.arch.DeviceSpec` objects and their
+:class:`~repro.arch.ArchPack` objects, and the **source digest**
+(:func:`source_digest`): one sha256 over every ``repro/**/*.py`` path
+and its bytes.  The builder's path comes from the experiment table
+(:mod:`repro.core.experiments`), so deriving a key imports no builder;
+it is key material because a row can be re-pointed at run time
+without any source edit.
 
-The cut is computed statically: each module's AST is scanned for
-``import``/``from`` statements (including ones nested inside
-functions, which the experiment modules use liberally) and the
-``repro.*`` targets are followed breadth-first.  An edit to
-``repro/te/modules.py`` therefore invalidates the Transformer-Engine
-experiments but leaves the memory-hierarchy entries warm.  Imports are
-mapped to *submodule files*, deliberately not to the parent package's
-``__init__``: a package ``__init__`` re-exports its submodules, so
-routing through it would glue unrelated cuts together and undo the
-point of the exercise.  For the same reason the orchestration layer
-itself (``repro.perf``, ``repro.cli``) is excluded from the graph: it
-fans work out and caches results but — by contract, and by the
-parallel-equals-serial tests — never changes what an experiment
-computes, while its runner imports ``repro.core`` wholesale and would
-otherwise re-glue everything.  Builders living outside ``repro`` fall
-back to the conservative whole-tree digest.
-
-A key must cost far less than the entry it addresses, so the parses
-behind the cuts are paid at most once per file and process, and on a
-warm cache not at all (:class:`CacheKeys`):
-
-* a **parse memo** shared by every cut in the process, keyed on the
-  module name, the sha256 of its source and the set of module names —
-  overlapping cuts parse each file once, and an edited file is simply
-  a different key;
-* a persisted **cut-digest index**: one JSON file in the cache root,
-  ``cut-index.json``, mapping each builder module to its ``cut=``
-  digest under the whole-tree digest (every ``.py`` path and its
-  bytes — the value :func:`source_digest` returns).  Deriving keys
-  reads and hashes the tree once; while the stored tree digest
-  matches, cut digests come from the index and nothing is parsed.  Any
-  edit, added or removed file changes the tree digest and drops the
-  whole index; a corrupt or truncated index is ignored.  It is
-  rewritten atomically, and only by :meth:`ResultCache.put` and
-  :meth:`ResultCache.put_blob`, so ``--no-cache`` runs and read-only
-  keyers never create it.  It is not a ``*.pkl`` entry: the LRU bound,
-  the hit/miss/store tallies and the provenance counters never see
-  it, and :meth:`ResultCache.clear` removes it.
-
-A key is the same bytes whichever way its cut digest was found, so
-caches filled before the index existed stay warm.
+An edit to any module the digest covers re-keys every entry of both
+tiers below, so no entry computed by older code is ever served.
+Orchestration is left out of the digest: ``repro/perf/``,
+``repro/cli.py`` and ``repro/fuzz/`` decide which builders and
+queries run and how they fan out, never what they compute (the
+parallel-equals-serial tests hold them to that), so editing them keeps
+warm entries warm.  The tree is hashed at most once per
+:class:`ResultCache` (a few ms), on its first key or blob address, so
+``run --no-cache`` never hashes it.
 
 Entries store the pickled :class:`~repro.core.tables.Table` and
 :class:`~repro.core.checks.Check` tuple, *not* the
@@ -84,20 +50,21 @@ Two extensions serve the long-running query service
   :meth:`ResultCache.put_blob` store arbitrary pickled payloads under
   caller-supplied content keys with the same atomic-write, corrupt-
   entry and eviction discipline, which is how shard-level prediction
-  entries share the experiment cache's content-addressed store.
+  entries share the experiment cache's content-addressed store.  A
+  blob's address mixes the source digest into the caller's key, so
+  callers key on content alone and still never read a blob stored by
+  other code.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
-import json
 import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.core.context import DEFAULT_CONTEXT, RunContext
 from repro.core.registry import ExperimentResult, get_experiment
@@ -117,24 +84,14 @@ def _record_provenance(event: str, name: str) -> None:
                             args={"experiment": name, "event": event})
 
 __all__ = ["ResultCache", "ResultCacheStats", "CacheKeys",
-           "default_cache_dir", "source_digest", "device_digest",
-           "dependency_cut"]
+           "default_cache_dir", "source_digest", "device_digest"]
 
 #: bump when the on-disk payload layout changes
 _SCHEMA = 3
 
-#: file name and layout version of the persisted cut-digest index
-_INDEX_NAME = "cut-index.json"
-_INDEX_SCHEMA = 1
-
-#: orchestration modules kept out of dependency graphs — they decide
-#: how builders run, never what they compute (see the module docstring)
-_GRAPH_EXCLUDED = ("repro.perf", "repro.cli")
-
-
-def _graph_excluded(module: str) -> bool:
-    return any(module == p or module.startswith(p + ".")
-               for p in _GRAPH_EXCLUDED)
+#: orchestration, left out of the source digest (see the module
+#: docstring): paths relative to the ``repro`` package
+_ORCHESTRATION = ("perf/", "cli.py", "fuzz/")
 
 
 def default_cache_dir() -> Path:
@@ -147,142 +104,23 @@ def default_cache_dir() -> Path:
     return base / "hopperdissect"
 
 
-def _read_source(path: Path) -> bytes:
-    """Read one module's source.  Module-level so tests can stub the
-    view of the tree without touching real files."""
-    return Path(path).read_bytes()
-
-
-def _module_index() -> Dict[str, Path]:
-    """Map every importable ``repro.*`` module name to its file."""
-    import repro
-
-    root = Path(repro.__file__).resolve().parent
-    index: Dict[str, Path] = {"repro": root / "__init__.py"}
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root)
-        parts = list(rel.with_suffix("").parts)
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        index[".".join(["repro", *parts]) if parts else "repro"] = path
-    return index
-
-
-def _imported_modules(module: str, source: bytes,
-                      index: Dict[str, Path]) -> List[str]:
-    """The ``repro.*`` modules ``module``'s source imports.
-
-    ``from repro.pkg import name`` resolves to ``repro.pkg`` — or to
-    ``repro.pkg.name`` when that is itself a module — never to parent
-    packages of an explicit submodule target.  Relative imports are
-    resolved against ``module``'s package.
-    """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return []
-    package = module if index.get(module, Path("")).name \
-        == "__init__.py" else module.rpartition(".")[0]
-    found: List[str] = []
-
-    def add(name: str) -> None:
-        if (name in index and name not in found
-                and not _graph_excluded(name)):
-            found.append(name)
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:                       # relative import
-                base_parts = package.split(".")
-                up = node.level - 1
-                base_parts = base_parts[:len(base_parts) - up] \
-                    if up else base_parts
-                base = ".".join(base_parts)
-                target = f"{base}.{node.module}" if node.module \
-                    else base
-            else:
-                target = node.module or ""
-            if not target.startswith("repro"):
-                continue
-            add(target)
-            for alias in node.names:
-                add(f"{target}.{alias.name}")
-    return found
-
-
-@dataclass(frozen=True)
-class _Tree:
-    """One read of the ``repro`` source tree."""
-
-    index: Dict[str, Path]          # module name -> file
-    digest: str                     # every relative path and its bytes
-    names: str                      # digest of the module names
-
-
-def _read_tree() -> _Tree:
-    """Hash every module through :func:`_read_source`; the bytes are
-    not kept, since a warm key derivation needs only the digest."""
-    import repro
-
-    root = Path(repro.__file__).resolve().parent
-    index = _module_index()
-    h = hashlib.sha256()
-    for path in sorted(set(index.values())):
-        h.update(str(path.relative_to(root)).encode())
-        h.update(b"\0")
-        h.update(_read_source(path))
-        h.update(b"\0")
-    names = hashlib.sha256("\0".join(index).encode()).hexdigest()
-    return _Tree(index=index, digest=h.hexdigest(), names=names)
-
-
-#: the parse memo every cut in the process shares:
-#: (module, sha256 of its source, _Tree.names) -> its repro imports.
-#: Keyed on content, so it never answers for an edited file; the bound
-#: only matters to processes that stub many variants of the tree.
-_IMPORTS_MEMO: Dict[Tuple[str, str, str], List[str]] = {}
-_IMPORTS_MEMO_MAX = 4096
-
-
-def _imports(module: str, tree: _Tree) -> List[str]:
-    source = _read_source(tree.index[module])
-    key = (module, hashlib.sha256(source).hexdigest(), tree.names)
-    found = _IMPORTS_MEMO.get(key)
-    if found is None:
-        if len(_IMPORTS_MEMO) >= _IMPORTS_MEMO_MAX:
-            _IMPORTS_MEMO.clear()
-        found = _IMPORTS_MEMO[key] = _imported_modules(
-            module, source, tree.index)
-    return found
-
-
-def _cut(module: str, tree: _Tree) -> Tuple[str, ...]:
-    if module not in tree.index:
-        return ()
-    seen = {module}
-    frontier = [module]
-    while frontier:
-        for dep in _imports(frontier.pop(), tree):
-            if dep not in seen:
-                seen.add(dep)
-                frontier.append(dep)
-    return tuple(sorted(seen))
-
-
-def dependency_cut(module: str) -> Tuple[str, ...]:
-    """Every ``repro.*`` module transitively imported by ``module``
-    (inclusive), sorted — the invalidation scope of a builder."""
-    return _cut(module, _read_tree())
-
-
 def source_digest() -> str:
-    """Digest of every ``.py`` file in the installed ``repro`` tree —
-    the conservative fallback for builders outside ``repro``, and the
-    validity stamp of the cut-digest index."""
-    return _read_tree().digest
+    """sha256 over every ``.py`` path of the installed ``repro`` tree
+    and its bytes, orchestration left out — the source part of every
+    key and blob address."""
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith(_ORCHESTRATION):
+            continue
+        h.update(rel.encode())
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
 
 
 def device_digest(devices: Optional[Tuple[str, ...]] = None) -> str:
@@ -322,20 +160,18 @@ def _write_atomic(path: Path, data: bytes, prefix: str) -> None:
 
 
 class CacheKeys:
-    """Derives result-cache keys for one view of the source tree.
+    """Derives result-cache keys for one view of the source tree,
+    hashed on first use."""
 
-    The tree is hashed on first use.  Each builder module's source
-    digest then comes from memory, from the cut-digest index at
-    ``index_path`` when it was written for the same tree digest, or
-    from the cut walked through the shared parse memo.
-    ``index_path=None`` keeps everything in memory.
-    """
+    def __init__(self) -> None:
+        self._digest: Optional[str] = None
 
-    def __init__(self, index_path: Optional[Path] = None) -> None:
-        self.index_path = index_path
-        self._tree: Optional[_Tree] = None
-        self._digests: Dict[str, str] = {}
-        self._unsaved = False
+    @property
+    def digest(self) -> str:
+        """The :func:`source_digest` this instance keys under."""
+        if self._digest is None:
+            self._digest = source_digest()
+        return self._digest
 
     def key_for(self, name: str,
                 context: Optional[RunContext] = None) -> str:
@@ -343,78 +179,15 @@ class CacheKeys:
         import repro
 
         ctx = DEFAULT_CONTEXT if context is None else context
-        target = get_experiment(name).target
-        module = target.partition(":")[0]
         h = hashlib.sha256()
         h.update(f"schema={_SCHEMA}\n".encode())
         h.update(f"version={repro.__version__}\n".encode())
         h.update(f"name={name}\n".encode())
-        h.update(f"builder={target}\n".encode())
+        h.update(f"builder={get_experiment(name).target}\n".encode())
         h.update(f"context={ctx.token()}\n".encode())
         h.update(f"devices={device_digest(ctx.devices)}\n".encode())
-        h.update(f"source:{self.module_digest(module)}\n".encode())
+        h.update(f"source={self.digest}\n".encode())
         return h.hexdigest()
-
-    def module_digest(self, module: str) -> str:
-        """``cut=<sha256>`` over ``module``'s dependency cut, or
-        ``tree=<sha256>`` when ``module`` is not a ``repro`` module."""
-        if self._tree is None:
-            self._tree = _read_tree()
-            self._digests.update(self._load(self._tree.digest))
-        tree = self._tree
-        if module not in self._digests:
-            cut = _cut(module, tree)
-            if not cut:
-                self._digests[module] = f"tree={tree.digest}"
-            else:
-                h = hashlib.sha256()
-                for dep in cut:
-                    h.update(dep.encode())
-                    h.update(b"\0")
-                    h.update(_read_source(tree.index[dep]))
-                    h.update(b"\0")
-                self._digests[module] = f"cut={h.hexdigest()}"
-                self._unsaved = True
-        return self._digests[module]
-
-    def _load(self, tree_digest: str) -> Dict[str, str]:
-        """The stored cut digests if the index was written for
-        ``tree_digest``; empty when missing, stale or unreadable."""
-        if self.index_path is None:
-            return {}
-        try:
-            payload = json.loads(self.index_path.read_bytes())
-            cuts = payload["cuts"]
-            if (payload["schema"] != _INDEX_SCHEMA
-                    or payload["tree"] != tree_digest
-                    or not all(isinstance(m, str)
-                               and isinstance(d, str)
-                               and d.startswith("cut=")
-                               for m, d in cuts.items())):
-                return {}
-        except (OSError, ValueError, KeyError, TypeError,
-                AttributeError):
-            return {}
-        return dict(cuts)
-
-    def save(self) -> None:
-        """Rewrite the index if this instance derived cut digests it
-        did not load.  The index only saves work, so failing to write
-        it never fails the caller."""
-        if self.index_path is None or not self._unsaved:
-            return
-        payload = {
-            "schema": _INDEX_SCHEMA,
-            "tree": self._tree.digest,
-            "cuts": {m: d for m, d in sorted(self._digests.items())
-                     if d.startswith("cut=")},
-        }
-        try:
-            _write_atomic(self.index_path, json.dumps(payload).encode(),
-                          prefix=".cut-index-")
-        except OSError:
-            return
-        self._unsaved = False
 
 
 @dataclass
@@ -471,14 +244,9 @@ class ResultCache:
                 "HOPPERDISSECT_CACHE_MAX_ENTRIES", None)
         if self.max_entries is not None and self.max_entries < 1:
             raise ValueError("max_entries must be positive or None")
-        self._keys = CacheKeys(self.index_path)
+        self._keys = CacheKeys()
 
     # -- keys ---------------------------------------------------------------
-
-    @property
-    def index_path(self) -> Path:
-        """The cut-digest index file (see the module docstring)."""
-        return self.root / _INDEX_NAME
 
     def key_for(self, name: str,
                 context: Optional[RunContext] = None) -> str:
@@ -538,17 +306,19 @@ class ResultCache:
             prefix=f".{name}-")
         self.stats.stores += 1
         _record_provenance("store", name)
-        self._keys.save()
         self._enforce_bound(keep=path)
         return path
 
     # -- the blob tier ------------------------------------------------------
 
     def blob_path(self, kind: str, key: str) -> Path:
-        """Where a blob of ``kind`` under content ``key`` lives — the
-        same ``{name}-{key[:20]}.pkl`` layout the experiment tier uses,
+        """Where a blob of ``kind`` under content ``key`` lives.  The
+        address mixes the source digest into ``key``, in the same
+        ``{name}-{address[:20]}.pkl`` layout the experiment tier uses,
         so :meth:`clear` and the LRU bound govern both tiers."""
-        return self.root / f"{kind}-{key[:20]}.pkl"
+        address = hashlib.sha256(
+            f"source={self._keys.digest}\nkey={key}\n".encode())
+        return self.root / f"{kind}-{address.hexdigest()[:20]}.pkl"
 
     def get_blob(self, kind: str, key: str) -> Optional[Any]:
         """The payload stored under (``kind``, ``key``), or ``None``.
@@ -583,7 +353,6 @@ class ResultCache:
             prefix=f".{kind}-")
         self.stats.stores += 1
         _record_provenance("store", kind)
-        self._keys.save()
         self._enforce_bound(keep=path)
         return path
 
@@ -632,14 +401,12 @@ class ResultCache:
         return evicted
 
     def clear(self) -> int:
-        """Delete every entry and the cut-digest index under the cache
-        root; returns the entry count."""
+        """Delete every entry under the cache root; returns the
+        count."""
         if not self.root.is_dir():
             return 0
         n = 0
         for p in self.root.glob("*.pkl"):
             p.unlink(missing_ok=True)
             n += 1
-        self.index_path.unlink(missing_ok=True)
-        self._keys = CacheKeys(self.index_path)
         return n

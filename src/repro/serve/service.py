@@ -10,14 +10,16 @@ order with each caller's ``id`` tag re-attached.
 Two cache tiers sit between planning and dispatch, both addressed by a
 **storage key** layered over the shard's content digest (package
 version, base-context token, device-spec digest, observability mode,
-and — for family shards — the experiment tier's full dependency-cut
-keys, so editing an experiment module invalidates exactly its
-entries):
+and — for family shards — the experiment tier's keys):
 
 * an in-process **memo** — the warm-service fast path;
 * the persistent blob tier of the shared content-addressed
   :class:`~repro.perf.cache.ResultCache` — what makes a cold process
-  warm-start from a previous run's answers.
+  warm-start from a previous run's answers.  The cache mixes its
+  source digest into every blob address, so an edit to any
+  non-orchestration ``repro`` module re-keys every stored shard; the
+  memo lives and dies with one process and needs no source in its
+  key.
 
 A cached entry stores the prediction payloads *and* the shard's
 counter delta; warm hits **replay** the stored delta into the live
@@ -186,9 +188,8 @@ class QueryService:
         h.update(f"obs={int(obs)}\n".encode())
         h.update(f"content={shard.content_key()}\n".encode())
         if shard.kind == "experiment":
-            # family answers depend on experiment source: reuse the
-            # experiment tier's dependency-cut keys so edits invalidate
-            # exactly the families they touch
+            # family answers depend on the experiment's builder and
+            # derived context: reuse the experiment tier's keys
             for q in shard.queries:
                 h.update(self._experiment_key(q).encode())
                 h.update(b"\n")
@@ -216,8 +217,9 @@ class QueryService:
         if self._keys is None:
             from repro.perf.cache import CacheKeys, ResultCache
 
-            # the service cache keys through its persisted cut-digest
-            # index; without one, the same keys are derived in memory
+            # the service cache's keys share its source digest;
+            # without one, the tree is hashed here, on the first
+            # family shard only
             self._keys = self.cache if isinstance(
                 self.cache, ResultCache) else CacheKeys()
         return f"experiment={self._keys.key_for(name, ctx)}"

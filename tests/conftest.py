@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.arch import get_device
@@ -13,6 +16,20 @@ def _hermetic_result_cache(tmp_path, monkeypatch):
     or write the user's real cache."""
     monkeypatch.setenv("HOPPERDISSECT_CACHE_DIR",
                        str(tmp_path / "result-cache"))
+
+
+@pytest.fixture
+def source_tree(tmp_path, monkeypatch):
+    """A copy of the ``repro`` source that the result cache hashes in
+    place of the installed tree, for tests that edit or add modules.
+    Returns the copy's package directory."""
+    import repro
+
+    root = tmp_path / "source" / "repro"
+    shutil.copytree(Path(repro.__file__).resolve().parent, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(repro, "__file__", str(root / "__init__.py"))
+    return root
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
-"""Cache-key soundness, and what deriving a key costs.
+"""Cache-key soundness: one source digest keys both cache tiers.
 
-Mutations run against a *fresh* :class:`ResultCache` on a root whose
-cut-digest index was already persisted — the cross-process staleness
-case, where a stale index must never answer for an edited tree.
+Edits go to a copy of the ``repro`` source (the ``source_tree``
+fixture), which the cache hashes in place of the installed tree, and
+keys are always derived on a fresh :class:`ResultCache` — the
+cross-process case, where an entry stored by older code must never
+answer.
 """
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from collections import Counter
+import os
+import subprocess
+import sys
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
@@ -24,121 +29,71 @@ from repro.core import registry as regmod
 from repro.core.context import DEFAULT_CONTEXT, RunContext
 from repro.core.registry import get_experiment
 from repro.obs import ObsSession
-from repro.perf import (
-    ResultCache,
-    ResultCacheStats,
-    dependency_cut,
-    run_experiments,
-)
+from repro.perf import ResultCache, ResultCacheStats, run_experiments
 from repro.perf import cache as cmod
 from repro.perf.cache import CacheKeys
+from repro.serve import QueryService, parse_query
 
 EXP = "table03_devices"
 #: a device/seed sweep beside the default context
 SWEEP = RunContext(devices=("A100", "H800"), seed=7)
+#: a blob-tier (kind, key), as the query service would store one
+BLOB = ("serve-shard", "ab" * 32)
+#: orchestration, as the key is specified: paths under ``repro/``
+#: whose edits must keep every key
+ORCHESTRATION = ("perf/", "cli.py", "fuzz/")
 
 
-def _module(name):
-    """The module of ``name``'s builder, read from the registry."""
-    return get_experiment(name).target.partition(":")[0]
-
-
-def _builders():
-    """Each builder module, with one experiment it builds."""
-    out = {}
-    for name in list_experiments():
-        out.setdefault(_module(name), name)
-    return out
-
-
-BUILDERS = _builders()
-
-
-def _reference_cut_digest(module):
-    """A builder's ``cut=`` digest derived the slow way: every module
-    of the cut parsed afresh, with neither memo nor index."""
-    index = cmod._module_index()
-    seen, frontier = {module}, [module]
-    while frontier:
-        current = frontier.pop()
-        for dep in cmod._imported_modules(
-                current, cmod._read_source(index[current]), index):
-            if dep not in seen:
-                seen.add(dep)
-                frontier.append(dep)
-    cut = hashlib.sha256()
-    for dep in sorted(seen):
-        cut.update(dep.encode() + b"\0")
-        cut.update(cmod._read_source(index[dep]) + b"\0")
-    return f"cut={cut.hexdigest()}"
-
-
-def _reference_key(name, ctx, cut_digests):
-    """The key as specified, with ``cut_digests`` caching
-    :func:`_reference_cut_digest` by builder module."""
-    module = _module(name)
-    if module not in cut_digests:
-        cut_digests[module] = _reference_cut_digest(module)
-    h = hashlib.sha256()
-    for line in (f"schema={cmod._SCHEMA}",
-                 f"version={repro.__version__}", f"name={name}",
-                 f"builder={get_experiment(name).target}",
-                 f"context={ctx.token()}",
-                 f"devices={cmod.device_digest(ctx.devices)}",
-                 f"source:{cut_digests[module]}"):
-        h.update(f"{line}\n".encode())
-    return h.hexdigest()
+def _modules(root):
+    """Every ``.py`` path under ``root``, relative, sorted."""
+    return sorted(p.relative_to(root).as_posix()
+                  for p in root.rglob("*.py"))
 
 
 def _keys(cache, ctx=DEFAULT_CONTEXT):
     return {name: cache.key_for(name, ctx) for name in list_experiments()}
 
 
-@pytest.fixture
-def parses(monkeypatch):
-    """An empty parse memo, and the module of every parse after it."""
-    calls = []
-    real = cmod._imported_modules
-
-    def spy(module, source, index):
-        calls.append(module)
-        return real(module, source, index)
-
-    monkeypatch.setattr(cmod, "_IMPORTS_MEMO", {})
-    monkeypatch.setattr(cmod, "_imported_modules", spy)
-    return calls
+def _addresses(root):
+    """Every experiment key under the default context, and a blob
+    path, from a fresh cache on ``root``."""
+    cache = ResultCache(root)
+    return _keys(cache), cache.blob_path(*BLOB)
 
 
-def _forget(parses):
-    """Empty the parse memo and the record of parses so far."""
-    cmod._IMPORTS_MEMO.clear()
-    parses.clear()
+def _reference_digest():
+    """The source digest as specified, hashed afresh."""
+    root = Path(repro.__file__).resolve().parent
+    tree = hashlib.sha256()
+    for rel in _modules(root):
+        if not rel.startswith(ORCHESTRATION):
+            tree.update(rel.encode() + b"\0")
+            tree.update((root / rel).read_bytes() + b"\0")
+    return tree.hexdigest()
 
 
-@pytest.fixture
-def indexed(tmp_path):
-    """A cache root whose index holds every builder module's digest,
-    and the default-context keys it was written for."""
-    cache = ResultCache(tmp_path / "rc")
-    keys = _keys(cache)
-    cache.put(EXP, run_experiment(EXP))
-    assert cache.index_path.is_file()
-    return cache.root, keys
+def _reference_key(name, ctx, digest):
+    h = hashlib.sha256()
+    for line in (f"schema={cmod._SCHEMA}",
+                 f"version={repro.__version__}", f"name={name}",
+                 f"builder={get_experiment(name).target}",
+                 f"context={ctx.token()}",
+                 f"devices={cmod.device_digest(ctx.devices)}",
+                 f"source={digest}"):
+        h.update(f"{line}\n".encode())
+    return h.hexdigest()
 
 
-def _append_byte(monkeypatch, modules):
-    """Make ``_read_source`` append one byte to each of ``modules``."""
-    index = cmod._module_index()
-    paths = {index[m] for m in modules}
-    real = cmod._read_source
-    monkeypatch.setattr(
-        cmod, "_read_source",
-        lambda path: real(path) + b"#" if path in paths else real(path))
+def _append_byte(path):
+    """Edit ``path`` by one byte; returns its original bytes."""
+    data = path.read_bytes()
+    path.write_bytes(data + b"#")
+    return data
 
 
 class TestKeysUnchanged:
-    """Neither the memo nor the index changes a key's bytes, so caches
-    filled before either existed stay warm."""
+    """Keys and blob addresses are the specified bytes, from any
+    cache instance."""
 
     @pytest.mark.parametrize("ctx", [DEFAULT_CONTEXT, SWEEP],
                              ids=["default", "sweep"])
@@ -146,54 +101,88 @@ class TestKeysUnchanged:
         cold = ResultCache(tmp_path / "rc")
         keys = _keys(cold, ctx)
         cold.put(EXP, run_experiment(EXP))
-        cut_digests = {}
-        assert keys == {n: _reference_key(n, ctx, cut_digests)
-                        for n in keys}
+        digest = _reference_digest()
+        assert keys == {n: _reference_key(n, ctx, digest) for n in keys}
         assert _keys(ResultCache(tmp_path / "rc"), ctx) == keys
+
+    def test_blob_path_matches_the_reference_derivation(self, tmp_path):
+        kind, key = BLOB
+        address = hashlib.sha256(
+            f"source={_reference_digest()}\nkey={key}\n".encode())
+        assert ResultCache(tmp_path / "rc").blob_path(kind, key) \
+            == tmp_path / "rc" / f"{kind}-{address.hexdigest()[:20]}.pkl"
 
 
 class TestKeySoundness:
-    @pytest.mark.parametrize("module", sorted(BUILDERS))
-    def test_edit_in_the_cut_changes_the_key(self, indexed, module):
-        root, keys = indexed
-        name = BUILDERS[module]
-        for dep in dependency_cut(module):
-            with pytest.MonkeyPatch.context() as mp:
-                _append_byte(mp, [dep])
-                assert ResultCache(root).key_for(name) != keys[name], \
-                    f"editing {dep} left {name}'s key unchanged"
+    def test_edit_to_any_module_changes_every_key(self, tmp_path,
+                                                  source_tree):
+        keys, blob = _addresses(tmp_path / "rc")
+        edited = [m for m in _modules(source_tree)
+                  if not m.startswith(ORCHESTRATION)]
+        assert len(edited) > 80
+        for rel in edited:
+            original = _append_byte(source_tree / rel)
+            new_keys, new_blob = _addresses(tmp_path / "rc")
+            (source_tree / rel).write_bytes(original)
+            same = sorted(n for n in keys if new_keys[n] == keys[n])
+            assert not same, f"editing {rel} left {same} unchanged"
+            assert new_blob != blob, f"editing {rel} kept the blob path"
 
-    @pytest.mark.parametrize("module", sorted(BUILDERS))
-    def test_edit_outside_the_cut_keeps_the_key(self, indexed,
-                                                monkeypatch, parses,
-                                                module):
-        root, keys = indexed
-        name = BUILDERS[module]
-        cut = dependency_cut(module)
-        outside = next(m for m in sorted(cmod._module_index())
-                       if m not in cut)
-        _forget(parses)
-        _append_byte(monkeypatch, [outside])
-        assert ResultCache(root).key_for(name) == keys[name]
-        assert parses, "an index stored for another tree was trusted"
+    def test_new_module_changes_every_key(self, tmp_path, source_tree):
+        for new in ("zz_new.py", "memory/zz_new.py"):
+            keys, blob = _addresses(tmp_path / "rc")
+            (source_tree / new).write_text("")
+            new_keys, new_blob = _addresses(tmp_path / "rc")
+            assert all(new_keys[n] != keys[n] for n in keys), new
+            assert new_blob != blob, new
 
-    def test_new_module_invalidates_the_index(self, indexed,
-                                              monkeypatch, parses):
-        root, keys = indexed
-        real_index, real_read = cmod._module_index, cmod._read_source
+    def test_orchestration_edit_keeps_every_key(self, tmp_path,
+                                                source_tree):
+        before = _addresses(tmp_path / "rc")
+        orchestration = [m for m in _modules(source_tree)
+                         if m.startswith(ORCHESTRATION)]
+        assert {m.partition("/")[0] for m in orchestration} \
+            == {"perf", "cli.py", "fuzz"}
+        for rel in orchestration:
+            _append_byte(source_tree / rel)
+        (source_tree / "perf" / "zz_new.py").write_text("")
+        assert _addresses(tmp_path / "rc") == before
 
-        def grown():
-            index = real_index()
-            index["repro.zz_new"] = index["repro"].parent / "zz_new.py"
-            return index
 
-        monkeypatch.setattr(cmod, "_module_index", grown)
-        monkeypatch.setattr(
-            cmod, "_read_source",
-            lambda path: b"" if path.name == "zz_new.py"
-            else real_read(path))
-        assert ResultCache(root).key_for(EXP) == keys[EXP]
-        assert parses, "an index stored for another tree was trusted"
+class TestHashCount:
+    """A key must cost far less than the entry it addresses."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        calls = []
+        real = cmod.source_digest
+
+        def spy():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cmod, "source_digest", spy)
+        return calls
+
+    def test_tree_is_hashed_once_per_cache(self, tmp_path, hashes):
+        cache = ResultCache(tmp_path / "rc")
+        assert hashes == []
+        _keys(cache)
+        _keys(cache, SWEEP)
+        cache.put(EXP, run_experiment(EXP))
+        assert cache.get(EXP) is not None
+        cache.put_blob(*BLOB, 1)
+        assert cache.get_blob(*BLOB) == 1
+        assert len(hashes) == 1
+        _keys(ResultCache(tmp_path / "rc"))
+        assert len(hashes) == 2
+
+    def test_point_queries_without_a_cache_never_hash(self, hashes):
+        service = QueryService(cache=None)
+        service.answer(parse_query(
+            {"kind": "memory.latency", "device": "H800",
+             "params": {"footprint_kib": 64}}))
+        assert hashes == []
 
 
 #: a stock pack's perturbations must reach this key: the experiment
@@ -275,82 +264,41 @@ class TestPackSoundness:
 
 
 class TestBuilderPath:
-    """The experiment table is in no builder's cut, so the builder's
+    """A row changed at run time edits no source, so the builder's
     path is what makes a re-pointed row a different key."""
 
-    TABLE = "repro.core.experiments"
-
-    def test_table_is_in_no_cut(self):
-        for module in BUILDERS:
-            assert self.TABLE not in dependency_cut(module)
-
-    def _key_after_table_edit(self, indexed, monkeypatch, **changes):
-        root, _ = indexed
+    def _key_after_registry_edit(self, tmp_path, monkeypatch,
+                                 **changes):
         monkeypatch.setitem(regmod._REGISTRY, PACK_EXP,
                             dataclasses.replace(
                                 get_experiment(PACK_EXP), **changes))
-        _append_byte(monkeypatch, [self.TABLE])
-        return ResultCache(root).key_for(PACK_EXP)
+        return ResultCache(tmp_path / "rc").key_for(PACK_EXP)
 
-    def test_repointed_builder_changes_the_key(self, indexed,
+    def test_repointed_builder_changes_the_key(self, tmp_path,
                                                monkeypatch):
-        _, keys = indexed
+        key = ResultCache(tmp_path / "rc").key_for(PACK_EXP)
         target = get_experiment(PACK_EXP).target
         sibling = target.replace(":table08", ":table09")
-        assert sibling != target and _module(PACK_EXP) == \
-            sibling.partition(":")[0]
-        assert self._key_after_table_edit(
-            indexed, monkeypatch, builder=sibling) != keys[PACK_EXP]
+        assert sibling != target
+        assert self._key_after_registry_edit(
+            tmp_path, monkeypatch, builder=sibling) != key
 
-    def test_edited_description_keeps_the_key(self, indexed,
+    def test_edited_description_keeps_the_key(self, tmp_path,
                                               monkeypatch):
-        _, keys = indexed
-        assert self._key_after_table_edit(
-            indexed, monkeypatch, description="reworded") \
-            == keys[PACK_EXP]
+        key = ResultCache(tmp_path / "rc").key_for(PACK_EXP)
+        assert self._key_after_registry_edit(
+            tmp_path, monkeypatch, description="reworded") == key
 
 
-class TestParseCounts:
-    def test_cold_derivation_parses_each_file_once(self, tmp_path,
-                                                   parses):
-        first = ResultCache(tmp_path / "a")
-        for ctx in (DEFAULT_CONTEXT, SWEEP):
-            _keys(first, ctx)
-        counts = Counter(parses)
-        assert max(counts.values()) == 1
-        assert set(counts) == set().union(
-            *(dependency_cut(m) for m in BUILDERS))
-        _keys(ResultCache(tmp_path / "b"))     # the memo is shared
-        assert Counter(parses) == counts
-
-    def test_warm_derivation_parses_nothing(self, indexed, parses):
-        root, keys = indexed
-        assert _keys(ResultCache(root)) == keys
-        assert parses == []
-
-    @pytest.mark.parametrize("damage", [
-        lambda b: b"",
-        lambda b: b[:len(b) // 2],
-        lambda b: b"\x80\x81",
-        lambda b: b"[1, 2]",
-        lambda b: b'{"schema": 1, "tree": "x"}',
-        lambda b: b.replace(b'"cut=', b'"bad='),
-    ], ids=["empty", "truncated", "binary", "list", "no-cuts",
-            "bad-digest"])
-    def test_damaged_index_is_recomputed(self, indexed, parses,
-                                         damage):
-        root, keys = indexed
-        path = root / "cut-index.json"
-        path.write_bytes(damage(path.read_bytes()))
-        fresh = ResultCache(root)
-        assert _keys(fresh) == keys
-        assert parses
-        fresh.put(EXP, run_experiment(EXP))
-        assert json.loads(path.read_bytes())["tree"] \
-            == cmod.source_digest()
+#: what an older version left in a cache root beside its entries
+LEGACY_INDEX = b'{"schema": 1, "tree": "0", "cuts": {}}'
 
 
 class TestIndexHygiene:
+    """A cache root holds entries only.  Keying and reading create
+    nothing, and a ``cut-index.json`` an older version left there is
+    never read and is not an entry, so it needs no migration."""
+
     def test_no_cache_and_read_only_keyers_never_create_it(
             self, tmp_path, monkeypatch, capsys):
         root = tmp_path / "cache"
@@ -358,20 +306,23 @@ class TestIndexHygiene:
         assert main(["run", "--no-cache", EXP]) == 0
         assert main(["query", "experiment", "--no-cache",
                      "-p", f"name={EXP}"]) == 0
-        assert not root.exists()
         cache = ResultCache(root)
         cache.key_for(EXP)
         assert cache.get(EXP) is None
-        assert not cache.index_path.exists()
+        assert cache.get_blob(*BLOB) is None
+        assert not root.exists()
 
     def test_index_is_not_an_entry(self, tmp_path):
+        root = tmp_path / "rc"
+        root.mkdir()
+        (root / "cut-index.json").write_bytes(LEGACY_INDEX)
         result = run_experiment(EXP)
         session = ObsSession()
         with session.activate():
-            cache = ResultCache(tmp_path / "rc", max_entries=1)
+            cache = ResultCache(root, max_entries=1)
             cache.put(EXP, result)
-        assert cache.index_path.is_file()
-        assert [p.name for p in cache.root.glob("*.pkl")] \
+        assert (root / "cut-index.json").read_bytes() == LEGACY_INDEX
+        assert [p.name for p in root.glob("*.pkl")] \
             == [cache.path_for(EXP).name]
         assert cache.stats == ResultCacheStats(stores=1)
         bank = session.counters.as_dict()
@@ -379,7 +330,6 @@ class TestIndexHygiene:
                 if k.startswith("result_cache.")} \
             == {"result_cache.store": 1}
         assert cache.clear() == 1
-        assert not cache.index_path.exists()
 
     def test_warm_run_all_tallies_do_not_depend_on_the_index(
             self, tmp_path, monkeypatch, capsys):
@@ -388,9 +338,9 @@ class TestIndexHygiene:
         assert main(["run", "--all"]) == 0
         runs = []
         dump = tmp_path / "counters.json"
-        for drop_index in (False, True):
-            if drop_index:
-                (root / "cut-index.json").unlink()
+        for plant_index in (False, True):
+            if plant_index:
+                (root / "cut-index.json").write_bytes(LEGACY_INDEX)
             capsys.readouterr()
             assert main(["run", "--all", "--counters-json",
                          str(dump)]) == 0
@@ -403,3 +353,64 @@ class TestIndexHygiene:
         assert runs[0][2] == ResultCacheStats(hits=n)
         assert json.loads(runs[0][1])["counters"]["result_cache.hit"] \
             == n
+
+
+class TestNoStaleAnswers:
+    """End to end through the CLI on a copy of the source: after an
+    edit to model or serve code every warm answer is recomputed, and
+    after an edit to orchestration every entry stays warm."""
+
+    QUERIES = (("query", "memory.latency", "-d", "H800",
+                "-p", "footprint_kib=1024"),
+               ("query", "experiment", "-p", "name=table07_mma"))
+
+    def test_warm_answers_follow_source_edits(self, tmp_path,
+                                              source_tree):
+        cache = tmp_path / "cache"
+        env = dict(os.environ, PYTHONPATH=str(source_tree.parent),
+                   HOPPERDISSECT_CACHE_DIR=str(cache))
+
+        def cli(*argv, codes=(0,)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode in codes, proc.stderr[-2000:]
+            return proc.stdout
+
+        def answers(*flags):
+            return [cli(*q, *flags) for q in self.QUERIES]
+
+        def run_total():
+            # the +100 below fails one of Table IV's finding checks
+            return cli("run", "table04_mem_latency", "--profile",
+                       codes=(0, 1)).splitlines()[-1]
+
+        def edit(rel, old, new):
+            path = source_tree / rel
+            text = path.read_text()
+            assert text.count(old) == 1, f"{old!r} not unique in {rel}"
+            path.write_text(text.replace(old, new))
+
+        def entries():
+            return sorted(p.name for p in cache.glob("*.pkl"))
+
+        filled = answers()
+        assert run_total().endswith("(0 cached, 1 run)")
+        stored = entries()
+        assert len(stored) == 3
+
+        for rel in ("cli.py", "perf/runner.py"):
+            path = source_tree / rel
+            path.write_text(path.read_text() + "# a comment\n")
+        assert answers() == filled
+        assert run_total().endswith("(1 cached, 0 run)")
+        assert entries() == stored
+
+        edit("memory/hierarchy.py", "        ) + extra\n",
+             "        ) + extra + 100\n")
+        edit("serve/dispatch.py", "float(len(result.table.rows))",
+             "float(len(result.table.rows) + 1)")
+        warm = answers()
+        assert warm == answers("--no-cache")
+        assert all(w != f for w, f in zip(warm, filled)), warm
+        assert run_total().endswith("(0 cached, 1 run)")

@@ -70,64 +70,33 @@ class TestBenchJson:
 
 
 class TestDependencyCutKeys:
-    """The cache invalidates on the builder's transitive imports, not
-    the whole tree."""
+    """An entry depends on every module outside orchestration, not
+    only on the ones its builder imports."""
 
-    def _edit(self, monkeypatch, module_path_suffix):
-        """Make _read_source see one module's source as edited."""
-        from repro.perf import cache as cmod
+    def _edit(self, source_tree, rel):
+        path = source_tree / rel
+        path.write_bytes(path.read_bytes() + b"\n# edited\n")
 
-        real = cmod._read_source
-
-        def patched(path):
-            data = real(path)
-            if str(path).endswith(module_path_suffix):
-                return data + b"\n# edited\n"
-            return data
-
-        monkeypatch.setattr(cmod, "_read_source", patched)
-
-    def test_te_edit_keeps_memory_experiments_warm(self, tmp_path,
-                                                   monkeypatch):
-        from repro.perf import ResultCache
-
+    def test_te_edit_invalidates_memory_experiments(self, tmp_path,
+                                                    source_tree):
         cache = ResultCache(tmp_path / "rc")
         cache.put("table04_mem_latency",
                   run_experiment("table04_mem_latency"))
         cache.put("fig04_te_linear", run_experiment("fig04_te_linear"))
 
-        self._edit(monkeypatch, "te/modules.py")
+        self._edit(source_tree, "te/modules.py")
         warm = ResultCache(tmp_path / "rc")
-        assert warm.get("table04_mem_latency") is not None
+        assert warm.get("table04_mem_latency") is None
         assert warm.get("fig04_te_linear") is None
 
     def test_memory_edit_invalidates_memory_experiments(self, tmp_path,
-                                                        monkeypatch):
-        from repro.perf import ResultCache
-
+                                                        source_tree):
         cache = ResultCache(tmp_path / "rc")
         cache.put("table04_mem_latency",
                   run_experiment("table04_mem_latency"))
-        self._edit(monkeypatch, "memory/hierarchy.py")
+        self._edit(source_tree, "memory/hierarchy.py")
         warm = ResultCache(tmp_path / "rc")
         assert warm.get("table04_mem_latency") is None
-
-    def test_cut_contents(self):
-        from repro.perf import dependency_cut
-
-        cut = dependency_cut("repro.core.experiments.memory")
-        assert "repro.core.experiments.memory" in cut
-        assert "repro.memory.hierarchy" in cut      # transitive
-        assert "repro.te.modules" not in cut        # unrelated
-        assert not any(m.startswith("repro.perf") for m in cut)
-        assert "repro.core" not in cut              # no hub gluing
-
-    def test_function_level_imports_are_tracked(self):
-        # extensions.py imports repro.te inside builder bodies only
-        from repro.perf import dependency_cut
-
-        cut = dependency_cut("repro.core.experiments.extensions")
-        assert any(m.startswith("repro.te") for m in cut)
 
 
 class TestContextKeys:
