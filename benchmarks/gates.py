@@ -48,10 +48,7 @@ from repro.isa.mma import (  # noqa: E402
     valid_wgmma_n,
 )
 from repro.memory import MemoryHierarchy  # noqa: E402
-from repro.memory.cache_study import (  # noqa: E402
-    PROBE_BUDGETS,
-    capacity_sweep_sizes,
-)
+from repro.memory.cache_study import capacity_sweep_sizes  # noqa: E402
 from repro.memory.chase import (  # noqa: E402
     ChaseEngine,
     chase_total_clk,
@@ -190,14 +187,15 @@ def tc_vectorized(grids) -> None:
 
 # -- the steady-state chase engine vs the scalar P-chase loops -------------
 #
-# Every chase CacheProbe(device, fidelity="full").detect() issues — the
-# capacity sweep with its warm-up passes, the stride sweep and the
-# conflict ladders — on the three paper devices.  Only the chases are
-# timed: the warm-up fills are the same vectorized helpers on both
-# paths, so they would only dilute the comparison.
+# Every chase CacheProbe.detect() issues with its budget set to the
+# paper's (_BUDGET) — the capacity sweep with its warm-up passes, the
+# stride sweep and the conflict ladders — on the three paper devices.
+# Only the chases are timed: the warm-up fills are the same vectorized
+# helpers on both paths, so they would only dilute the comparison.
 
 _CHASE_DEVICES = ("RTX4090", "A100", "H800")
-_BUDGET = PROBE_BUDGETS["full"]
+_BUDGET = {"capacity_iters": 2048, "warmup_passes": 2,
+           "stride_iters": 1024, "conflict_iters": 1024}
 _STRIDES = (4, 8, 16, 32, 64, 128)
 _STRIDE_ARRAY = 512 * 1024
 _MAX_WAYS = 16
@@ -280,11 +278,11 @@ def chase_engine(prepared) -> List[float]:
 
 # -- the closed-form stream fill vs scalar loads ----------------------------
 #
-# The initialisation pass of the Table IV global probe at fast fidelity:
-# an H800 with its L2 shrunk to 2 MiB, a buffer 1.1x that, one ascending
-# 32 B load per 128 B line into empty caches — the stream L1 and L2
-# resolve in closed form.  Each pass gets a fresh hierarchy with the
-# TLB warmed, as the probe leaves it.
+# The initialisation pass of the Table IV global probe: an H800 with its
+# L2 shrunk to 2 MiB, a buffer 1.1x that, one ascending 32 B load per
+# 128 B line into empty caches — the stream L1 and L2 resolve in closed
+# form.  Each pass gets a fresh hierarchy with the TLB warmed, as the
+# probe leaves it.
 
 _INIT_L2_KIB = 2048
 _INIT_SPAN = int(_INIT_L2_KIB * 1024 * 1.1)
@@ -449,7 +447,7 @@ def gate_table(scratch: Path) -> List[Gate]:
              reference=Side(init_scalar, init_hierarchy),
              repeat=5, min_ratio=20.0),
         Gate("chase engine vs scalar chase",
-             "every full-fidelity cache-detection chase, 3 devices",
+             "every paper-budget cache-detection chase, 3 devices",
              fast=Side(chase_engine, warmed_hierarchies),
              reference=Side(chase_scalar, warmed_hierarchies),
              repeat=3, min_ratio=5.0),

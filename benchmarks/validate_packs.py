@@ -16,9 +16,10 @@ Three layers of checks, mirroring what the engines rely on:
    the pack's tensor-core generation matches the device's
    ``TensorCoreSpec.generation``, and each ``Architecture`` member
    delegates to the pack of the same name.
-3. **Golden pins** — the nine committed fixtures under
-   ``tests/golden/`` re-render byte-for-byte, proving the data-plane
-   refactor (and any pack edit) left the paper devices untouched.
+3. **Golden pins** — every snapshot ``tests/test_golden_tables.py``
+   owns re-renders byte-for-byte: the nine paper-device fixtures plus
+   the five-device report, the fidelity report and the committed serve
+   stream, so a pack edit that moves any device's number fails here.
 
 Exit code 0 when everything validates; prints one line per layer.
 CI runs this in the tier-1 job right after the test suite.
@@ -41,9 +42,6 @@ from repro.arch import (  # noqa: E402
     list_packs,
     validate_pack,
 )
-
-_GOLDEN_DIR = _REPO / "tests" / "golden"
-
 
 def check_schemas() -> int:
     names = list_packs()
@@ -76,22 +74,19 @@ def check_registry_coherence() -> int:
 
 
 def check_golden_pins() -> int:
-    from repro.core import run_experiment
+    sys.path.insert(0, str(_REPO))
+    from tests.test_golden_tables import SNAPSHOTS, drift
 
-    fixtures = sorted(_GOLDEN_DIR.glob("*.txt"))
-    if not fixtures:
-        raise AssertionError(f"no golden fixtures in {_GOLDEN_DIR}")
-    for fixture in fixtures:
-        name = fixture.stem
-        actual = run_experiment(name).render() + "\n"
-        if actual != fixture.read_text():
+    for fixture in sorted(SNAPSHOTS):
+        diff = drift(fixture)
+        if diff:
             raise AssertionError(
-                f"{name}: rendered output drifted from "
-                f"tests/golden/{name}.txt — a pack edit moved a "
-                "paper-device number")
-    print(f"OK: {len(fixtures)} golden fixtures re-render "
+                f"rendered output drifted from tests/golden/{fixture} "
+                "— a pack edit moved a device's number:\n"
+                + "".join(diff[:40]))
+    print(f"OK: {len(SNAPSHOTS)} golden fixtures re-render "
           "byte-for-byte")
-    return len(fixtures)
+    return len(SNAPSHOTS)
 
 
 def main(argv=None) -> int:

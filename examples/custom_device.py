@@ -74,7 +74,7 @@ def main() -> None:
 
     print("=== Predicted H100 SXM5 vs measured H800 PCIe ===\n")
 
-    lat = measure_latencies(dev, fast=True)
+    lat = measure_latencies(dev)
     print("memory latency (clk):", {k: round(v, 1)
                                     for k, v in lat.items()})
     bw = MemoryThroughputModel(dev).global_memory().value

@@ -25,8 +25,7 @@ def latency_study() -> None:
     print("=== P-chase latency (cycles) ===")
     header = f"{'level':<10}" + "".join(f"{d:>10}" for d in DEVICES)
     print(header)
-    results = {d: measure_latencies(get_device(d), fast=True)
-               for d in DEVICES}
+    results = {d: measure_latencies(get_device(d)) for d in DEVICES}
     for level in ("Shared", "L1 Cache", "L2 Cache", "Global"):
         row = f"{level:<10}"
         for d in DEVICES:

@@ -19,12 +19,13 @@ Subcommands::
     hopperdissect query mma -d A100 -p ab=fp16 -p cd=fp32 \
         -p m=16 -p n=8 -p k=16               # one-shot point query
 
-``--device/--devices`` and ``--seed``/``--fidelity`` build the
+``--device/--devices`` and ``--seed`` build the
 :class:`~repro.core.context.RunContext` the builders run under; the
-default context is the paper's testbed (RTX4090, A100, H800, seed 0,
-fast fidelity).  Under a restrictive device sweep, experiments pinned
-to excluded devices are skipped with a note (``--all``) or fail with a
-clear error (named explicitly).
+default context is the paper's testbed (RTX4090, A100, H800, seed 0).
+Under a restrictive device sweep, experiments pinned to excluded
+devices are skipped with a note (``--all``) or fail with a clear error
+(named explicitly).  ``--fidelity fast|full`` is still accepted and
+ignored: there is one probe configuration.
 
 Results are served from a content-addressed on-disk cache
 (``~/.cache/hopperdissect`` or ``$HOPPERDISSECT_CACHE_DIR``) keyed on
@@ -167,8 +168,6 @@ def _make_context(args) -> RunContext:
             for name in item.split(",") if name)
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
-    if getattr(args, "fidelity", None) is not None:
-        kwargs["fidelity"] = args.fidelity
     if not kwargs:
         return DEFAULT_CONTEXT
     try:
@@ -525,9 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, metavar="N",
                         help="RNG seed for seeded workloads "
                              "(default: 0)")
+        # accepted and ignored: older scripts still pass it
         sp.add_argument("--fidelity", choices=("fast", "full"),
-                        default=None,
-                        help="probe budget tier (default: fast)")
+                        help=argparse.SUPPRESS)
 
     run_p = sub.add_parser("run", help="run experiments")
     run_p.add_argument("experiments", nargs="*",

@@ -22,7 +22,6 @@ from repro.core.checks import Check, approx, ordered, ratio_between
 from repro.core.context import (
     DEFAULT_CONTEXT,
     DeviceNotInContext,
-    FIDELITY_TIERS,
     RunContext,
 )
 from repro.core.registry import (
@@ -49,7 +48,6 @@ __all__ = [
     "RunContext",
     "DEFAULT_CONTEXT",
     "DeviceNotInContext",
-    "FIDELITY_TIERS",
     "Experiment",
     "ExperimentResult",
     "register",

@@ -2,12 +2,12 @@
 
 Every :class:`~repro.core.registry.Experiment` builder receives a
 frozen :class:`RunContext` describing *what to run against*: the device
-sweep, the RNG seed, the fidelity tier and an optional timing hook.
-The default context reproduces the paper's testbed exactly (the three
-GPUs of Table III, seed 0, fast fidelity), so ``run_experiment(name)``
-with no context is byte-identical to the pre-context harness — but the
-same builder can now be re-parameterized over any registered device
-model (``RunContext(devices=("A100",))``, an H100 registered via
+sweep, the RNG seed and an optional timing hook.  The default context
+reproduces the paper's testbed exactly (the three GPUs of Table III,
+seed 0), so ``run_experiment(name)`` with no context is byte-identical
+to the pre-context harness — but the same builder can now be
+re-parameterized over any registered device model
+(``RunContext(devices=("A100",))``, an H100 registered via
 :func:`repro.arch.register_device`, …) without editing source.
 
 Conventions builders follow:
@@ -33,13 +33,7 @@ __all__ = [
     "RunContext",
     "DEFAULT_CONTEXT",
     "DeviceNotInContext",
-    "FIDELITY_TIERS",
 ]
-
-#: recognised fidelity tiers: ``fast`` matches the paper harness's
-#: default probe budgets; ``full`` removes the shortcuts (more p-chase
-#: iterations, no fast paths) at higher wall cost.
-FIDELITY_TIERS = ("fast", "full")
 
 
 class DeviceNotInContext(KeyError):
@@ -52,14 +46,13 @@ class RunContext:
 
     ``devices`` is the device sweep (canonical registry names); the
     default is the paper's testbed.  ``seed`` feeds every RNG-using
-    workload, ``fidelity`` selects the probe budget, and ``hook`` (not
-    part of identity — excluded from equality and cache keys) receives
-    ``(experiment_name, wall_seconds)`` after each build.
+    workload, and ``hook`` (not part of identity — excluded from
+    equality and cache keys) receives ``(experiment_name,
+    wall_seconds)`` after each build.
     """
 
     devices: Tuple[str, ...] = ("RTX4090", "A100", "H800")
     seed: int = 0
-    fidelity: str = "fast"
     hook: Optional[Callable[[str, float], None]] = field(
         default=None, compare=False)
 
@@ -76,11 +69,6 @@ class RunContext:
 
         for name in self.devices:
             get_device(name)   # fail fast on unregistered devices
-        if self.fidelity not in FIDELITY_TIERS:
-            raise ValueError(
-                f"unknown fidelity tier {self.fidelity!r}; "
-                f"expected one of {FIDELITY_TIERS}"
-            )
 
     # -- device selection ----------------------------------------------------
 
@@ -131,11 +119,6 @@ class RunContext:
 
         return np.random.default_rng(self.seed)
 
-    @property
-    def fast(self) -> bool:
-        """True under the ``fast`` fidelity tier."""
-        return self.fidelity == "fast"
-
     # -- identity / transport ------------------------------------------------
 
     @property
@@ -148,40 +131,34 @@ class RunContext:
         Covers everything that can change a result; the hook is
         observability only and deliberately excluded.
         """
-        return (f"devices={','.join(self.devices)};seed={self.seed};"
-                f"fidelity={self.fidelity}")
+        return f"devices={','.join(self.devices)};seed={self.seed}"
 
     def to_payload(self) -> Dict[str, Any]:
         """A picklable dict for process-pool transport (hook dropped)."""
-        return {"devices": list(self.devices), "seed": self.seed,
-                "fidelity": self.fidelity}
+        return {"devices": list(self.devices), "seed": self.seed}
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "RunContext":
         return cls(devices=tuple(payload["devices"]),
-                   seed=int(payload["seed"]),
-                   fidelity=str(payload["fidelity"]))
+                   seed=int(payload["seed"]))
 
     def without_hook(self) -> "RunContext":
         return replace(self, hook=None) if self.hook else self
 
     def derive(self, *, devices: Optional[Tuple[str, ...]] = None,
-               seed: Optional[int] = None,
-               fidelity: Optional[str] = None) -> "RunContext":
+               seed: Optional[int] = None) -> "RunContext":
         """A context with just the named fields replaced.
 
         This is the query→context bridge used by :mod:`repro.serve`:
-        a family-level query overrides only the sweep, seed or
-        fidelity it names and inherits everything else from the
-        service's base context.  The hook is dropped — derived
-        contexts cross process boundaries and identity must stay a
-        pure function of the query plus the base token.
+        a family-level query overrides only the sweep or seed it names
+        and inherits the rest from the service's base context.  The
+        hook is dropped — derived contexts cross process boundaries
+        and identity must stay a pure function of the query plus the
+        base token.
         """
         return RunContext(
             devices=self.devices if devices is None else tuple(devices),
             seed=self.seed if seed is None else int(seed),
-            fidelity=self.fidelity if fidelity is None else
-            str(fidelity),
         )
 
     def emit(self, name: str, wall_s: float) -> None:

@@ -64,10 +64,7 @@ def ext_cache_detection(ctx: RunContext) -> Tuple[Table, List[Check]]:
     for dev_name in ctx.select("RTX4090", "A100", "H800", "B200",
                                "V100"):
         dev = get_device(dev_name)
-        # the default steady-state chase engine makes every point
-        # cheap in-process; no need for the process-pool fan-out here
-        probe = CacheProbe(dev, fidelity=ctx.fidelity)
-        params = probe.detect()
+        params = CacheProbe(dev).detect()
         geo = dev.cache
         pairs = [
             ("L1 capacity (KiB)", params.l1_capacity_bytes // 1024,

@@ -24,7 +24,7 @@ def table04(ctx: RunContext) -> Tuple[Table, List[Check]]:
     # 1/overfill of the array and reads like an L2 hit.  Seeded chain
     # orders are exercised by the scalar/vectorized equivalence suite.
     results = {
-        name: measure_latencies(get_device(name), fast=ctx.fast)
+        name: measure_latencies(get_device(name))
         for name in devices
     }
     table = Table("Table IV: latency clocks of memory scopes",

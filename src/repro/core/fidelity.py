@@ -64,7 +64,7 @@ def _table4() -> TableFidelity:
     from repro.memory import measure_latencies
     entries = []
     for dev, levels in P.TABLE4_LATENCY.items():
-        got = measure_latencies(get_device(dev), fast=True)
+        got = measure_latencies(get_device(dev))
         for level, paper in levels.items():
             entries.append(FidelityEntry(f"{dev}/{level}", paper,
                                          got[level]))

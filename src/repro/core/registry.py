@@ -11,9 +11,8 @@ imports no builder module, and :meth:`Experiment.run` imports one on
 first use.  :func:`register` adds callables at run time.
 
 Builders are **context-parameterized**: they take a
-:class:`~repro.core.context.RunContext` and draw their device list,
-seed and fidelity tier from it instead of hardcoding the paper's
-testbed.  Zero-argument builders are not accepted — :func:`register`
+:class:`~repro.core.context.RunContext` and draw their device list
+and seed from it instead of hardcoding the paper's testbed.  Zero-argument builders are not accepted — :func:`register`
 raises a :class:`TypeError`.
 """
 

@@ -151,8 +151,6 @@ def query_payloads(draw, kind=None) -> dict:
         elif name == "name":
             params[name] = draw(st.sampled_from(
                 ("table07_mma", "fig04_te_linear")))
-        elif name == "fidelity":
-            params[name] = draw(st.sampled_from(("fast", "full")))
         elif name == "seed":
             params[name] = draw(st.integers(0, 31))
         else:  # pragma: no cover - future params default to ints

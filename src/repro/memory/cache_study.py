@@ -24,9 +24,8 @@ resolves it on the steady-state
 :class:`~repro.memory.chase.ChaseEngine`: whole periods run through
 the batched cache paths and repeated periods are accounted
 analytically, with results exactly equal (cycles and counters) to the
-scalar reference loops preserved as ``*_scalar``.  A vectorized point
-is cheap enough that the :func:`repro.perf.parallel_map` process-pool
-fan-out (``jobs > 1``) is now an option rather than a necessity.
+scalar reference loops preserved as ``*_scalar``.  The points of a sweep
+run in process, one after another, against one reused hierarchy.
 """
 
 from __future__ import annotations
@@ -43,17 +42,15 @@ from repro.memory.chase import (ChaseEngine, chase_total_clk,
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import session as _obs
 
-__all__ = ["CacheProbe", "DetectedParameters", "PROBE_BUDGETS",
+__all__ = ["CacheProbe", "DetectedParameters", "PROBE_BUDGET",
            "capacity_sweep_sizes"]
 
-#: per-fidelity probe budgets: ``full`` buys longer chases and extra
-#: steady-state warmup passes before the measured loop — real
-#: precision, not a different code path
-PROBE_BUDGETS: Dict[str, Dict[str, int]] = {
-    "fast": {"capacity_iters": 512, "warmup_passes": 0,
-             "stride_iters": 512, "conflict_iters": 256},
-    "full": {"capacity_iters": 2048, "warmup_passes": 2,
-             "stride_iters": 1024, "conflict_iters": 1024},
+#: chase iterations per sweep point and steady-state warm-up passes
+#: before each measured loop.  Longer chases detect the same geometry:
+#: ``tests/test_memory_pchase.py`` runs the paper's budget on every pack.
+PROBE_BUDGET: Dict[str, int] = {
+    "capacity_iters": 512, "warmup_passes": 0,
+    "stride_iters": 512, "conflict_iters": 256,
 }
 
 
@@ -78,17 +75,13 @@ def capacity_sweep_sizes(lo_kib: int = 16,
 
 
 def _capacity_point(task: Tuple[DeviceSpec, int, int, int],
-                    mh: Optional[MemoryHierarchy] = None) \
-        -> Tuple[int, float]:
-    """One capacity-sweep point (module-level: pool workers pickle it),
-    resolved on the steady-state engine.  ``mh`` lets a serial caller
-    reuse one flushed hierarchy across points (a flush is behaviourally
-    a fresh hierarchy but keeps the grown cache matrices)."""
-    device, kib, iters, warmup = task
-    if mh is None:
-        mh = MemoryHierarchy(device)
-    else:
-        mh.flush()
+                    mh: MemoryHierarchy) -> Tuple[int, float]:
+    """One capacity-sweep point, resolved on the steady-state engine.
+    ``mh`` is the sweep's one hierarchy, flushed here: a flush is
+    behaviourally a fresh hierarchy but keeps the grown cache
+    matrices."""
+    _, kib, iters, warmup = task
+    mh.flush()
     size = kib * 1024
     mh.warm_l1(0, 0, size)
     mh.warm_tlb(0, size)
@@ -122,17 +115,12 @@ def _capacity_point_scalar(task: Tuple[DeviceSpec, int, int, int]) \
 
 
 def _stride_point(task: Tuple[DeviceSpec, int, int, int],
-                  mh: Optional[MemoryHierarchy] = None) \
-        -> Tuple[int, float]:
-    """One stride-sweep point (module-level: pool workers pickle it),
-    resolved on the steady-state engine.  ``mh`` as in
-    :func:`_capacity_point`."""
-    device, stride, array_kib, iters = task
+                  mh: MemoryHierarchy) -> Tuple[int, float]:
+    """One stride-sweep point, resolved on the steady-state engine.
+    ``mh`` as in :func:`_capacity_point`."""
+    _, stride, array_kib, iters = task
     size = array_kib * 1024
-    if mh is None:
-        mh = MemoryHierarchy(device)
-    else:
-        mh.flush()
+    mh.flush()
     mh.warm_tlb(0, size)
     mh.warm_l2(0, size)
     n = size // stride
@@ -171,38 +159,28 @@ class DetectedParameters:
 class CacheProbe:
     """P-chase-style parameter detection bound to one device.
 
-    ``jobs`` is the default process fan-out of the point sweeps; each
-    sweep also takes an explicit ``jobs`` override.  ``fidelity``
-    selects a :data:`PROBE_BUDGETS` tier — ``full`` runs longer chases
-    with steady-state warmup passes before every measured loop.
-    ``engine`` picks the steady-state chase engine (default) or the
-    scalar reference loops; both produce identical sweeps.
+    ``budget`` holds the sweeps' iteration counts
+    (:data:`PROBE_BUDGET`).  ``engine`` picks the steady-state chase
+    engine (default) or the scalar reference loops; both produce
+    identical sweeps.
     """
 
     _ENGINES = ("vectorized", "scalar")
 
-    def __init__(self, device: DeviceSpec, *, jobs: int = 1,
-                 fidelity: str = "fast",
+    def __init__(self, device: DeviceSpec, *,
                  engine: str = "vectorized") -> None:
-        if fidelity not in PROBE_BUDGETS:
-            raise ValueError(
-                f"unknown fidelity {fidelity!r}; "
-                f"expected one of {sorted(PROBE_BUDGETS)}")
         if engine not in self._ENGINES:
             raise ValueError(f"unknown engine {engine!r}; "
                              f"expected one of {self._ENGINES}")
         self.device = device
-        self.jobs = max(1, jobs)
-        self.fidelity = fidelity
         self.engine = engine
-        self.budget = PROBE_BUDGETS[fidelity]
+        self.budget = dict(PROBE_BUDGET)
         self._mh: Optional[MemoryHierarchy] = None
 
     def _hierarchy(self) -> MemoryHierarchy:
-        """One reusable hierarchy for serial in-process sweeps.
-        Rebuilt if the observability sink changed (a session started
-        or ended since it was made) so counters land in the right
-        bank."""
+        """One reusable hierarchy for the sweeps.  Rebuilt if the
+        observability sink changed (a session started or ended since
+        it was made) so counters land in the right bank."""
         from repro.obs.session import counters_or_null
 
         sink = counters_or_null()
@@ -210,24 +188,13 @@ class CacheProbe:
             self._mh = MemoryHierarchy(self.device)
         return self._mh
 
-    def _map(self, fn, tasks, jobs: int):
-        # lazy import: repro.perf imports repro.core, which imports the
-        # experiment modules, which import this one
-        from repro.perf.runner import parallel_map
-
-        jobs = self.jobs if jobs is None else jobs
-        if _obs.ACTIVE is not None:
-            # pool workers have no session, so their loads would drop
-            # out of the counter bank and serial/parallel dumps would
-            # diverge; under observability the sweeps stay in-process
-            jobs = 1
-        if jobs == 1 and self.engine == "vectorized":
-            # serial in-process: run the points against one flushed
-            # hierarchy — the retained matrix allocation makes each
-            # point's warm-up passes cheap
-            mh = self._hierarchy()
-            return [fn(t, mh=mh) for t in tasks]
-        return parallel_map(fn, tasks, jobs=jobs)
+    def _map(self, fn, tasks):
+        if self.engine == "scalar":
+            return [fn(t) for t in tasks]
+        # run the points against one flushed hierarchy — the retained
+        # matrix allocation makes each point's warm-up passes cheap
+        mh = self._hierarchy()
+        return [fn(t, mh) for t in tasks]
 
     def _span(self, name: str, points: int, iters: int):
         """A wall-clock trace span around one sweep (or a null
@@ -241,15 +208,13 @@ class CacheProbe:
         return tracer.span(
             f"{name} {self.device.name}", cat="probe",
             args={"device": self.device.name,
-                  "fidelity": self.fidelity,
                   "points": points, "iters": iters,
                   "warmup_passes": self.budget["warmup_passes"]})
 
     # -- capacity ------------------------------------------------------------
 
     def capacity_sweep(self, sizes_kib: List[int],
-                       iters: Optional[int] = None, *,
-                       jobs: Optional[int] = None) -> Dict[int, float]:
+                       iters: Optional[int] = None) -> Dict[int, float]:
         """Mean chase latency vs array size (KiB)."""
         if iters is None:
             iters = self.budget["capacity_iters"]
@@ -266,7 +231,7 @@ class CacheProbe:
             mh.l1_for_sm(0).reserve_span(span)
             mh.l2.reserve_span(span)
         with self._span("capacity_sweep", len(tasks), iters):
-            return dict(self._map(fn, tasks, jobs))
+            return dict(self._map(fn, tasks))
 
     def detect_l1_capacity(self, *, lo_kib: int = 16,
                            hi_kib: int = 1024) -> int:
@@ -289,8 +254,7 @@ class CacheProbe:
 
     def stride_sweep(self, strides: List[int],
                      array_kib: int = 512,
-                     iters: Optional[int] = None, *,
-                     jobs: Optional[int] = None) -> Dict[int, float]:
+                     iters: Optional[int] = None) -> Dict[int, float]:
         """Mean latency of a strided chase through a >L1 array that is
         re-walked after one warming pass (misses dominate).  Latency
         per *byte* falls as the stride shrinks below the sector size
@@ -307,7 +271,7 @@ class CacheProbe:
             mh.l1_for_sm(0).reserve_span(array_kib * 1024)
             mh.l2.reserve_span(array_kib * 1024)
         with self._span("stride_sweep", len(tasks), iters):
-            return dict(self._map(fn, tasks, jobs))
+            return dict(self._map(fn, tasks))
 
     def detect_sector_bytes(self) -> int:
         """Smallest stride at which every access misses L1 on first

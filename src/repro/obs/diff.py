@@ -41,7 +41,7 @@ class CounterDrift:
     ``kind`` is ``new`` (counter fired now, absent from the
     baseline), ``removed`` (in the baseline, silent now), ``changed``
     (both, different values) or ``context`` (the runs are not
-    comparable — device sweep / seed / fidelity differ).  ``ok`` marks
+    comparable — device sweep or seed differ).  ``ok`` marks
     drift absorbed by the histogram-tail tolerance.
     """
 

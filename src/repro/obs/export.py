@@ -11,7 +11,7 @@ per-experiment counter banks into the two standard shapes:
   latency histograms (``mem.latency.l2.le00000512`` …) become real
   OpenMetrics histograms with cumulative ``_bucket{le="…"}`` samples,
   a ``+Inf`` bucket and ``_count``.  Every sample carries the
-  ``{device, experiment, fidelity}`` label set; counters the
+  ``{device, experiment}`` label set; counters the
   orchestration layer fired outside any experiment (cache probes, the
   ``exp.completed`` hook) are labeled
   ``experiment="_orchestration"``.
@@ -82,18 +82,14 @@ def _escape(value: str) -> str:
 
 def context_labels(context: Optional[Any]) -> Dict[str, str]:
     """The run-level label set a :class:`~repro.core.context.RunContext`
-    contributes: the device sweep and the fidelity tier.  (The seed is
-    carried by the context token, not a label — it never changes what
-    a counter *means*.)"""
+    contributes: the device sweep.  (The seed is carried by the context
+    token, not a label — it never changes what a counter *means*.)"""
     if context is None:
         return {}
     labels: Dict[str, str] = {}
     devices = getattr(context, "devices", None)
     if devices:
         labels["device"] = ",".join(devices)
-    fidelity = getattr(context, "fidelity", None)
-    if fidelity:
-        labels["fidelity"] = str(fidelity)
     return labels
 
 
@@ -129,7 +125,7 @@ def render_openmetrics(
 
     ``banks`` maps experiment name → counter dict (the
     :data:`ORCHESTRATION` key holds the runner's own counters).  Each
-    sample carries ``labels`` (typically ``{device, fidelity}`` from
+    sample carries ``labels`` (typically ``{device}`` from
     :func:`context_labels`) plus its ``experiment``.  Output is
     canonical — families and experiments sorted, histogram buckets
     cumulative in numeric bound order, terminated by ``# EOF`` — so

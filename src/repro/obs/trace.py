@@ -4,7 +4,7 @@ The tracer records three event shapes on named tracks:
 
 * **complete spans** (``ph="X"``) — a name, a start timestamp and a
   duration.  The runner emits one per experiment (wall clock); the
-  probe sweeps emit one per sweep with the fidelity knobs in ``args``.
+  probe sweeps emit one per sweep with their budget in ``args``.
 * **instant events** (``ph="i"``) — point markers (a result-cache hit,
   a wave boundary, a tensor-core instruction issue).
 * **counter samples** (``ph="C"``) — optional numeric series.

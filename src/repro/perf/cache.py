@@ -1,9 +1,9 @@
 """Content-addressed on-disk cache for experiment results.
 
 An experiment's output is a pure function of (a) the ``repro`` source
-and (b) the :class:`RunContext` it ran under (device sweep, seed,
-fidelity) plus the registered specs of those devices and the
-architecture packs they resolve to.  The cache key therefore hashes
+and (b) the :class:`RunContext` it ran under (device sweep and seed)
+plus the registered specs of those devices and the architecture packs
+they resolve to.  The cache key therefore hashes
 the experiment name and its builder's ``"module:function"`` path
 together with the package version, the context token, a digest of the
 context's :class:`~repro.arch.DeviceSpec` objects and their

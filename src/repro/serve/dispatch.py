@@ -72,8 +72,7 @@ def _experiment_predictions(queries: List[Query],
         try:
             ctx = base.derive(
                 devices=(q.device,) if q.device else None,
-                seed=q.param("seed"),
-                fidelity=q.param("fidelity"))
+                seed=q.param("seed"))
         except (KeyError, ValueError) as exc:
             # KeyError str() wraps its message in quotes — unwrap
             msg = exc.args[0] if isinstance(exc, KeyError) \

@@ -146,7 +146,6 @@ KIND_PARAMS: Dict[str, Dict[str, Tuple[bool, Any, Any]]] = {
     # experiment runner + result cache, not the point-query grid path)
     "experiment": {
         "name": (True, None, _ident("name")),
-        "fidelity": (False, None, _choice("fidelity", "fast", "full")),
         "seed": (False, None, _pos_int("seed", 0, 2 ** 31)),
     },
 }
@@ -172,7 +171,7 @@ def _validated_params(kind: str, params: Mapping[str, Any]) \
                 f"kind {kind!r} requires param {name!r}")
         elif default is not None:
             # None defaults mean "inherit from the service context"
-            # (experiment fidelity/seed) and stay out of the canonical
+            # (experiment seed) and stay out of the canonical
             # form so an explicit default and an omission differ only
             # when they should
             out.append((name, default))

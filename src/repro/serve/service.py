@@ -206,8 +206,7 @@ class QueryService:
         try:
             ctx = self.context.derive(
                 devices=(query.device,) if query.device else None,
-                seed=query.param("seed"),
-                fidelity=query.param("fidelity"))
+                seed=query.param("seed"))
         except (KeyError, ValueError) as exc:
             # underivable context (unknown device — experiment-kind
             # queries skip device validation at construction): a

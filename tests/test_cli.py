@@ -207,6 +207,12 @@ class TestContextFlags:
         assert main(["run", "--no-cache", "ext_fp8_accuracy"]) == 0
         assert capsys.readouterr().out != first
 
+    def test_fidelity_flag_is_accepted_and_ignored(self, capsys):
+        assert main(["report", "--no-cache"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["report", "--no-cache", "--fidelity", "full"]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestCountersJson:
     """``--counters-json`` writes the hopperdissect.counters/v1 dump."""
@@ -231,8 +237,7 @@ class TestCountersJson:
         assert f"wrote {out}" in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert payload["schema"] == "hopperdissect.counters/v1"
-        assert payload["context"] == (
-            "devices=RTX4090,A100,H800;seed=0;fidelity=fast")
+        assert payload["context"] == "devices=RTX4090,A100,H800;seed=0"
         assert payload["counters"]["exp.completed"] == 1
         assert payload["counters"]["tc.mma.instructions"] > 0
         # keys arrive sorted (canonical form)

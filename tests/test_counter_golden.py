@@ -90,8 +90,8 @@ class TestCatalogCoverage:
 class TestDriftSemantics:
     BASE = {
         "schema": "hopperdissect.counters/v2",
-        "context": "devices=A100;seed=0;fidelity=fast",
-        "labels": {"device": "A100", "fidelity": "fast"},
+        "context": "devices=A100;seed=0",
+        "labels": {"device": "A100"},
         "experiments": {
             "exp_a": {
                 "mem.loads": 100,
@@ -143,7 +143,7 @@ class TestDriftSemantics:
 
     def test_context_mismatch_fails(self):
         cur = self._variant()
-        cur["context"] = "devices=H800;seed=0;fidelity=fast"
+        cur["context"] = "devices=H800;seed=0"
         report = diff_payloads(self.BASE, cur)
         assert not report.passed
         assert report.failures[0].kind == "context"

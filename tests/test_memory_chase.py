@@ -187,9 +187,8 @@ class TestPChaseEngineParity:
     @pytest.mark.parametrize("seed", [None, 0])
     def test_measure_latencies_engine_parity(self, seed):
         device = get_device("A100")
-        assert measure_latencies(device, fast=True, seed=seed) == \
-            measure_latencies(device, fast=True, seed=seed,
-                              engine="scalar")
+        assert measure_latencies(device, seed=seed) == \
+            measure_latencies(device, seed=seed, engine="scalar")
 
     def test_unknown_engine_rejected(self, tiny_device):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.memory import PChase, measure_latencies
+from repro.arch import get_device
+from repro.memory import CacheProbe, PChase, measure_latencies
 from repro.memory.pchase import _chain, _coprime_stride
 
 #: Table IV reference values
@@ -136,15 +137,13 @@ class TestPerLevelLatency:
 class TestTable4:
     @pytest.mark.parametrize("device_name", sorted(PAPER_TABLE4))
     def test_matches_paper(self, device_name):
-        from repro.arch import get_device
-        got = measure_latencies(get_device(device_name), fast=True)
+        got = measure_latencies(get_device(device_name))
         for level, expect in PAPER_TABLE4[device_name].items():
             assert got[level] == pytest.approx(expect, rel=0.02), \
                 (device_name, level)
 
     def test_paper_ratios(self):
-        from repro.arch import get_device
-        results = {d: measure_latencies(get_device(d), fast=True)
+        results = {d: measure_latencies(get_device(d))
                    for d in PAPER_TABLE4}
         l2_l1 = sum(r["L2 Cache"] / r["L1 Cache"]
                     for r in results.values()) / 3
@@ -152,3 +151,50 @@ class TestTable4:
                    for r in results.values()) / 3
         assert l2_l1 == pytest.approx(6.5, rel=0.1)
         assert g_l2 == pytest.approx(1.9, rel=0.1)
+
+
+#: one registered device per architecture pack
+PACK_DEVICES = ("V100", "RTX4090", "A100", "H800", "B200")
+
+#: the paper's P-chase procedure (§III-A4): 2,048 iterations per probe,
+#: the global probe over a buffer 1.25 × the device's real L2
+PAPER_ITERS = 2048
+PAPER_OVERFILL = 1.25
+#: cache-geometry detection at paper scale: longer chases plus two
+#: steady-state warm-up passes before every measured capacity loop
+PAPER_PROBE_BUDGET = {"capacity_iters": 2048, "warmup_passes": 2,
+                      "stride_iters": 1024, "conflict_iters": 1024}
+
+
+@pytest.mark.parametrize("device_name", PACK_DEVICES)
+class TestPaperProcedure:
+    """The paper's procedure, kept as an executable spec.
+
+    The shipped probes run shorter: :func:`measure_latencies` shrinks
+    the L2 to 2 MiB and chases 256 iterations, and :class:`CacheProbe`
+    runs :data:`~repro.memory.cache_study.PROBE_BUDGET`.  That is exact
+    only while per-level latency does not depend on array size or
+    iteration count; these tests fail the day it does.
+    """
+
+    def test_latencies_equal_the_paper_procedure(self, device_name):
+        device = get_device(device_name)
+        p = PChase(device)
+        l2_kib = min(4096, device.cache.l2_size_kib // 2)
+        paper = {
+            "L1 Cache": p.l1_latency(iters=PAPER_ITERS),
+            "Shared": p.shared_latency(iters=PAPER_ITERS),
+            "L2 Cache": p.l2_latency(array_kib=l2_kib,
+                                     iters=PAPER_ITERS),
+            "Global": p.global_latency(iters=PAPER_ITERS,
+                                       overfill=PAPER_OVERFILL),
+        }
+        assert {level: r.mean_latency_clk
+                for level, r in paper.items()} == \
+            measure_latencies(device)
+
+    def test_detection_at_the_paper_budget(self, device_name):
+        device = get_device(device_name)
+        paper = CacheProbe(device)
+        paper.budget = dict(PAPER_PROBE_BUDGET)
+        assert paper.detect() == CacheProbe(device).detect()

@@ -24,7 +24,6 @@ class TestConstruction:
     def test_default_is_the_paper_testbed(self):
         assert DEFAULT_CONTEXT.devices == ("RTX4090", "A100", "H800")
         assert DEFAULT_CONTEXT.seed == 0
-        assert DEFAULT_CONTEXT.fidelity == "fast"
         assert DEFAULT_CONTEXT.is_default
 
     def test_devices_are_uppercased_and_deduped(self):
@@ -39,14 +38,9 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least one"):
             RunContext(devices=())
 
-    def test_unknown_fidelity_rejected(self):
-        with pytest.raises(ValueError, match="fidelity"):
-            RunContext(fidelity="exact")
-
     def test_non_default_contexts_are_not_default(self):
         assert not RunContext(devices=("A100",)).is_default
         assert not RunContext(seed=7).is_default
-        assert not RunContext(fidelity="full").is_default
 
     def test_hook_excluded_from_identity(self):
         with_hook = RunContext(hook=lambda n, s: None)
@@ -84,8 +78,8 @@ class TestSelection:
 
 class TestIdentity:
     def test_token_covers_every_knob(self):
-        a = RunContext(devices=("A100",), seed=3, fidelity="full")
-        assert a.token() == "devices=A100;seed=3;fidelity=full"
+        a = RunContext(devices=("A100",), seed=3)
+        assert a.token() == "devices=A100;seed=3"
         assert a.token() != DEFAULT_CONTEXT.token()
 
     def test_payload_roundtrip(self):

@@ -109,15 +109,15 @@ def test_explicit_default_equals_omission(kind):
 
 
 def test_none_defaults_stay_out_of_canonical_form():
-    """``experiment`` fidelity/seed default to "inherit from the
-    service context" — an explicit value must *not* collapse onto
-    the omission."""
+    """``experiment`` seed defaults to "inherit from the service
+    context" — an explicit value must *not* collapse onto the
+    omission."""
     plain = parse_query({"kind": "experiment",
                          "params": {"name": "table07_mma"}})
     pinned = parse_query({"kind": "experiment",
                           "params": {"name": "table07_mma",
-                                     "fidelity": "fast"}})
-    assert "fidelity" not in json.loads(plain.canonical()).get(
+                                     "seed": 0}})
+    assert "seed" not in json.loads(plain.canonical()).get(
         "params", {})
     assert pinned.key() != plain.key()
 
