@@ -32,11 +32,17 @@ Results are served from a content-addressed on-disk cache
 the run context, the context's device specs and a digest of the
 ``repro`` source, so a re-run with no model or experiment code changed
 is near-instant; ``--no-cache`` forces fresh builds.
+
+:func:`main` runs BLAS on one thread, in its own process and in every
+pool worker it starts: ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` default to 1, so ``--jobs N`` is N
+single-threaded processes.  A value the user exported wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -290,8 +296,6 @@ def _cmd_stats(args) -> int:
               f"ui.perfetto.dev or chrome://tracing)")
     drift_failed = False
     if args.diff:
-        import os
-
         from repro.obs import diff_payloads, load_counters_v2
 
         baseline_path = args.diff
@@ -682,6 +686,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # One BLAS thread per process.  BLAS helper threads spin for work
+    # and cost more CPU than they save on matmuls this small, and
+    # under --jobs N they would oversubscribe the CPUs the N workers
+    # already fill.  OpenBLAS (NumPy's wheels), OpenMP and MKL read
+    # these once, when numpy loads, so set them before any command
+    # does; pool workers inherit them.  A value the user exported
+    # wins; library callers keep their own settings.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

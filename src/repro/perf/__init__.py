@@ -15,8 +15,11 @@ exists so the full suite re-runs fast enough to live in an edit loop:
   (:func:`~repro.perf.runner.run_experiments`) that fans
   context-parameterized builders out over a process pool, merges
   results deterministically in requested-name order and times each
-  experiment for ``run --profile``, plus the generic
-  :func:`~repro.perf.runner.parallel_map` used by the probe sweeps.
+  experiment for ``run --profile``, plus the generic pool helpers
+  behind ``serve --jobs`` (:func:`~repro.perf.runner.parallel_map`,
+  from :func:`repro.serve.dispatch.dispatch_shards`) and ``fuzz
+  --jobs`` (:func:`~repro.perf.runner.parallel_imap`, from
+  :func:`repro.fuzz.driver.run_fuzz`).
 """
 
 from __future__ import annotations

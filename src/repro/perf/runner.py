@@ -11,9 +11,20 @@ parent against its own registry, because ``Experiment.builder`` is an
 arbitrary callable that may not pickle, and the context hook — an
 arbitrary callable too — never crosses the process boundary).
 
-:func:`parallel_map` is the same machinery for non-experiment
-workloads (the cache-study probe sweeps): a module-level worker
-function fanned over a pool, results in input order.
+The same pool serves two non-experiment callers, each fanning a
+module-level worker function out: serve's shard dispatch
+(:func:`repro.serve.dispatch.dispatch_shards`) through
+:func:`parallel_map`, results in input order, and the fuzz loop
+(:func:`repro.fuzz.driver.run_fuzz`) through :func:`parallel_imap`.
+
+One worker is one thread.  ``hopperdissect`` sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+to 1 in :func:`repro.cli.main`, before any command loads numpy, and
+forked or spawned workers inherit them; otherwise every worker would
+size its own BLAS thread pool to the CPUs and ``--jobs N`` would
+oversubscribe them.  A value the user exported wins.  This module sets
+nothing: a library caller of :func:`run_experiments` owns its BLAS
+threads, and caps them, if it wants, before importing numpy.
 
 There is one dispatch discipline, **work-stealing**
 (:func:`parallel_imap` — ``imap_unordered`` over index-tagged items,

@@ -2,9 +2,37 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+#: the BLAS thread-count variables ``main()`` defaults to 1
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: run the CLI, then dump this process's thread count and BLAS
+#: variables (``sys.argv[1]`` is where)
+_THREADS_PROBE = """\
+import json, os, sys
+from repro.cli import main
+main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"numpy": "numpy" in sys.modules,
+               "threads": len(os.listdir("/proc/self/task")),
+               "env": {v: os.environ.get(v) for v in %r}}, fh)
+""" % (BLAS_VARS,)
+
+
+def _usable_cpus() -> int:
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 class TestCli:
@@ -74,6 +102,38 @@ class TestCli:
         assert args.jobs == 1 and not args.no_cache
         assert not args.profile
         assert not hasattr(args, "bench_json")
+
+
+class TestBlasThreads:
+    """``main()`` runs BLAS on one thread per process, so ``--jobs N``
+    is N single-threaded processes; an exported count wins.  Checked
+    in a fresh interpreter: this process loaded numpy long ago, and
+    calling ``main()`` here has already set the variables."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no /proc/self/task to count threads in")
+    @pytest.mark.skipif(_usable_cpus() < 2,
+                        reason="one usable CPU: OpenBLAS starts no "
+                               "helper thread with or without the cap")
+    @pytest.mark.parametrize("exported", [
+        {}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "exported"])
+    def test_one_blas_thread_unless_exported(self, tmp_path, exported):
+        out = tmp_path / "threads.json"
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env.update(exported,
+                   PYTHONPATH=str(Path(repro.__file__).resolve()
+                                  .parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS_PROBE, str(out),
+             "run", "ext_fp8_accuracy", "--no-cache"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        seen = json.loads(out.read_text())
+        assert seen["numpy"], "the probe must load numpy to mean anything"
+        if not exported:
+            assert seen["threads"] == 1, seen
+        assert seen["env"] == {**dict.fromkeys(BLAS_VARS, "1"),
+                               **exported}
 
 
 class TestPerfFlags:
