@@ -61,10 +61,7 @@ from repro.perf import (  # noqa: E402
     run_experiments,
 )
 from repro.serve import Query, QueryService, parse_query  # noqa: E402
-from repro.tensorcore import (  # noqa: E402
-    ScalarTensorCoreTimingModel,
-    TensorCoreTimingModel,
-)
+from repro.tensorcore import TensorCoreTimingModel  # noqa: E402
 
 # -- the gate table's machinery ---------------------------------------------
 
@@ -159,10 +156,10 @@ def tc_grids():
     grids = []
     for name in list_devices():
         dev = get_device(name)
-        model = ScalarTensorCoreTimingModel(dev)
+        model = TensorCoreTimingModel(dev)
         grids.append((dev, _priceable(model.mma, mma) * _TILE))
     hopper = get_device("H800")
-    model = ScalarTensorCoreTimingModel(hopper)
+    model = TensorCoreTimingModel(hopper)
     return grids, (hopper, _priceable(model.wgmma, wgmma)
                    * (_TILE // 8))
 
@@ -170,10 +167,10 @@ def tc_grids():
 def tc_scalar(grids) -> None:
     mma_grids, (hopper, wgmma) = grids
     for dev, instrs in mma_grids:
-        model = ScalarTensorCoreTimingModel(dev)
+        model = TensorCoreTimingModel(dev)
         for instr in instrs:
             _price(model.mma(instr))
-    model = ScalarTensorCoreTimingModel(hopper)
+    model = TensorCoreTimingModel(hopper)
     for instr in wgmma:
         _price(model.wgmma(instr))
 

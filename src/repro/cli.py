@@ -44,7 +44,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from contextlib import nullcontext
+from typing import Optional, Sequence, Tuple
 
 from repro.arch import get_device, list_devices
 from repro.core import (
@@ -114,8 +115,9 @@ def _make_cache(args):
 
 def _make_obs(args):
     """An :class:`~repro.obs.ObsSession` when ``--counters``,
-    ``--counters-json`` or ``--trace`` asked for one, else ``None``
-    (instrumentation stays on its null-object fast path)."""
+    ``--counters-json``, ``--metrics`` or ``--trace`` asked for one,
+    else ``None`` (instrumentation stays on its null-object fast
+    path)."""
     if (getattr(args, "counters", False)
             or getattr(args, "counters_json", None)
             or getattr(args, "metrics", None)
@@ -124,6 +126,12 @@ def _make_obs(args):
 
         return ObsSession(trace=bool(getattr(args, "trace", None)))
     return None
+
+
+def _activate(session):
+    """``session.activate()``, or a do-nothing context when no session
+    was asked for."""
+    return nullcontext() if session is None else session.activate()
 
 
 def _write_metrics(session, path, context) -> None:
@@ -163,15 +171,22 @@ def _finish_obs(session, args, context=None) -> None:
               f"ui.perfetto.dev or chrome://tracing)")
 
 
+def _device_names(items) -> Optional[Tuple[str, ...]]:
+    """Repeated ``--device`` values, comma lists split, as one tuple;
+    ``None`` when the flag was not given."""
+    if not items:
+        return None
+    return tuple(name for item in items
+                 for name in item.split(",") if name)
+
+
 def _make_context(args) -> RunContext:
     """The :class:`RunContext` the flags describe (default testbed
     when nothing was overridden)."""
-    devices = getattr(args, "devices", None)
+    devices = _device_names(getattr(args, "devices", None))
     kwargs = {}
-    if devices:
-        kwargs["devices"] = tuple(
-            name for item in devices
-            for name in item.split(",") if name)
+    if devices is not None:
+        kwargs["devices"] = devices
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     if not kwargs:
@@ -205,11 +220,7 @@ def _cmd_run(args) -> int:
     session = _make_obs(args)
     if session is not None:
         context = session.bind(context)
-        with session.activate():
-            report = run_experiments(names, jobs=args.jobs,
-                                     cache=_make_cache(args),
-                                     context=context)
-    else:
+    with _activate(session):
         report = run_experiments(names, jobs=args.jobs,
                                  cache=_make_cache(args),
                                  context=context)
@@ -238,10 +249,7 @@ def _cmd_report(args) -> int:
     session = _make_obs(args)
     if session is not None:
         context = session.bind(context)
-        with session.activate():
-            results = run_all(jobs=args.jobs, cache=_make_cache(args),
-                              context=context)
-    else:
+    with _activate(session):
         results = run_all(jobs=args.jobs, cache=_make_cache(args),
                           context=context)
     md = experiments_markdown(results)
@@ -278,22 +286,7 @@ def _cmd_stats(args) -> int:
     print(res.render())
     print()
     print(session.render_counters())
-    if args.counters_json:
-        session.write_counters_json(args.counters_json,
-                                    context=context)
-        print(f"\nwrote {args.counters_json} "
-              f"({len(session.counters)} counters)")
-    if args.openmetrics:
-        session.write_openmetrics(args.openmetrics, context=context)
-        print(f"\nwrote {args.openmetrics} (OpenMetrics text)")
-    if args.metrics_json:
-        session.write_counters_v2(args.metrics_json, context=context)
-        print(f"\nwrote {args.metrics_json} (counters/v2 JSON)")
-    if args.trace:
-        session.write_trace(args.trace)
-        print(f"\nwrote {args.trace} "
-              f"({len(session.tracer.events)} events; load in "
-              f"ui.perfetto.dev or chrome://tracing)")
+    _finish_obs(session, args, context)
     drift_failed = False
     if args.diff:
         from repro.obs import diff_payloads, load_counters_v2
@@ -311,7 +304,6 @@ def _cmd_stats(args) -> int:
         report_drift = diff_payloads(
             baseline,
             session.counters_v2_payload(context=context),
-            tolerance=args.tolerance,
             baseline_label=baseline_path,
         )
         print()
@@ -360,10 +352,7 @@ def _cmd_serve(args) -> int:
         lines = sys.stdin.readlines()
     session = _make_obs(args)
     service = _make_service(args, context)
-    if session is not None:
-        with session.activate():
-            text = service.answer_lines_text(lines)
-    else:
+    with _activate(session):
         text = service.answer_lines_text(lines)
     if args.output:
         with open(args.output, "w") as fh:
@@ -417,10 +406,7 @@ def _cmd_query(args) -> int:
     context = _make_context(args)
     session = _make_obs(args)
     service = _make_service(args, context)
-    if session is not None:
-        with session.activate():
-            prediction = service.answer(query)
-    else:
+    with _activate(session):
         prediction = service.answer(query)
     print(prediction.to_line())
     _finish_obs(session, args, context)
@@ -439,10 +425,7 @@ def _cmd_fuzz(args) -> int:
 
     if args.replay:
         try:
-            if session is not None:
-                with session.activate():
-                    report = replay_repro(args.replay)
-            else:
+            with _activate(session):
                 report = replay_repro(args.replay)
         except (OSError, ValueError, KeyError) as exc:
             print(f"hopperdissect: bad repro file: {exc}",
@@ -457,19 +440,12 @@ def _cmd_fuzz(args) -> int:
         _finish_obs(session, args)
         return 1 if report.violations else 0
 
-    devices = None
-    if args.devices:
-        devices = tuple(name for item in args.devices
-                        for name in item.split(",") if name)
-    kwargs = dict(jobs=args.jobs, devices=devices,
+    kwargs = dict(jobs=args.jobs, devices=_device_names(args.devices),
                   repro_dir=args.repro_dir,
                   max_repros=args.max_repros,
                   shrink=not args.no_shrink)
     try:
-        if session is not None:
-            with session.activate():
-                report = run_fuzz(args.seed, args.budget, **kwargs)
-        else:
+        with _activate(session):
             report = run_fuzz(args.seed, args.budget, **kwargs)
     except (KeyError, ValueError) as exc:
         print(f"hopperdissect: {exc}", file=sys.stderr)
@@ -501,10 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--no-cache", action="store_true",
                         help="ignore the on-disk result cache")
 
-    def add_obs_flags(sp) -> None:
-        sp.add_argument("--counters", action="store_true",
-                        help="collect hardware-style counters and "
-                             "print the counter table")
+    def add_export_flags(sp) -> None:
         sp.add_argument("--counters-json", default=None,
                         metavar="PATH", dest="counters_json",
                         help="dump the counter bank as canonical "
@@ -517,6 +490,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a structured trace (Chrome/"
                              "Perfetto JSON, or JSONL for .jsonl "
                              "paths)")
+
+    def add_obs_flags(sp) -> None:
+        sp.add_argument("--counters", action="store_true",
+                        help="collect hardware-style counters and "
+                             "print the counter table")
+        add_export_flags(sp)
 
     def add_context_flags(sp) -> None:
         sp.add_argument("--device", "--devices", dest="devices",
@@ -565,32 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
     stats_p.add_argument("experiment",
                          help="experiment name (see `list`)")
     add_context_flags(stats_p)
-    stats_p.add_argument("--counters-json", default=None,
-                         metavar="PATH", dest="counters_json",
-                         help="also dump the counter bank as "
-                              "canonical JSON")
-    stats_p.add_argument("--openmetrics", default=None,
-                         metavar="PATH",
-                         help="also export the labeled counters as "
-                              "OpenMetrics text exposition")
-    stats_p.add_argument("--metrics-json", default=None,
-                         metavar="PATH", dest="metrics_json",
-                         help="also export the labeled counters as "
-                              "counters/v2 JSON")
-    stats_p.add_argument("--trace", default=None, metavar="PATH",
-                         help="also write a structured trace")
+    add_export_flags(stats_p)
     stats_p.add_argument("--diff", default=None, metavar="BASELINE",
                          help="diff this run's counters against a "
                               "golden counters/v2 baseline (file, or "
                               "directory holding "
-                              "<experiment>.json); exits 1 on "
-                              "failing drift")
-    stats_p.add_argument("--tolerance", type=float, default=0.0,
-                         metavar="FRAC",
-                         help="relative drift allowed per histogram "
-                              "bucket, as a fraction of the "
-                              "family's total observations "
-                              "(default: 0 — exact)")
+                              "<experiment>.json); exits 1 on any "
+                              "drift")
     stats_p.set_defaults(fn=_cmd_stats)
 
     serve_p = sub.add_parser(

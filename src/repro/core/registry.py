@@ -231,12 +231,13 @@ def run_all(*, jobs: int = 1, cache=None,
     computed results; both are wall-time-only knobs — the returned
     mapping is identical to the serial uncached run, in
     :func:`list_experiments` order.  A restrictive ``context`` drops
-    experiments pinned to devices outside its sweep.
+    experiments pinned to devices outside its sweep.  Every run goes
+    through :func:`repro.perf.run_experiments`, so an active
+    observability session gets one counter bank per experiment at
+    any ``jobs``.
     """
     ctx = DEFAULT_CONTEXT if context is None else context
     names = supported_experiments(ctx)
-    if jobs <= 1 and cache is None:
-        return {name: run_experiment(name, ctx) for name in names}
     from repro.perf.runner import run_experiments
 
     return run_experiments(names, jobs=jobs, cache=cache,

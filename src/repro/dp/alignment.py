@@ -117,31 +117,3 @@ class NeedlemanWunsch(_AffineBase):
 
     def score(self, a: str, b: str) -> int:
         return self.align(a, b).score
-
-
-def reference_smith_waterman(a: str, b: str, match=3, mismatch=-2,
-                             gap=4) -> int:
-    """Naive scalar reference (for tests)."""
-    n, m = len(a), len(b)
-    H = np.zeros((n + 1, m + 1), dtype=np.int64)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            s = match if a[i - 1] == b[j - 1] else mismatch
-            H[i, j] = max(0, H[i - 1, j - 1] + s, H[i - 1, j] - gap,
-                          H[i, j - 1] - gap)
-    return int(H.max())
-
-
-def reference_needleman_wunsch(a: str, b: str, match=3, mismatch=-2,
-                               gap=4) -> int:
-    """Naive scalar reference (for tests)."""
-    n, m = len(a), len(b)
-    H = np.zeros((n + 1, m + 1), dtype=np.int64)
-    H[:, 0] = -gap * np.arange(n + 1)
-    H[0, :] = -gap * np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            s = match if a[i - 1] == b[j - 1] else mismatch
-            H[i, j] = max(H[i - 1, j - 1] + s, H[i - 1, j] - gap,
-                          H[i, j - 1] - gap)
-    return int(H[n, m])

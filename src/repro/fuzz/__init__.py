@@ -16,10 +16,10 @@ Layout:
 * :mod:`repro.fuzz.shrink` — ddmin-style minimization + repro files
 * :mod:`repro.fuzz.driver` — the streaming fuzz loop
   (work-stealing pool dispatch, deterministic re-merge)
-* :mod:`repro.fuzz.strategies` — shared Hypothesis strategies for the
-  property-test suites.  **Not** imported here: Hypothesis is a
-  dev-only dependency, and everything the runtime fuzzer needs is
-  plain ``random``.
+
+Everything here is plain ``random``; the property-test suites'
+Hypothesis strategies live with the tests (``tests/strategies.py``),
+because Hypothesis is a dev-only dependency.
 """
 
 from repro.fuzz.driver import FuzzReport, run_fuzz

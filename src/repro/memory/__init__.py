@@ -22,7 +22,6 @@ Implements the substrate beneath the paper's §III-A experiments:
 from __future__ import annotations
 
 from repro.memory.cache import CacheStats, SetAssociativeCache
-from repro.memory.cache_scalar import ScalarSetAssociativeCache
 from repro.memory.shared import BankConflictReport, SharedMemory
 from repro.memory.dram import DramChannel
 from repro.memory.tlb import Tlb
@@ -48,7 +47,6 @@ from repro.memory.cache_study import CacheProbe, DetectedParameters
 
 __all__ = [
     "SetAssociativeCache",
-    "ScalarSetAssociativeCache",
     "CacheStats",
     "SharedMemory",
     "BankConflictReport",

@@ -31,9 +31,9 @@ exact lockstep path (or, for tiny or multi-sector batches, the scalar
 loop).
 
 Behaviour is access-for-access identical to the original scalar
-implementation, preserved as
-:class:`repro.memory.cache_scalar.ScalarSetAssociativeCache` and
-enforced by property-based tests.
+implementation, which ``tests/reference.py`` keeps as
+``ScalarSetAssociativeCache``; property-based tests in
+``tests/test_memory_cache.py`` enforce it.
 """
 
 from __future__ import annotations

@@ -17,28 +17,26 @@ the self-consistency check that the measurement methodology and the
 model agree.
 
 Each point of the capacity and stride sweeps is an independent chase
-through its own :class:`MemoryHierarchy`.  The chase *inside* a point
-is logically serial — every load depends on the previous one; that is
-the whole point of P-chase — but the default ``engine="vectorized"``
-resolves it on the steady-state
-:class:`~repro.memory.chase.ChaseEngine`: whole periods run through
-the batched cache paths and repeated periods are accounted
-analytically, with results exactly equal (cycles and counters) to the
-scalar reference loops preserved as ``*_scalar``.  The points of a sweep
-run in process, one after another, against one reused hierarchy.
+through a freshly flushed :class:`MemoryHierarchy`.  The chase
+*inside* a point is logically serial — every load depends on the
+previous one; that is the whole point of P-chase — and it is resolved
+on the steady-state :class:`~repro.memory.chase.ChaseEngine`: whole
+periods run through the batched cache paths and repeated periods are
+accounted analytically, with results exactly equal (cycles and
+counters) to a one-load-per-hop loop.  The points of a sweep run in
+process, one after another, against one reused hierarchy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.arch import DeviceSpec
 from repro.isa.memory_ops import CacheOp
-from repro.memory.chase import (ChaseEngine, chase_total_clk,
-                                latency_counts)
+from repro.memory.chase import ChaseEngine
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import session as _obs
 
@@ -74,13 +72,11 @@ def capacity_sweep_sizes(lo_kib: int = 16,
     return sizes
 
 
-def _capacity_point(task: Tuple[DeviceSpec, int, int, int],
-                    mh: MemoryHierarchy) -> Tuple[int, float]:
-    """One capacity-sweep point, resolved on the steady-state engine.
-    ``mh`` is the sweep's one hierarchy, flushed here: a flush is
-    behaviourally a fresh hierarchy but keeps the grown cache
-    matrices."""
-    _, kib, iters, warmup = task
+def _capacity_point(mh: MemoryHierarchy, kib: int, iters: int,
+                    warmup: int) -> float:
+    """One capacity-sweep point.  ``mh`` is the sweep's one
+    hierarchy, flushed here: a flush is behaviourally a fresh
+    hierarchy but keeps the grown cache matrices."""
     mh.flush()
     size = kib * 1024
     mh.warm_l1(0, 0, size)
@@ -90,35 +86,12 @@ def _capacity_point(task: Tuple[DeviceSpec, int, int, int],
     eng = ChaseEngine(mh, size=32)
     if warmup:                     # extra steady-state chase passes
         eng.run(seq, warmup * n)
-    return kib, eng.run(seq, iters).mean_latency_clk
+    return eng.run(seq, iters).mean_latency_clk
 
 
-def _capacity_point_scalar(task: Tuple[DeviceSpec, int, int, int]) \
-        -> Tuple[int, float]:
-    """Scalar reference for :func:`_capacity_point` — the original
-    one-load-per-step chase (the executable spec)."""
-    device, kib, iters, warmup = task
-    mh = MemoryHierarchy(device)
-    size = kib * 1024
-    mh.warm_l1(0, 0, size)
-    mh.warm_tlb(0, size)
-    n = size // 128
-    for _ in range(warmup):        # extra steady-state chase passes
-        for i in range(n):
-            mh.load(i * 128, 32, sm_id=0)
-    lats = np.empty(iters)
-    idx = 0
-    for i in range(iters):
-        lats[i] = mh.load(idx * 128, 32, sm_id=0).latency_clk
-        idx = (idx + 1) % n
-    return kib, chase_total_clk(latency_counts(lats)) / iters
-
-
-def _stride_point(task: Tuple[DeviceSpec, int, int, int],
-                  mh: MemoryHierarchy) -> Tuple[int, float]:
-    """One stride-sweep point, resolved on the steady-state engine.
-    ``mh`` as in :func:`_capacity_point`."""
-    _, stride, array_kib, iters = task
+def _stride_point(mh: MemoryHierarchy, stride: int, array_kib: int,
+                  iters: int) -> float:
+    """One stride-sweep point; ``mh`` as in :func:`_capacity_point`."""
     size = array_kib * 1024
     mh.flush()
     mh.warm_tlb(0, size)
@@ -126,25 +99,7 @@ def _stride_point(task: Tuple[DeviceSpec, int, int, int],
     n = size // stride
     seq = np.arange(n, dtype=np.int64) * stride
     eng = ChaseEngine(mh, size=4, cache_op=CacheOp.CACHE_ALL)
-    return stride, eng.run(seq, iters).mean_latency_clk
-
-
-def _stride_point_scalar(task: Tuple[DeviceSpec, int, int, int]) \
-        -> Tuple[int, float]:
-    """Scalar reference for :func:`_stride_point` (the executable
-    spec)."""
-    device, stride, array_kib, iters = task
-    size = array_kib * 1024
-    mh = MemoryHierarchy(device)
-    mh.warm_tlb(0, size)
-    mh.warm_l2(0, size)
-    n = size // stride
-    lats = np.empty(iters)
-    for i in range(iters):
-        addr = (i % n) * stride
-        lats[i] = mh.load(addr, 4, sm_id=0,
-                          cache_op=CacheOp.CACHE_ALL).latency_clk
-    return stride, chase_total_clk(latency_counts(lats)) / iters
+    return eng.run(seq, iters).mean_latency_clk
 
 
 @dataclass(frozen=True)
@@ -160,20 +115,11 @@ class CacheProbe:
     """P-chase-style parameter detection bound to one device.
 
     ``budget`` holds the sweeps' iteration counts
-    (:data:`PROBE_BUDGET`).  ``engine`` picks the steady-state chase
-    engine (default) or the scalar reference loops; both produce
-    identical sweeps.
+    (:data:`PROBE_BUDGET`).
     """
 
-    _ENGINES = ("vectorized", "scalar")
-
-    def __init__(self, device: DeviceSpec, *,
-                 engine: str = "vectorized") -> None:
-        if engine not in self._ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"expected one of {self._ENGINES}")
+    def __init__(self, device: DeviceSpec) -> None:
         self.device = device
-        self.engine = engine
         self.budget = dict(PROBE_BUDGET)
         self._mh: Optional[MemoryHierarchy] = None
 
@@ -187,14 +133,6 @@ class CacheProbe:
         if self._mh is None or self._mh._obs is not sink:
             self._mh = MemoryHierarchy(self.device)
         return self._mh
-
-    def _map(self, fn, tasks):
-        if self.engine == "scalar":
-            return [fn(t) for t in tasks]
-        # run the points against one flushed hierarchy — the retained
-        # matrix allocation makes each point's warm-up passes cheap
-        mh = self._hierarchy()
-        return [fn(t, mh) for t in tasks]
 
     def _span(self, name: str, points: int, iters: int):
         """A wall-clock trace span around one sweep (or a null
@@ -219,19 +157,18 @@ class CacheProbe:
         if iters is None:
             iters = self.budget["capacity_iters"]
         warmup = self.budget["warmup_passes"]
-        tasks = [(self.device, kib, iters, warmup)
-                 for kib in sizes_kib]
-        fn = _capacity_point if self.engine == "vectorized" \
-            else _capacity_point_scalar
-        if self.engine == "vectorized" and sizes_kib:
+        # run the points against one flushed hierarchy — the retained
+        # matrix allocation makes each point's warm-up passes cheap
+        mh = self._hierarchy()
+        if sizes_kib:
             # size the reusable hierarchy for the largest point up
             # front instead of re-growing through the sweep
-            mh = self._hierarchy()
             span = max(sizes_kib) * 1024
             mh.l1_for_sm(0).reserve_span(span)
             mh.l2.reserve_span(span)
-        with self._span("capacity_sweep", len(tasks), iters):
-            return dict(self._map(fn, tasks))
+        with self._span("capacity_sweep", len(sizes_kib), iters):
+            return {kib: _capacity_point(mh, kib, iters, warmup)
+                    for kib in sizes_kib}
 
     def detect_l1_capacity(self, *, lo_kib: int = 16,
                            hi_kib: int = 1024) -> int:
@@ -262,16 +199,12 @@ class CacheProbe:
         above it."""
         if iters is None:
             iters = self.budget["stride_iters"]
-        tasks = [(self.device, stride, array_kib, iters)
-                 for stride in strides]
-        fn = _stride_point if self.engine == "vectorized" \
-            else _stride_point_scalar
-        if self.engine == "vectorized":
-            mh = self._hierarchy()
-            mh.l1_for_sm(0).reserve_span(array_kib * 1024)
-            mh.l2.reserve_span(array_kib * 1024)
-        with self._span("stride_sweep", len(tasks), iters):
-            return dict(self._map(fn, tasks))
+        mh = self._hierarchy()
+        mh.l1_for_sm(0).reserve_span(array_kib * 1024)
+        mh.l2.reserve_span(array_kib * 1024)
+        with self._span("stride_sweep", len(strides), iters):
+            return {stride: _stride_point(mh, stride, array_kib, iters)
+                    for stride in strides}
 
     def detect_sector_bytes(self) -> int:
         """Smallest stride at which every access misses L1 on first
@@ -296,8 +229,6 @@ class CacheProbe:
         point arrives within a few laps, so almost the whole budget
         is accounted analytically.
         """
-        if self.engine == "scalar":
-            return self.conflict_sweep_scalar(ways_range, iters)
         if iters is None:
             iters = self.budget["conflict_iters"]
         warmup = 1 + self.budget["warmup_passes"]
@@ -316,31 +247,6 @@ class CacheProbe:
                 eng = ChaseEngine(mh, size=32)
                 eng.run(seq, warmup * w)     # warm pass(es)
                 out[w] = eng.run(seq, iters).mean_latency_clk
-        return out
-
-    def conflict_sweep_scalar(self, ways_range: List[int],
-                              iters: Optional[int] = None) \
-            -> Dict[int, float]:
-        """Scalar reference for :meth:`conflict_sweep` (the
-        executable spec)."""
-        if iters is None:
-            iters = self.budget["conflict_iters"]
-        warmup = 1 + self.budget["warmup_passes"]
-        set_stride = self._conflict_set_stride()
-        out = {}
-        with self._span("conflict_sweep", len(ways_range), iters):
-            for w in ways_range:
-                mh = MemoryHierarchy(self.device)
-                addrs = [i * set_stride for i in range(w)]
-                mh.warm_tlb(0, addrs[-1] + 128)
-                for _ in range(warmup):      # warm pass(es)
-                    for a in addrs:
-                        mh.load(a, 32, sm_id=0)
-                lats = np.empty(iters)
-                for i in range(iters):
-                    lats[i] = mh.load(addrs[i % w], 32,
-                                      sm_id=0).latency_clk
-                out[w] = chase_total_clk(latency_counts(lats)) / iters
         return out
 
     def _conflict_set_stride(self) -> int:

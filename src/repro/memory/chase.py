@@ -30,9 +30,9 @@ whole laps analytically — outcome counts, ``CacheStats`` fields,
 TLB hit/miss totals and the active :class:`ObsSession` counter bank
 all advance by ``k ×`` the confirming lap's delta — and simulates
 only the final partial lap, which by the same equivalence argument
-is exact.  Nothing about the result is approximate; the scalar chase
-loops are preserved as executable specs (``*_scalar``) and property
-tests assert exact cycle totals and counter-bank equality.
+is exact.  Nothing about the result is approximate: property tests
+in ``tests/test_memory_chase.py`` run the same chases one ``load()``
+at a time and assert exact cycle totals and counter-bank equality.
 
 Summed cycles are computed with :func:`chase_total_clk` — a
 count-weighted sum over the distinct latency values in ascending

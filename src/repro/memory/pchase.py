@@ -17,14 +17,12 @@ cost equals the service latency of the level being probed — the same
 argument the original microbenchmark makes on silicon.
 
 The driver runs on the steady-state
-:class:`~repro.memory.chase.ChaseEngine` by default: the chain is
-periodic, so whole periods are simulated through the batched hierarchy
-paths and repeated periods are accounted analytically once the engine
-detects a fixed point — exact on summed cycles and on every counter.
-``engine="scalar"`` selects the original one-``load()``-at-a-time
-loops (``_run_scalar`` / ``shared_latency_scalar``), preserved as the
-executable specification the equivalence suite pins the engine
-against.
+:class:`~repro.memory.chase.ChaseEngine`: the chain is periodic, so
+whole periods are simulated through the batched hierarchy paths and
+repeated periods are accounted analytically once the engine detects a
+fixed point — exact on summed cycles and on every counter.
+``tests/test_memory_chase.py`` pins every probe against a
+one-``load()``-per-hop loop.
 """
 
 from __future__ import annotations
@@ -37,14 +35,11 @@ import numpy as np
 
 from repro.arch import DeviceSpec
 from repro.isa.memory_ops import CacheOp
-from repro.memory.chase import (ChaseEngine, chase_total_clk,
-                                latency_counts)
+from repro.memory.chase import ChaseEngine, chase_total_clk
 from repro.memory.hierarchy import MemLevel, MemoryHierarchy
 from repro.memory.shared import SharedMemory
 
 __all__ = ["PChase", "PChaseResult", "measure_latencies"]
-
-_ENGINES = ("vectorized", "scalar")
 
 
 @dataclass(frozen=True)
@@ -122,8 +117,7 @@ class PChase:
     ``seed`` randomises the chain order (``None`` keeps the
     sequential-with-wraparound walk); the measured per-level
     latencies are order-independent, so Table IV is unchanged either
-    way.  ``engine`` selects the steady-state engine (default) or the
-    scalar reference loops.
+    way.
     """
 
     #: element stride in bytes — one pointer per 128 B line, matching the
@@ -131,14 +125,9 @@ class PChase:
     STRIDE_BYTES = 128
 
     def __init__(self, device: DeviceSpec, *,
-                 seed: Optional[int] = None,
-                 engine: str = "vectorized") -> None:
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"expected one of {_ENGINES}")
+                 seed: Optional[int] = None) -> None:
         self.device = device
         self.seed = seed
-        self.engine = engine
         self.hierarchy = MemoryHierarchy(device)
 
     # -- per-level measurements -------------------------------------------------
@@ -167,9 +156,6 @@ class PChase:
     def shared_latency(self, *, array_kib: int = 16,
                        iters: int = 2048) -> PChaseResult:
         """Chase a chain stored in real shared memory (one thread)."""
-        if self.engine == "scalar":
-            return self.shared_latency_scalar(array_kib=array_kib,
-                                              iters=iters)
         size = array_kib * 1024
         n = size // 8
         smem = SharedMemory(size)
@@ -179,32 +165,11 @@ class PChase:
         # One lane can never conflict, so every hop costs the same as
         # the first regardless of where the stored chain points; one
         # bulk read-back replays the chain, and the access counter
-        # advances by the same `iters` reads the scalar loop issues.
+        # advances by the same `iters` reads a hop-by-hop loop issues.
         stored = smem.read(0, n * 8).view(np.int64)
         per_hop = smem.access_cycles([int(stored[0]) * 8], base)
         smem.accesses += iters - 1
         total = chase_total_clk({per_hop: iters})
-        return PChaseResult("Shared", total / iters, iters, 1.0)
-
-    def shared_latency_scalar(self, *, array_kib: int = 16,
-                              iters: int = 2048) -> PChaseResult:
-        """Scalar reference for :meth:`shared_latency` — the original
-        hop-by-hop loop through real storage (the executable spec)."""
-        size = array_kib * 1024
-        n = size // 8
-        smem = SharedMemory(size)
-        chain = _chain(n, seed=self.seed)
-        smem.write(0, chain.astype(np.int64))
-        base = self.device.mem_latencies.shared_clk
-        idx = 0
-        lats = np.empty(iters)
-        for i in range(iters):
-            # one thread, one 8-byte word: never a bank conflict
-            lats[i] = smem.access_cycles([idx * 8], base)
-            idx = int(np.frombuffer(
-                smem.read(idx * 8, 8).tobytes(), dtype=np.int64
-            )[0])
-        total = chase_total_clk(latency_counts(lats))
         return PChaseResult("Shared", total / iters, iters, 1.0)
 
     def global_latency(self, *, overfill: float = 1.25,
@@ -243,9 +208,6 @@ class PChase:
     def _run(self, n_entries: int, iters: int, op: CacheOp,
              expect: MemLevel, label: str,
              stride_pages: bool = False) -> PChaseResult:
-        if self.engine == "scalar":
-            return self._run_scalar(n_entries, iters, op, expect,
-                                    label, stride_pages)
         order = _chain_order(n_entries, seed=self.seed)
         stride = (self.hierarchy.tlb.page_bytes if stride_pages
                   else self.STRIDE_BYTES)
@@ -254,29 +216,9 @@ class PChase:
         return PChaseResult(label, stats.mean_latency_clk, iters,
                             stats.at_level(expect))
 
-    def _run_scalar(self, n_entries: int, iters: int, op: CacheOp,
-                    expect: MemLevel, label: str,
-                    stride_pages: bool = False) -> PChaseResult:
-        """Scalar reference for :meth:`_run` — the original
-        hop-by-hop chase loop (the executable spec)."""
-        chain = _chain(n_entries, seed=self.seed)
-        stride = (self.hierarchy.tlb.page_bytes if stride_pages
-                  else self.STRIDE_BYTES)
-        idx, at_level = 0, 0
-        lats = np.empty(iters)
-        for i in range(iters):
-            res = self.hierarchy.load(idx * stride, 32, cache_op=op)
-            lats[i] = res.latency_clk
-            at_level += res.level is expect
-            idx = int(chain[idx])
-        total = chase_total_clk(latency_counts(lats))
-        return PChaseResult(label, total / iters, iters,
-                            at_level / iters)
-
 
 def measure_latencies(device: DeviceSpec, *,
-                      seed: Optional[int] = None,
-                      engine: str = "vectorized") -> Dict[str, float]:
+                      seed: Optional[int] = None) -> Dict[str, float]:
     """Run all four P-chase measurements — one Table IV column.
 
     The probes run 256 iterations each against ``device`` with its L2
@@ -293,7 +235,7 @@ def measure_latencies(device: DeviceSpec, *,
     it = 256
     device = device.with_overrides(
         cache=replace(device.cache, l2_size_kib=2048))
-    p = PChase(device, seed=seed, engine=engine)
+    p = PChase(device, seed=seed)
     return {
         "L1 Cache": p.l1_latency(iters=it).mean_latency_clk,
         "Shared": p.shared_latency(iters=it).mean_latency_clk,

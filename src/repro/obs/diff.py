@@ -12,12 +12,7 @@ baseline (``tests/golden/counters/<experiment>.json``, regenerated by
 documents and returns a :class:`DriftReport` of typed
 :class:`CounterDrift` entries — ``new`` / ``removed`` / ``changed``
 counters plus ``context`` mismatches.  Counters are exact integers, so
-the default tolerance is **zero**: any drift fails.  Histogram bucket
-counters (``<family>.le<bound>``) may instead be granted a *relative*
-tolerance — ``tolerance × max(total observations of the family)`` per
-bucket — because a legitimate timing-model recalibration moves tail
-observations one bucket over without changing what the counter means;
-plain counters never get slack.
+the gate is exact: any drift fails.
 
 ``hopperdissect stats EXPERIMENT --diff BASELINE`` wires this into the
 CLI (exit 1 on failing drift) and the obs-tripwire CI job runs it over
@@ -27,9 +22,9 @@ every committed golden.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
-from repro.obs.counters import counter_sort_key, split_bucket
+from repro.obs.counters import counter_sort_key
 
 __all__ = ["CounterDrift", "DriftReport", "diff_payloads", "diff_files"]
 
@@ -41,8 +36,7 @@ class CounterDrift:
     ``kind`` is ``new`` (counter fired now, absent from the
     baseline), ``removed`` (in the baseline, silent now), ``changed``
     (both, different values) or ``context`` (the runs are not
-    comparable — device sweep or seed differ).  ``ok`` marks
-    drift absorbed by the histogram-tail tolerance.
+    comparable — device sweep or seed differ).
     """
 
     kind: str
@@ -51,7 +45,6 @@ class CounterDrift:
     #: int counter values, or run-context tokens for ``context`` drift
     baseline: Optional[Any]
     current: Optional[Any]
-    ok: bool
 
     def describe(self) -> str:
         if self.kind == "context":
@@ -72,55 +65,27 @@ class DriftReport:
 
     baseline_label: str
     drifts: Tuple[CounterDrift, ...]
-    tolerance: float = 0.0
-
-    @property
-    def failures(self) -> Tuple[CounterDrift, ...]:
-        return tuple(d for d in self.drifts if not d.ok)
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.drifts
 
     def render(self) -> str:
         """Human-readable gate verdict (one line per drift)."""
         head = f"counter drift vs {self.baseline_label}"
         if not self.drifts:
             return f"{head}: clean (no drift)"
-        lines = [f"{head}: {len(self.failures)} failing, "
-                 f"{len(self.drifts) - len(self.failures)} within "
-                 f"tolerance ({self.tolerance:g})"]
-        for d in self.drifts:
-            flag = "ok  " if d.ok else "FAIL"
-            lines.append(f"  {flag} {d.describe()}")
+        lines = [f"{head}: {len(self.drifts)} failing"]
+        lines.extend(f"  FAIL {d.describe()}" for d in self.drifts)
         return "\n".join(lines)
-
-
-def _family_totals(bank: Mapping[str, int]) -> Dict[str, int]:
-    """Total observations per histogram family in one bank."""
-    totals: Dict[str, int] = {}
-    for name, value in bank.items():
-        family, bound = split_bucket(name)
-        if bound is not None:
-            totals[family] = totals.get(family, 0) + value
-    return totals
 
 
 def _diff_bank(
     experiment: str,
     baseline: Mapping[str, int],
     current: Mapping[str, int],
-    tolerance: float,
     out: List[CounterDrift],
 ) -> None:
-    allowed: Dict[str, float] = {}
-    if tolerance > 0:
-        base_totals = _family_totals(baseline)
-        cur_totals = _family_totals(current)
-        for family in set(base_totals) | set(cur_totals):
-            allowed[family] = tolerance * max(
-                base_totals.get(family, 0), cur_totals.get(family, 0))
-
     names = sorted(set(baseline) | set(current),
                    key=counter_sort_key)
     for name in names:
@@ -128,24 +93,15 @@ def _diff_bank(
         c = current.get(name)
         if b == c:
             continue
-        family, bound = split_bucket(name)
-        slack = allowed.get(family, 0.0) if bound is not None else 0.0
-        if b is None:
-            out.append(CounterDrift("new", experiment, name, None, c,
-                                    ok=c <= slack))
-        elif c is None:
-            out.append(CounterDrift("removed", experiment, name, b,
-                                    None, ok=b <= slack))
-        else:
-            out.append(CounterDrift("changed", experiment, name, b, c,
-                                    ok=abs(c - b) <= slack))
+        kind = ("new" if b is None else "removed" if c is None
+                else "changed")
+        out.append(CounterDrift(kind, experiment, name, b, c))
 
 
 def diff_payloads(
     baseline: Mapping[str, Any],
     current: Mapping[str, Any],
     *,
-    tolerance: float = 0.0,
     baseline_label: str = "baseline",
 ) -> DriftReport:
     """Diff two counters/v2 documents (see module docstring).
@@ -159,25 +115,23 @@ def diff_payloads(
     b_ctx = baseline.get("context")
     c_ctx = current.get("context")
     if b_ctx != c_ctx:
-        drifts.append(CounterDrift("context", "", "", b_ctx, c_ctx,
-                                   ok=False))
+        drifts.append(CounterDrift("context", "", "", b_ctx, c_ctx))
     b_exps = dict(baseline.get("experiments", {}))
     c_exps = dict(current.get("experiments", {}))
     b_exps["_orchestration"] = baseline.get("orchestration", {})
     c_exps["_orchestration"] = current.get("orchestration", {})
     for exp in sorted(set(b_exps) | set(c_exps)):
         _diff_bank(exp, b_exps.get(exp, {}), c_exps.get(exp, {}),
-                   tolerance, drifts)
+                   drifts)
     return DriftReport(baseline_label=baseline_label,
-                       drifts=tuple(drifts), tolerance=tolerance)
+                       drifts=tuple(drifts))
 
 
-def diff_files(baseline_path, current_path, *,
-               tolerance: float = 0.0) -> DriftReport:
+def diff_files(baseline_path, current_path) -> DriftReport:
     """Diff two counters/v2 files on disk."""
     from repro.obs.export import load_counters_v2
 
     baseline = load_counters_v2(baseline_path)
     current = load_counters_v2(current_path)
-    return diff_payloads(baseline, current, tolerance=tolerance,
+    return diff_payloads(baseline, current,
                          baseline_label=str(baseline_path))

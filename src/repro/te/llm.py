@@ -187,7 +187,7 @@ class LlmInferenceModel:
 
         Per-group prefill costs are priced in one vectorized pass; the
         time accumulation stays sequential in group order so the total
-        is bit-identical to :meth:`estimate_workload_scalar`.
+        is bit-identical to one :meth:`estimate` per group.
         """
         import numpy as np
 
@@ -216,29 +216,6 @@ class LlmInferenceModel:
         for g, pf, mo in zip(groups, prefills.tolist(), max_outs):
             total_text += sum(r.total_len for r in g)
             total_time += pf + mo * step
-        return GenerationEstimate(
-            tokens_per_second=total_text / total_time,
-            status="ok",
-        )
-
-    def estimate_workload_scalar(self, model: LlamaSpec,
-                                 precision: Precision, *,
-                                 n_requests: int = 64, batch: int = 8,
-                                 seed: int = 0) -> GenerationEstimate:
-        """Reference implementation: one :meth:`estimate` per batch
-        group (the pre-vectorization walk, kept for cross-checking)."""
-        wl = ShareGptWorkload(seed=seed)
-        total_text = 0
-        total_time = 0.0
-        for group in wl.batches(n_requests, batch):
-            max_in = max(r.input_len for r in group)
-            max_out = max(r.output_len for r in group)
-            est = self.estimate(model, precision, batch=len(group),
-                                input_len=max_in, output_len=max_out)
-            if est.status != "ok":
-                return est
-            total_text += sum(r.total_len for r in group)
-            total_time += est.prefill_s + max_out * est.decode_step_s
         return GenerationEstimate(
             tokens_per_second=total_text / total_time,
             status="ok",

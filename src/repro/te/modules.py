@@ -102,16 +102,6 @@ class Module:
             total = total + s
         return total
 
-    def seconds_grid_scalar(self, cost_model: CostModel, tokens,
-                            precision: Precision, **kw) -> np.ndarray:
-        """Reference: price every grid point through the scalar
-        ``op_costs`` walk (slow; exists to cross-check the grid)."""
-        tokens = np.asarray(tokens)
-        flat = [sum(o.seconds for o in
-                    self.op_costs(cost_model, int(t), precision, **kw))
-                for t in tokens.ravel()]
-        return np.array(flat).reshape(tokens.shape)
-
 
 def _working_quantize(x: np.ndarray, precision: Precision) -> np.ndarray:
     if precision in (Precision.FP16,):

@@ -34,7 +34,6 @@ from repro.tensorcore.sparse import (
 from repro.tensorcore.timing import (
     MmaSweep,
     MmaTiming,
-    ScalarTensorCoreTimingModel,
     SweepEntry,
     TensorCoreTimingModel,
     WgmmaSweep,
@@ -51,7 +50,6 @@ __all__ = [
     "decompress_2_4",
     "SparseOperand",
     "sparsity_pattern_valid",
-    "ScalarTensorCoreTimingModel",
     "TensorCoreTimingModel",
     "SweepEntry",
     "MmaSweep",

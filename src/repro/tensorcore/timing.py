@@ -95,7 +95,6 @@ __all__ = [
     "SweepEntry",
     "MmaSweep",
     "WgmmaSweep",
-    "ScalarTensorCoreTimingModel",
     "TensorCoreTimingModel",
 ]
 
@@ -377,54 +376,6 @@ class WgmmaTiming:
         )
 
 
-class ScalarTensorCoreTimingModel:
-    """Per-instruction reference factory.
-
-    This is the original (pre-vectorization) implementation: every
-    call prices exactly one instruction through the
-    :class:`MmaTiming`/:class:`WgmmaTiming` dataclasses.  It is kept
-    as the executable specification the batched
-    :class:`TensorCoreTimingModel` sweeps are property-tested against
-    (``tests/test_vectorized_equivalence.py``).
-    """
-
-    def __init__(self, device: DeviceSpec) -> None:
-        self.device = device
-
-    def mma(self, instr: MmaInstruction) -> MmaTiming:
-        return MmaTiming(self.device, instr)
-
-    def wgmma(self, instr: WgmmaInstruction) -> WgmmaTiming:
-        return WgmmaTiming(self.device, instr)
-
-    def best_dense_tflops(self, ab: DType, cd: DType) -> float:
-        """Best achievable dense throughput for a type pair on this
-        device — wgmma at N=256 on Hopper, the long mma elsewhere.
-        Used by the Transformer-Engine cost model."""
-        if self.device.pack.has_wgmma:
-            try:
-                w = WgmmaInstruction(ab, cd, n=256)
-                return self.wgmma(w).throughput_tflops("rand")
-            except ValueError:
-                pass
-        try:
-            shape = mma_shapes(ab)[-1]
-            return self.mma(
-                MmaInstruction(ab, cd, shape)
-            ).throughput_tflops("rand")
-        except ValueError:
-            # No PTX mma exists (e.g. FP8 on Ada, Table VI) but the
-            # tensor cores do support the precision through the
-            # library-level QMMA path — model it at near-peak.
-            if self.device.tensor_core.supports(ab.peak_key):
-                return 0.95 * self.device.tc_peak_tflops(
-                    ab.peak_key, at_observed_clock=True
-                )
-            # surface the canonical unsupported-precision error
-            self.device.tensor_core.dense_peak(ab.peak_key)
-            raise  # pragma: no cover - dense_peak raised above
-
-
 # --------------------------------------------------------------------------
 # vectorized sweeps
 # --------------------------------------------------------------------------
@@ -670,16 +621,55 @@ def _wgmma_ss_stall_array(n: np.ndarray) -> np.ndarray:
     return np.where(n >= 64, 0.0, np.where(n <= 32, small, mid))
 
 
-class TensorCoreTimingModel(ScalarTensorCoreTimingModel):
-    """The production timing model: per-instruction pricing plus
-    NumPy-batched :meth:`mma_sweep`/:meth:`wgmma_sweep` fast paths
-    that price a whole Table VII–X grid in one pass.
+class TensorCoreTimingModel:
+    """The timing model: per-instruction pricing plus NumPy-batched
+    :meth:`mma_sweep`/:meth:`wgmma_sweep` fast paths that price a
+    whole Table VII–X grid in one pass.
 
-    The sweeps are render-identical to the scalar reference — every
-    elementwise operation mirrors :class:`MmaTiming`/
-    :class:`WgmmaTiming` in the same order — and feed the same
-    ``tc.*`` observability counters in batched form.
+    :meth:`mma` and :meth:`wgmma` are the original per-instruction
+    implementation and the executable specification the sweeps are
+    property-tested against (``tests/test_vectorized_equivalence.py``).
+    Every elementwise operation of a sweep mirrors
+    :class:`MmaTiming`/:class:`WgmmaTiming` in the same order, so the
+    two are render-identical and feed the same ``tc.*`` observability
+    counters, the sweeps in batched form.
     """
+
+    def __init__(self, device: DeviceSpec) -> None:
+        self.device = device
+
+    def mma(self, instr: MmaInstruction) -> MmaTiming:
+        return MmaTiming(self.device, instr)
+
+    def wgmma(self, instr: WgmmaInstruction) -> WgmmaTiming:
+        return WgmmaTiming(self.device, instr)
+
+    def best_dense_tflops(self, ab: DType, cd: DType) -> float:
+        """Best achievable dense throughput for a type pair on this
+        device — wgmma at N=256 on Hopper, the long mma elsewhere.
+        Used by the Transformer-Engine cost model."""
+        if self.device.pack.has_wgmma:
+            try:
+                w = WgmmaInstruction(ab, cd, n=256)
+                return self.wgmma(w).throughput_tflops("rand")
+            except ValueError:
+                pass
+        try:
+            shape = mma_shapes(ab)[-1]
+            return self.mma(
+                MmaInstruction(ab, cd, shape)
+            ).throughput_tflops("rand")
+        except ValueError:
+            # No PTX mma exists (e.g. FP8 on Ada, Table VI) but the
+            # tensor cores do support the precision through the
+            # library-level QMMA path — model it at near-peak.
+            if self.device.tensor_core.supports(ab.peak_key):
+                return 0.95 * self.device.tc_peak_tflops(
+                    ab.peak_key, at_observed_clock=True
+                )
+            # surface the canonical unsupported-precision error
+            self.device.tensor_core.dense_peak(ab.peak_key)
+            raise  # pragma: no cover - dense_peak raised above
 
     def mma_sweep(self, instrs: Sequence[MmaInstruction]) -> MmaSweep:
         return MmaSweep(self.device, instrs)

@@ -8,9 +8,9 @@ identical* to the inline originals, so the derandomized ``ci``
 profile replays the exact example sequences the suites were pinned
 under.
 
-This module imports :mod:`hypothesis` and therefore lives outside the
-runtime fuzzer's import graph — ``repro.fuzz`` proper (generator,
-oracle, shrinking, driver) is plain ``random`` and never loads it.
+This module imports :mod:`hypothesis`, a dev-only dependency, so it
+lives with the tests: the shipped package, the runtime fuzzer
+``repro.fuzz`` included, is plain ``random`` and never loads it.
 """
 
 from __future__ import annotations

@@ -13,11 +13,8 @@ from repro.dp import (
     SmithWaterman,
     estimate_kernel_time,
 )
-from repro.dp.alignment import (
-    reference_needleman_wunsch,
-    reference_smith_waterman,
-)
 from repro.dp.graph import INF
+from reference import reference_needleman_wunsch, reference_smith_waterman
 
 _DNA = st.text(alphabet="ACGT", min_size=1, max_size=24)
 

@@ -6,7 +6,8 @@ use — so listing experiments, deriving keys, a warm ``run --all`` and
 a warm ``serve`` never import numpy, an engine package or an
 experiment builder module.  Module sets are read from ``sys.modules``
 in a fresh interpreter, because this test process has long since
-imported everything.
+imported everything.  The same way, every shipped module must import
+with the dev-only dependencies (pytest, Hypothesis, SciPy) missing.
 """
 
 from __future__ import annotations
@@ -87,6 +88,34 @@ runner.run_experiments(sys.argv[2:], jobs=2)
 """
 
 
+#: import every repro module with the dev-only dependencies blocked;
+#: write the modules that failed (and why) and how many imported
+_NO_DEV_PROBE = """\
+import importlib, json, pkgutil, sys
+
+DEV = ("hypothesis", "pytest", "scipy")
+
+class BlockDev:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in DEV:
+            raise ModuleNotFoundError(f"dev-only {name} blocked",
+                                      name=name)
+        return None
+
+sys.meta_path.insert(0, BlockDev())
+import repro
+failed, imported = {}, 0
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    try:
+        importlib.import_module(info.name)
+        imported += 1
+    except ImportError as exc:
+        failed[info.name] = repr(exc)
+with open(sys.argv[1], "w") as fh:
+    json.dump({"failed": failed, "imported": imported}, fh)
+"""
+
+
 def _forbidden(modules):
     return sorted(
         m for m in modules
@@ -95,10 +124,10 @@ def _forbidden(modules):
         or m.startswith("repro.core.experiments."))
 
 
-def _modules_after(tmp_path, script, *args, cache=None):
-    """``sys.modules`` at the end of ``script`` run in a fresh
-    interpreter (``sys.argv[1]`` is where the script writes it)."""
-    out = tmp_path / "modules.json"
+def _probe(tmp_path, script, *args, cache=None):
+    """What ``script``, run in a fresh interpreter, wrote as JSON to
+    ``sys.argv[1]``."""
+    out = tmp_path / "probe.json"
     env = dict(os.environ,
                PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
     if cache is not None:
@@ -107,7 +136,13 @@ def _modules_after(tmp_path, script, *args, cache=None):
         [sys.executable, "-c", script, str(out), *args],
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return set(json.loads(out.read_text()))
+    return json.loads(out.read_text())
+
+
+def _modules_after(tmp_path, script, *args, cache=None):
+    """``sys.modules`` at the end of ``script`` run in a fresh
+    interpreter."""
+    return set(_probe(tmp_path, script, *args, cache=cache))
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +200,10 @@ class TestLazyRegistry:
         assert {"repro.core.experiments.devices",
                 "repro.core.experiments.tensorcore_exp",
                 "repro.core.experiments.features"} <= modules
+
+
+class TestNoDevDependencies:
+    def test_every_module_imports_without_dev_extras(self, tmp_path):
+        result = _probe(tmp_path, _NO_DEV_PROBE)
+        assert result["failed"] == {}
+        assert result["imported"] > 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory import CacheStats, SetAssociativeCache
+from reference import ScalarSetAssociativeCache
 
 
 def small_cache(**kw):
@@ -173,7 +174,7 @@ def _state_fingerprint(cache, addrs):
 
 class TestScalarEquivalence:
     """The vectorized cache is access-for-access identical to the
-    preserved scalar reference implementation."""
+    scalar reference implementation in ``tests/reference.py``."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -188,8 +189,6 @@ class TestScalarEquivalence:
         )
     )
     def test_access_stream_equivalence(self, stream):
-        from repro.memory import ScalarSetAssociativeCache
-
         vec = small_cache()
         ref = ScalarSetAssociativeCache(
             4096, line_bytes=128, sector_bytes=32, ways=4, name="ref")
@@ -227,8 +226,6 @@ class TestScalarEquivalence:
         """``warm()`` into an empty cache resolves its sector-ascending
         pass in closed form at line granularity (``_warm_fill``); the
         scalar model is the ground truth for it."""
-        from repro.memory import ScalarSetAssociativeCache
-
         base = (base // 32) * 32
         size = n_sectors * 32
         vec = small_cache()
@@ -260,8 +257,6 @@ class TestScalarEquivalence:
         regime, where LRU keeps only the tail of each set) leave
         *exactly* the state the scalar model leaves — including the
         recency stamps later evictions decide on."""
-        from repro.memory import ScalarSetAssociativeCache
-
         base = (base // 32) * 32
         size = n_sectors * 32
         vec = small_cache()
@@ -327,8 +322,6 @@ class TestStrideFill:
 
     @staticmethod
     def _pair(flushed: bool):
-        from repro.memory import ScalarSetAssociativeCache
-
         vec = small_cache()
         ref = ScalarSetAssociativeCache(
             4096, line_bytes=128, sector_bytes=32, ways=4, name="ref")
@@ -368,8 +361,6 @@ class TestStrideFill:
         constant stride, so the exact lockstep path answers (64 sets
         of 2 ways keep it off the scalar loop it degrades to when a
         few sets take most of the stream)."""
-        from repro.memory import ScalarSetAssociativeCache
-
         vec = SetAssociativeCache(1 << 14, ways=2, name="vec")
         ref = ScalarSetAssociativeCache(1 << 14, ways=2, name="ref")
         addrs = [(i + i // 3) * 128 for i in range(150)]
@@ -455,8 +446,6 @@ class TestPrefixGrowth:
     @given(st.lists(st.integers(min_value=0, max_value=1 << 22),
                     min_size=1, max_size=80))
     def test_large_cache_matches_scalar_reference(self, addrs):
-        from repro.memory import ScalarSetAssociativeCache
-
         vec = SetAssociativeCache(1 << 20, line_bytes=128,
                                   sector_bytes=32, ways=2, name="big")
         ref = ScalarSetAssociativeCache(

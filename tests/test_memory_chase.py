@@ -8,7 +8,8 @@ same latency histogram, summed cycles, level counts, TLB hits,
 one-``load()``-at-a-time loop it replaced.  This suite makes that
 claim a property over random chains, strides, cache operators and
 iteration budgets, and pins the :class:`~repro.memory.pchase.PChase`
-probes against their preserved ``*_scalar`` executable specs.
+probes against the hop-by-hop loops of ``ScalarPChase``
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -20,19 +21,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import get_device
-from repro.fuzz.strategies import (
+from repro.isa.memory_ops import CacheOp
+from repro.memory import MemoryHierarchy, PChase, pchase
+from repro.memory.chase import (ChaseEngine, chase_total_clk,
+                                latency_counts)
+from repro.memory.pchase import _chain_order, measure_latencies
+from repro.obs.session import ObsSession
+from reference import ScalarPChase
+from strategies import (
     cache_ops,
     chain_lengths,
     chase_iters,
     chase_seeds,
     chase_strides,
 )
-from repro.isa.memory_ops import CacheOp
-from repro.memory import MemoryHierarchy, PChase
-from repro.memory.chase import (ChaseEngine, chase_total_clk,
-                                latency_counts)
-from repro.memory.pchase import _chain_order, measure_latencies
-from repro.obs.session import ObsSession
 
 
 def _tiny_device():
@@ -163,8 +165,8 @@ class TestEngineEquivalence:
 
 
 class TestPChaseEngineParity:
-    """The public probes agree between the engine and the preserved
-    scalar reference loops — for sequential *and* seeded chains."""
+    """The public probes agree between the engine and the scalar
+    reference loops — for sequential *and* seeded chains."""
 
     @pytest.mark.parametrize("seed", [None, 7])
     def test_per_level_probes_match_scalar(self, tiny_device, seed):
@@ -176,7 +178,7 @@ class TestPChaseEngineParity:
             ("global_latency_cold_tlb", dict(iters=128)),
         ]
         vec = PChase(tiny_device, seed=seed)
-        ref = PChase(tiny_device, seed=seed, engine="scalar")
+        ref = ScalarPChase(tiny_device, seed=seed)
         for method, kwargs in probes:
             v = getattr(vec, method)(**kwargs)
             s = getattr(ref, method)(**kwargs)
@@ -185,11 +187,8 @@ class TestPChaseEngineParity:
             assert v.accesses == s.accesses, method
 
     @pytest.mark.parametrize("seed", [None, 0])
-    def test_measure_latencies_engine_parity(self, seed):
+    def test_measure_latencies_engine_parity(self, seed, monkeypatch):
         device = get_device("A100")
-        assert measure_latencies(device, seed=seed) == \
-            measure_latencies(device, seed=seed, engine="scalar")
-
-    def test_unknown_engine_rejected(self, tiny_device):
-        with pytest.raises(ValueError, match="unknown engine"):
-            PChase(tiny_device, engine="turbo")
+        engine = measure_latencies(device, seed=seed)
+        monkeypatch.setattr(pchase, "PChase", ScalarPChase)
+        assert measure_latencies(device, seed=seed) == engine

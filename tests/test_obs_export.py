@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import list_devices
+from repro.core import run_all
 from repro.core.context import RunContext
 from repro.obs import ObsSession
 from repro.obs.export import (
@@ -80,6 +81,21 @@ class TestExportDeterminism:
             s.write_counters_v2(v2, context=s.context)
             paths[jobs] = (om.read_bytes(), v2.read_bytes())
         assert paths[1] == paths[4]
+
+    def test_run_all_banks_match_across_jobs(self):
+        """``run_all`` — the ``report`` command — files every
+        experiment's counters under its own bank at ``jobs=1`` exactly
+        as it does at ``jobs=2``."""
+        banks = {}
+        for jobs in (1, 2):
+            session = ObsSession()
+            ctx = session.bind(RunContext(devices=("A100",)))
+            with session.activate():
+                run_all(jobs=jobs, context=ctx)
+            banks[jobs] = (session.experiment_counters(),
+                           session.orchestration_counters())
+        assert banks[1][0], "no experiment banks"
+        assert banks[1] == banks[2]
 
     def test_every_experiment_gets_a_bank(self):
         s = run_session(1)

@@ -16,7 +16,6 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from repro.fuzz.strategies import query_payloads
 from repro.serve.schema import (
     KIND_PARAMS,
     KINDS,
@@ -24,6 +23,7 @@ from repro.serve.schema import (
     parse_query,
     parse_query_line,
 )
+from strategies import query_payloads
 
 _SETTINGS = settings(max_examples=200, derandomize=True,
                      deadline=None)

@@ -3,8 +3,9 @@
 The vectorized fast paths — :class:`TensorCoreTimingModel`'s
 ``mma_sweep``/``wgmma_sweep`` and the TE cost model's ``*_batch`` /
 ``op_seconds_grid`` walks — claim to be *bit-identical* to the scalar
-reference implementations they replaced (``ScalarTensorCoreTimingModel``
-and the per-point ``op_costs`` walks).  This suite makes that claim a
+reference implementations they replaced (``TensorCoreTimingModel``'s
+per-instruction ``mma``/``wgmma`` and the per-point walks in
+``tests/reference.py``).  This suite makes that claim a
 property, not a hope:
 
 * Hypothesis generates random instruction/module grids (≥200 examples
@@ -28,11 +29,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.arch import get_device
-from repro.fuzz.strategies import (
-    mma_instructions,
-    token_arrays,
-    wgmma_instructions,
-)
 from repro.isa.dtypes import DType
 from repro.isa.lowering import UnsupportedInstruction
 from repro.isa.mma import MmaInstruction, WgmmaInstruction, mma_shapes
@@ -47,10 +43,9 @@ from repro.te.modules import (
     TransformerLayer,
     TransformerLayerConfig,
 )
-from repro.tensorcore.timing import (
-    ScalarTensorCoreTimingModel,
-    TensorCoreTimingModel,
-)
+from repro.tensorcore.timing import TensorCoreTimingModel
+from reference import estimate_workload_scalar, seconds_grid_scalar
+from strategies import mma_instructions, token_arrays, wgmma_instructions
 
 # -- CI determinism ----------------------------------------------------------
 #
@@ -78,11 +73,6 @@ def assert_ulp(a: float, b: float, bound: float = 2.0) -> None:
     assert _ulp_diff(a, b) <= bound, f"{a!r} vs {b!r} differ > {bound} ULP"
 
 
-# -- strategies: shared with the runtime fuzzer's property suites ------------
-# (mma_instructions / wgmma_instructions / token_arrays now live in
-# repro.fuzz.strategies, imported above — structurally identical, so
-# the derandomized ci example sequences are unchanged)
-
 # -- tensor-core sweeps -------------------------------------------------------
 
 
@@ -90,7 +80,7 @@ def assert_ulp(a: float, b: float, bound: float = 2.0) -> None:
        instrs=st.lists(mma_instructions(), min_size=1, max_size=8))
 def test_mma_sweep_matches_scalar(name, instrs):
     device = get_device(name)
-    scalar = ScalarTensorCoreTimingModel(device)
+    scalar = TensorCoreTimingModel(device)
     timings = []
     s_sess = ObsSession()
     with s_sess.activate():
@@ -130,7 +120,7 @@ def test_mma_sweep_matches_scalar(name, instrs):
 @given(instrs=st.lists(wgmma_instructions(), min_size=1, max_size=8))
 def test_wgmma_sweep_matches_scalar(instrs):
     device = get_device("H800")
-    scalar = ScalarTensorCoreTimingModel(device)
+    scalar = TensorCoreTimingModel(device)
     timings = []
     s_sess = ObsSession()
     with s_sess.activate():
@@ -252,7 +242,7 @@ def test_module_grids_match_scalar_walk(name, precision, tokens,
     for module in modules:
         s_sess = ObsSession()
         with s_sess.activate():
-            ref = module.seconds_grid_scalar(cm, tokens, precision)
+            ref = seconds_grid_scalar(module, cm, tokens, precision)
         v_sess = ObsSession()
         with v_sess.activate():
             grid = module.seconds_grid(cm, tokens, precision)
@@ -271,7 +261,7 @@ def test_module_grids_match_scalar_walk(name, precision, tokens,
 def test_attention_grid_matches_scalar(precision, batch, tokens):
     cm = _cost_model("H800", precision)
     att = DotProductAttention(16, 128)
-    ref = att.seconds_grid_scalar(cm, tokens, precision, batch=batch)
+    ref = seconds_grid_scalar(att, cm, tokens, precision, batch=batch)
     grid = att.seconds_grid(cm, tokens, precision, batch=batch)
     assert np.array_equal(grid, ref)
 
@@ -330,9 +320,9 @@ def test_estimate_workload_matches_scalar(precision, name, seed, batch):
 
     m = LlmInferenceModel(get_device(name))
     model = LLAMA_MODELS["llama-3B"]
-    ref = m.estimate_workload_scalar(model, precision,
-                                     n_requests=24, batch=batch,
-                                     seed=seed)
+    ref = estimate_workload_scalar(m, model, precision,
+                                   n_requests=24, batch=batch,
+                                   seed=seed)
     vec = m.estimate_workload(model, precision, n_requests=24,
                               batch=batch, seed=seed)
     assert vec.status == ref.status
