@@ -33,7 +33,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+# src/ for the package, tests/ for the scalar references
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
@@ -62,6 +64,7 @@ from repro.perf import (  # noqa: E402
 )
 from repro.serve import Query, QueryService, parse_query  # noqa: E402
 from repro.tensorcore import TensorCoreTimingModel  # noqa: E402
+from reference import ScalarMmaTiming, ScalarWgmmaTiming  # noqa: E402
 
 # -- the gate table's machinery ---------------------------------------------
 
@@ -103,6 +106,8 @@ def best_of(sides: Sequence[Side], repeat: int) -> List[Tuple[float, Any]]:
 
 
 # -- vectorized tensor-core sweeps vs the scalar per-instruction walk -------
+#
+# The scalar side is the per-instruction reference in tests/reference.py.
 
 _MMA_ABS = (DType.FP16, DType.BF16, DType.TF32, DType.FP64,
             DType.INT8, DType.INT4, DType.BIN1)
@@ -125,14 +130,14 @@ def _price(timing) -> None:
     timing.fraction_of_peak()
 
 
-def _priceable(price, instrs):
+def _priceable(timing, device, instrs):
     """The instructions the scalar path prices cleanly (some dtype
-    pairs have no peak entry on some parts — the sweep maps those to
-    NaN, the scalar walk raises)."""
+    pairs have no peak entry on some parts — the sweep marks those
+    unsupported or NaN, the scalar walk raises)."""
     ok = []
     for instr in instrs:
         try:
-            _price(price(instr))
+            _price(timing(device, instr))
         except (KeyError, ValueError):
             continue
         ok.append(instr)
@@ -156,23 +161,19 @@ def tc_grids():
     grids = []
     for name in list_devices():
         dev = get_device(name)
-        model = TensorCoreTimingModel(dev)
-        grids.append((dev, _priceable(model.mma, mma) * _TILE))
+        grids.append((dev, _priceable(ScalarMmaTiming, dev, mma) * _TILE))
     hopper = get_device("H800")
-    model = TensorCoreTimingModel(hopper)
-    return grids, (hopper, _priceable(model.wgmma, wgmma)
+    return grids, (hopper, _priceable(ScalarWgmmaTiming, hopper, wgmma)
                    * (_TILE // 8))
 
 
 def tc_scalar(grids) -> None:
     mma_grids, (hopper, wgmma) = grids
     for dev, instrs in mma_grids:
-        model = TensorCoreTimingModel(dev)
         for instr in instrs:
-            _price(model.mma(instr))
-    model = TensorCoreTimingModel(hopper)
+            _price(ScalarMmaTiming(dev, instr))
     for instr in wgmma:
-        _price(model.wgmma(instr))
+        _price(ScalarWgmmaTiming(hopper, instr))
 
 
 def tc_vectorized(grids) -> None:

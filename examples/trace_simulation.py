@@ -16,7 +16,7 @@ from repro.arch import get_device
 from repro.isa import MatrixShape, MmaInstruction
 from repro.isa.dtypes import DType
 from repro.isa.lowering import FunctionalUnit
-from repro.tensorcore.timing import MmaTiming
+from repro.tensorcore import TensorCoreTimingModel
 from repro.trace import SmSimulator, TraceBuilder
 
 
@@ -25,7 +25,7 @@ def latency_idiom() -> None:
     h800 = get_device("H800")
     instr = MmaInstruction(DType.FP16, DType.FP32,
                            MatrixShape(16, 8, 16))
-    timing = MmaTiming(h800, instr)
+    timing = TensorCoreTimingModel(h800).mma(instr)
     n = 64
     res = SmSimulator().run(
         [TraceBuilder.mma_accumulate_loop(h800, instr, n)])
@@ -38,7 +38,7 @@ def throughput_idiom() -> None:
     h800 = get_device("H800")
     instr = MmaInstruction(DType.FP16, DType.FP32,
                            MatrixShape(16, 8, 16))
-    timing = MmaTiming(h800, instr)
+    timing = TensorCoreTimingModel(h800).mma(instr)
     n = 128
     for warps, accs in ((1, 1), (1, 8), (4, 8)):
         traces = [TraceBuilder.mma_independent(h800, instr, n,

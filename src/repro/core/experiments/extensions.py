@@ -224,14 +224,13 @@ def ext_mma_full(ctx: RunContext) -> Tuple[Table, List[Check]]:
             try:
                 t = TensorCoreTimingModel(dev).mma(
                     MmaInstruction(ab, cd, shape))
-                thpt = t.throughput_tflops()
-            except (KeyError, UnsupportedInstruction):
+            except UnsupportedInstruction:
                 # no such unit on this device (FP64 TC on Ada) or the
                 # instruction predates the architecture (Volta)
                 cells.append("×")
                 continue
             data[(ab, d)] = t
-            cells.append(round(thpt, 1))
+            cells.append(round(t.throughput_tflops(), 1))
         table.add_row(ab.paper_label, cd.paper_label,
                       shape.modifier, *cells)
     fp16_rates = {
@@ -300,12 +299,12 @@ def ext_coalescing(ctx: RunContext) -> Tuple[Table, List[Check]]:
 def ext_trace_sim(ctx: RunContext) -> Tuple[Table, List[Check]]:
     from repro.isa import MatrixShape, MmaInstruction
     from repro.isa.dtypes import DType
-    from repro.tensorcore.timing import MmaTiming
+    from repro.tensorcore import TensorCoreTimingModel
     from repro.trace import SmSimulator, TraceBuilder
     h800 = get_device(ctx.pin("H800"))
     instr = MmaInstruction(DType.FP16, DType.FP32,
                            MatrixShape(16, 8, 16))
-    timing = MmaTiming(h800, instr)
+    timing = TensorCoreTimingModel(h800).mma(instr)
     sim = SmSimulator()
     n = 96
     chain = sim.run([TraceBuilder.mma_accumulate_loop(h800, instr, n)])
@@ -379,11 +378,10 @@ def ext_attention(ctx: RunContext) -> Tuple[Table, List[Check]]:
         "DotProductAttention (32 heads × 128) latency vs sequence",
         ["seq", "ms", "ms per token"],
     )
-    times = {}
-    for s in seqs:
-        sec = sum(o.seconds for o in att.op_costs(
-            cm, tokens=4 * s, precision=Precision.FP16, batch=4))
-        times[s] = sec
+    secs = att.seconds_grid(cm, [4 * s for s in seqs], Precision.FP16,
+                            batch=4).tolist()
+    times = dict(zip(seqs, secs))
+    for s, sec in times.items():
         table.add_row(s, round(1e3 * sec, 3),
                       round(1e6 * sec / (4 * s), 3))
     checks = [

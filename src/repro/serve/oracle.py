@@ -349,17 +349,18 @@ class CostOracle:
                    f"{q.kind} instruction for {ab} inputs "
                    "(SweepEntry.supported gate)")
         _observe("serve.predicted.clk", entry.latency_clk)
-        return Prediction(
-            status="ok", kind=q.kind, device=q.device, qid=q.qid,
-            metrics=(
-                ("latency_clk", _round(entry.latency_clk)),
-                ("issue_interval_clk",
-                 _round(entry.issue_interval_clk)),
-                ("tflops", _round(entry.throughput_tflops("rand"))),
-                ("fraction_of_peak",
-                 _round(entry.fraction_of_peak("rand"))),
-            ),
+        metrics = (
+            ("latency_clk", _round(entry.latency_clk)),
+            ("issue_interval_clk", _round(entry.issue_interval_clk)),
+            ("tflops", _round(entry.throughput_tflops("rand"))),
         )
+        if entry.on_tensor_core:
+            # off the tensor cores (INT4 mma on Hopper) there may be no
+            # peak to be a fraction of
+            metrics += (("fraction_of_peak",
+                         _round(entry.fraction_of_peak("rand"))),)
+        return Prediction(status="ok", kind=q.kind, device=q.device,
+                          qid=q.qid, metrics=metrics)
 
     # -- memory.latency -----------------------------------------------------
 

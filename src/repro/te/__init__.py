@@ -21,7 +21,7 @@ device's tensor-core and memory models:
 
 from __future__ import annotations
 
-from repro.te.cost import CostModel, OpCost, Precision
+from repro.te.cost import CostModel, Precision
 from repro.te.modules import (
     DotProductAttention,
     LayerNorm,
@@ -54,7 +54,6 @@ __all__ = [
     "linear_accuracy",
     "layer_accuracy",
     "CostModel",
-    "OpCost",
     "Precision",
     "Module",
     "Linear",

@@ -18,8 +18,7 @@ the casts and FP8's 2× tensor-core rate shows through.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from repro.isa.dtypes import DType
 from repro.obs import session as _obs
 from repro.tensorcore.timing import TensorCoreTimingModel
 
-__all__ = ["Precision", "OpCost", "CostModel"]
+__all__ = ["Precision", "CostModel"]
 
 #: per-kernel launch + framework dispatch overhead, seconds
 _KERNEL_LAUNCH_S = 8e-6
@@ -38,10 +37,8 @@ OpSecondsGrid = List[Tuple[str, np.ndarray]]
 
 
 def _record_te_op(name: str, n: int = 1) -> None:
-    """Count one priced TE operator (``te.op.<name>``) against the
-    active observability session.  Batched pricers pass the grid size
-    as ``n`` — integer counters sum commutatively, so scalar and
-    vectorized walks over the same grid produce identical deltas."""
+    """Count ``n`` priced TE operators (``te.op.<name>``) against the
+    active observability session; a pricer passes its grid size."""
     sess = _obs.ACTIVE
     if sess is not None:
         sess.counters.add(f"te.op.{name}", n)
@@ -73,24 +70,6 @@ class Precision(enum.Enum):
             Precision.BF16: (DType.BF16, DType.FP32),
             Precision.FP8: (DType.E4M3, DType.FP32),
         }[self]
-
-
-@dataclass(frozen=True)
-class OpCost:
-    """One operator's cost contribution."""
-
-    name: str
-    seconds: float
-    flops: float = 0.0
-    bytes: float = 0.0
-
-    def __add__(self, other: "OpCost") -> "OpCost":
-        return OpCost(
-            name=f"{self.name}+{other.name}",
-            seconds=self.seconds + other.seconds,
-            flops=self.flops + other.flops,
-            bytes=self.bytes + other.bytes,
-        )
 
 
 class CostModel:
@@ -132,94 +111,18 @@ class CostModel:
     def membw_bytes_per_s(self) -> float:
         return self.device.dram.effective_bandwidth_gbps(0.6) * 1e9
 
-    # -- operator costs -----------------------------------------------------------
-
-    def gemm(self, m: int, n: int, k: int,
-             precision: Precision, *, name: str = "gemm",
-             efficiency: float = 0.85) -> OpCost:
-        """One GEMM kernel.  ``efficiency`` covers tile quantisation and
-        epilogue overheads of a real GEMM kernel vs raw instruction
-        throughput."""
-        if min(m, n, k) <= 0:
-            raise ValueError("GEMM dimensions must be positive")
-        flops = 2.0 * m * n * k
-        compute = flops / (self.gemm_tflops(precision) * 1e12 * efficiency)
-        io_bytes = precision.bytes * (m * k + k * n) + 4.0 * m * n
-        io = io_bytes / self.membw_bytes_per_s
-        _record_te_op(name)
-        return OpCost(name, max(compute, io) + self.launch_overhead_s,
-                      flops=flops, bytes=io_bytes)
-
-    def elementwise(self, nbytes: float, *, name: str = "elementwise",
-                    launches: int = 1) -> OpCost:
-        """A bandwidth-bound kernel moving ``nbytes`` total."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        _record_te_op(name)
-        return OpCost(
-            name,
-            nbytes / self.membw_bytes_per_s
-            + launches * self.launch_overhead_s,
-            bytes=nbytes,
-        )
-
-    def cast_to_fp8(self, elements: int, src_bytes: float = 2.0,
-                    *, name: str = "cast_fp8") -> OpCost:
-        """amax reduction + quantise kernel: read source, write FP8."""
-        nbytes = elements * (2 * src_bytes + 1.0)  # amax read + q read/write
-        return self.elementwise(nbytes, name=name, launches=2)
-
-    def scale_output(self, elements: int, out_bytes: float = 2.0,
-                     *, name: str = "scale_out") -> OpCost:
-        """De-scale the FP8 GEMM output back to working precision."""
-        return self.elementwise(elements * 2 * out_bytes, name=name)
-
-    # -- composite: te.Linear ---------------------------------------------------------
-
-    def linear(self, m: int, n: int, k: int, precision: Precision,
-               *, cache_weight_cast: bool = True,
-               include_overheads: bool = True) -> List[OpCost]:
-        """Full te.Linear cost breakdown: ``(m×k) @ (k×n)``.
-
-        Under FP8 the input is amax-scaled and quantised, the weight
-        cast is amortised when ``cache_weight_cast`` (TE caches it
-        across microbatches), and the output is scaled back — the
-        operator mix Fig 3 plots.  ``include_overheads=False`` is the
-        ablation switch that removes every non-GEMM operator.
-        """
-        ops: List[OpCost] = []
-        if precision is Precision.FP8 and include_overheads:
-            ops.append(self.cast_to_fp8(m * k, name="quantize_input"))
-            if not cache_weight_cast:
-                ops.append(self.cast_to_fp8(k * n, name="quantize_weight"))
-        ops.append(self.gemm(m, n, k, precision))
-        if precision is Precision.FP8 and include_overheads:
-            ops.append(self.scale_output(m * n))
-        return ops
-
-    def linear_seconds(self, m: int, n: int, k: int,
-                       precision: Precision, **kw) -> float:
-        return sum(op.seconds for op in self.linear(m, n, k, precision,
-                                                    **kw))
-
-    def linear_tflops(self, n: int, precision: Precision, **kw) -> float:
-        """The Fig 4 metric: achieved GFLOPS of an N×N×N te.Linear,
-        reported in TFLOPS here."""
-        secs = self.linear_seconds(n, n, n, precision, **kw)
-        return 2.0 * n ** 3 / secs / 1e12
-
-    # -- batched pricing --------------------------------------------------------
+    # -- operator costs --------------------------------------------------------
     #
-    # The vectorized fast paths: arrays in, arrays out, one NumPy pass
-    # over a whole grid of problem sizes.  Every elementwise expression
-    # mirrors its scalar counterpart operation-for-operation, so the
-    # results are bit-identical to looping the scalar methods
-    # (property-tested in tests/test_vectorized_equivalence.py).
+    # Arrays in, arrays out: each pricer takes the problem sizes as
+    # arrays and prices a whole grid of them in one NumPy pass (a
+    # scalar is a 0-d grid).
 
     def gemm_seconds_batch(self, m, n, k, precision: Precision, *,
                            name: str = "gemm",
                            efficiency: float = 0.85) -> np.ndarray:
-        """Vectorized :meth:`gemm` (seconds only) over size arrays."""
+        """Seconds of one GEMM kernel per (m, n, k).  ``efficiency``
+        covers tile quantisation and epilogue overheads of a real GEMM
+        kernel vs raw instruction throughput."""
         m = np.asarray(m, dtype=np.float64)
         n = np.asarray(n, dtype=np.float64)
         k = np.asarray(k, dtype=np.float64)
@@ -236,7 +139,8 @@ class CostModel:
     def elementwise_seconds_batch(self, nbytes, *,
                                   name: str = "elementwise",
                                   launches: int = 1) -> np.ndarray:
-        """Vectorized :meth:`elementwise` (seconds only)."""
+        """Seconds of a bandwidth-bound kernel moving ``nbytes``
+        total."""
         nbytes = np.asarray(nbytes, dtype=np.float64)
         if nbytes.min() < 0:
             raise ValueError("nbytes must be non-negative")
@@ -247,14 +151,16 @@ class CostModel:
 
     def cast_to_fp8_seconds_batch(self, elements, src_bytes: float = 2.0,
                                   *, name: str = "cast_fp8") -> np.ndarray:
+        """amax reduction + quantise kernel: read source, write FP8."""
         elements = np.asarray(elements, dtype=np.float64)
-        nbytes = elements * (2 * src_bytes + 1.0)
+        nbytes = elements * (2 * src_bytes + 1.0)  # amax read + q read/write
         return self.elementwise_seconds_batch(nbytes, name=name,
                                               launches=2)
 
     def scale_output_seconds_batch(self, elements, out_bytes: float = 2.0,
                                    *, name: str = "scale_out"
                                    ) -> np.ndarray:
+        """De-scale the FP8 GEMM output back to working precision."""
         elements = np.asarray(elements, dtype=np.float64)
         return self.elementwise_seconds_batch(elements * 2 * out_bytes,
                                               name=name)
@@ -263,9 +169,15 @@ class CostModel:
                                cache_weight_cast: bool = True,
                                include_overheads: bool = True
                                ) -> OpSecondsGrid:
-        """Vectorized :meth:`linear`: the same operator list, in the
-        same order, with each operator's seconds priced over the whole
-        (m, n, k) grid at once."""
+        """Full te.Linear cost breakdown, ``(m×k) @ (k×n)``: each
+        operator's name and its seconds over the (m, n, k) grid.
+
+        Under FP8 the input is amax-scaled and quantised, the weight
+        cast is amortised when ``cache_weight_cast`` (TE caches it
+        across microbatches), and the output is scaled back — the
+        operator mix Fig 3 plots.  ``include_overheads=False`` is the
+        ablation switch that removes every non-GEMM operator.
+        """
         m = np.asarray(m, dtype=np.float64)
         n = np.asarray(n, dtype=np.float64)
         k = np.asarray(k, dtype=np.float64)
@@ -288,14 +200,15 @@ class CostModel:
         parts = self.linear_breakdown_batch(m, n, k, precision, **kw)
         total = parts[0][1]
         for _, s in parts[1:]:
-            # sequential accumulation in list order — matches the
-            # scalar sum() exactly (np.sum would pair-wise reorder)
+            # sequential accumulation in list order (np.sum would
+            # reorder pair-wise)
             total = total + s
         return total
 
     def linear_tflops_batch(self, n, precision: Precision,
                             **kw) -> np.ndarray:
-        """Vectorized :meth:`linear_tflops` over an array of sizes."""
+        """The Fig 4 metric: achieved GFLOPS of an N×N×N te.Linear,
+        reported in TFLOPS here, over an array of sizes."""
         n = np.asarray(n, dtype=np.float64)
         secs = self.linear_seconds_batch(n, n, n, precision, **kw)
         return 2.0 * n ** 3 / secs / 1e12

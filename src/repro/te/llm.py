@@ -183,39 +183,20 @@ class LlmInferenceModel:
                           *, n_requests: int = 64, batch: int = 8,
                           seed: int = 0) -> GenerationEstimate:
         """Throughput over a synthetic ShareGPT batch stream (variable
-        lengths; a batch runs until its longest response finishes).
-
-        Per-group prefill costs are priced in one vectorized pass; the
-        time accumulation stays sequential in group order so the total
-        is bit-identical to one :meth:`estimate` per group.
-        """
-        import numpy as np
-
-        if not self.cost.supports(precision):
-            return GenerationEstimate(None, "-")
+        lengths; a batch runs until its longest response finishes):
+        one :meth:`estimate` per batch group."""
         wl = ShareGptWorkload(seed=seed)
-        groups = list(wl.batches(n_requests, batch))
-        sizes = [len(g) for g in groups]
-        max_ins = [max(r.input_len for r in g) for g in groups]
-        max_outs = [max(r.output_len for r in g) for g in groups]
-        for b, mi, mo in zip(sizes, max_ins, max_outs):
-            if not self.fits(model, precision, batch=b,
-                             max_seq=mi + mo):
-                return GenerationEstimate(None, "OOM")
-        # decode cost is batch-independent; prefill vectorizes over the
-        # (batch, input_len) arrays with scalar-identical arithmetic
-        step = self.decode_step_seconds(model, precision, batch=batch)
-        flops = (2.0 * model.params
-                 * np.asarray(sizes, dtype=np.float64)
-                 * np.asarray(max_ins, dtype=np.float64))
-        rate = self.cost.gemm_tflops(precision) * 1e12 * 0.5
-        prefills = (flops / rate
-                    + model.layers * 9 * self.cost.launch_overhead_s)
         total_text = 0
         total_time = 0.0
-        for g, pf, mo in zip(groups, prefills.tolist(), max_outs):
-            total_text += sum(r.total_len for r in g)
-            total_time += pf + mo * step
+        for group in wl.batches(n_requests, batch):
+            max_in = max(r.input_len for r in group)
+            max_out = max(r.output_len for r in group)
+            est = self.estimate(model, precision, batch=len(group),
+                                input_len=max_in, output_len=max_out)
+            if est.status != "ok":
+                return est
+            total_text += sum(r.total_len for r in group)
+            total_time += est.prefill_s + max_out * est.decode_step_s
         return GenerationEstimate(
             tokens_per_second=total_text / total_time,
             status="ok",

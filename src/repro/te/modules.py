@@ -8,8 +8,10 @@ doesn't double TransformerLayer speed), and ``TransformerLayer``
 assembling the Llama-style block (RMSNorm + SwiGLU) of §III-C2.
 
 Each module both *computes* (NumPy forward with the modelled numerics)
-and *prices itself* (``op_costs`` → :class:`repro.te.cost.OpCost`
-lists against a device's :class:`~repro.te.cost.CostModel`).
+and *prices itself*: ``op_seconds_grid`` lists its operators in
+launch order, each priced over a whole array of token counts against a
+device's :class:`~repro.te.cost.CostModel`, and ``seconds_grid`` sums
+them.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.numerics import E4M3, FP16, BF16, quantize_fp8
 from repro.te.cost import (
     CostModel,
-    OpCost,
     OpSecondsGrid,
     Precision,
     _record_te_op,
@@ -70,22 +71,10 @@ class Module:
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def op_costs(self, cost_model: CostModel, tokens: int,
-                 precision: Precision) -> List[OpCost]:
-        raise NotImplementedError
-
-    def seconds(self, cost_model: CostModel, tokens: int,
-                precision: Precision) -> float:
-        return sum(o.seconds for o in
-                   self.op_costs(cost_model, tokens, precision))
-
-    # -- batched pricing ----------------------------------------------------
+    # -- pricing --------------------------------------------------------------
     #
-    # ``op_seconds_grid`` is the vectorized twin of ``op_costs``: the
-    # same operator names in the same order, each priced over a whole
-    # array of token counts in one NumPy pass.  The scalar walk above
-    # stays as the reference implementation the grid is property-tested
-    # against (tests/test_vectorized_equivalence.py).
+    # ``op_seconds_grid`` names the module's operators in launch order,
+    # each priced over a whole array of token counts in one NumPy pass.
 
     def op_seconds_grid(self, cost_model: CostModel, tokens,
                         precision: Precision, **kw) -> OpSecondsGrid:
@@ -97,8 +86,7 @@ class Module:
                                      **kw)
         total = parts[0][1]
         for _, s in parts[1:]:
-            # sequential, list-ordered accumulation — bit-identical to
-            # the scalar sum() over op_costs
+            # sequential accumulation in operator order
             total = total + s
         return total
 
@@ -129,8 +117,8 @@ class Linear(Module):
         self.out_features = out_features
         self._has_bias = bias
         self._rng = rng or np.random.default_rng(0)
-        # Weights materialise lazily: pricing a layer with op_costs
-        # must not allocate multi-GB parameter arrays.
+        # Weights materialise lazily: pricing a layer with
+        # op_seconds_grid must not allocate multi-GB parameter arrays.
         self._weight: Optional[np.ndarray] = None
         self._bias: Optional[np.ndarray] = None
 
@@ -182,11 +170,6 @@ class Linear(Module):
             y = y + self.bias
         return y
 
-    def op_costs(self, cost_model: CostModel, tokens: int,
-                 precision: Precision) -> List[OpCost]:
-        return cost_model.linear(tokens, self.out_features,
-                                 self.in_features, precision)
-
     def op_seconds_grid(self, cost_model: CostModel, tokens,
                         precision: Precision) -> OpSecondsGrid:
         return cost_model.linear_breakdown_batch(
@@ -208,11 +191,6 @@ class LayerNorm(Module):
         var = x.var(axis=-1, keepdims=True)
         return (x - mu) / np.sqrt(var + self.eps) * self.gamma + self.beta
 
-    def op_costs(self, cost_model: CostModel, tokens: int,
-                 precision: Precision) -> List[OpCost]:
-        nbytes = tokens * self.features * 2 * precision.bytes
-        return [cost_model.elementwise(nbytes, name="layernorm")]
-
     def op_seconds_grid(self, cost_model: CostModel, tokens,
                         precision: Precision) -> OpSecondsGrid:
         tokens = np.asarray(tokens, dtype=np.float64)
@@ -233,11 +211,6 @@ class RMSNorm(Module):
         x = np.asarray(x, dtype=np.float64)
         rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + self.eps)
         return x / rms * self.gamma
-
-    def op_costs(self, cost_model: CostModel, tokens: int,
-                 precision: Precision) -> List[OpCost]:
-        nbytes = tokens * self.features * 2 * precision.bytes
-        return [cost_model.elementwise(nbytes, name="rmsnorm")]
 
     def op_seconds_grid(self, cost_model: CostModel, tokens,
                         precision: Precision) -> OpSecondsGrid:
@@ -292,24 +265,6 @@ class LayerNormMLP(Module):
             a = gelu(z)
         return self.fc2(a)
 
-    def op_costs(self, cost_model: CostModel, tokens: int,
-                 precision: Precision) -> List[OpCost]:
-        ops = self.norm.op_costs(cost_model, tokens, precision)
-        fc1 = cost_model.linear(tokens, self.fc1.out_features,
-                                self.hidden, precision)
-        if precision is Precision.FP8:
-            # fusion: the norm emits FP8 directly → drop fc1's input
-            # quantise kernel.
-            fc1 = [o for o in fc1 if o.name != "quantize_input"]
-        ops += fc1
-        act_bytes = tokens * (self.fc1.out_features + self.ffn_hidden) \
-            * precision.bytes
-        ops.append(cost_model.elementwise(act_bytes,
-                                          name=self.activation))
-        ops += cost_model.linear(tokens, self.hidden, self.ffn_hidden,
-                                 precision)
-        return ops
-
     def op_seconds_grid(self, cost_model: CostModel, tokens,
                         precision: Precision) -> OpSecondsGrid:
         tokens = np.asarray(tokens, dtype=np.float64)
@@ -357,21 +312,6 @@ class DotProductAttention(Module):
         p /= p.sum(axis=-1, keepdims=True)
         return np.einsum("bhst,bthd->bshd", p, v)
 
-    def op_costs(self, cost_model: CostModel, tokens: int,
-                 precision: Precision, *, batch: int = 1) -> List[OpCost]:
-        seq = max(tokens // max(batch, 1), 1)
-        h = self.num_heads * self.head_dim
-        flops = 4.0 * batch * seq * seq * h
-        # flash attention: IO is O(b·s·h), compute at FP16 TC rate
-        gemm_rate = cost_model.gemm_tflops(Precision.FP16) * 1e12 * 0.6
-        io = 4.0 * batch * seq * h * 2.0 / cost_model.membw_bytes_per_s
-        _record_te_op("attention")
-        return [OpCost(
-            "attention",
-            max(flops / gemm_rate, io) + 2 * cost_model.launch_overhead_s,
-            flops=flops,
-        )]
-
     def op_seconds_grid(self, cost_model: CostModel, tokens,
                         precision: Precision, *, batch=1) -> OpSecondsGrid:
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -381,6 +321,7 @@ class DotProductAttention(Module):
         b = batch.astype(np.float64)
         h = self.num_heads * self.head_dim
         flops = 4.0 * b * seq * seq * h
+        # flash attention: IO is O(b·s·h), compute at FP16 TC rate
         gemm_rate = cost_model.gemm_tflops(Precision.FP16) * 1e12 * 0.6
         io = 4.0 * b * seq * h * 2.0 / cost_model.membw_bytes_per_s
         secs = (np.maximum(flops / gemm_rate, io)
@@ -457,20 +398,6 @@ class TransformerLayer(Module):
         x = x + self.proj(attn.reshape(b, s, h))
         return x + self.mlp(x)
 
-    def op_costs(self, cost_model: CostModel, tokens: int,
-                 precision: Precision, *, batch: int = 4) -> List[OpCost]:
-        ops = self.input_norm.op_costs(cost_model, tokens, precision)
-        ops += self.qkv.op_costs(cost_model, tokens, precision)
-        ops += self.attention.op_costs(cost_model, tokens, precision,
-                                       batch=batch)
-        ops += self.proj.op_costs(cost_model, tokens, precision)
-        ops += self.mlp.op_costs(cost_model, tokens, precision)
-        # two residual adds
-        res_bytes = 2 * tokens * self.config.hidden_size \
-            * 2 * precision.bytes
-        ops.append(cost_model.elementwise(res_bytes, name="residual"))
-        return ops
-
     def op_seconds_grid(self, cost_model: CostModel, tokens,
                         precision: Precision, *, batch=4) -> OpSecondsGrid:
         tokens = np.asarray(tokens)
@@ -481,28 +408,20 @@ class TransformerLayer(Module):
                                                 precision, batch=batch)
         parts += self.proj.op_seconds_grid(cost_model, tokens, precision)
         parts += self.mlp.op_seconds_grid(cost_model, tokens, precision)
+        # two residual adds
         res_bytes = 2 * tokens.astype(np.float64) \
             * self.config.hidden_size * 2 * precision.bytes
         parts.append(("residual", cost_model.elementwise_seconds_batch(
             res_bytes, name="residual")))
         return parts
 
-    def latency_ms(self, cost_model: CostModel, *, batch: int = 4,
-                   seq: int = 512,
-                   precision: Precision = Precision.FP16) -> float:
-        """Fig 5's metric: one-layer encode latency (ms)."""
-        tokens = batch * seq
-        return 1e3 * sum(
-            o.seconds for o in self.op_costs(cost_model, tokens,
-                                             precision, batch=batch)
-        )
-
     def latency_ms_grid(self, cost_model: CostModel, *, batch=4,
                         seq=512,
                         precision: Precision = Precision.FP16
                         ) -> np.ndarray:
-        """Vectorized :meth:`latency_ms` over a (batch, seq) grid —
-        ``batch`` and ``seq`` broadcast against each other."""
+        """Fig 5's metric: one-layer encode latency (ms) over a
+        (batch, seq) grid — ``batch`` and ``seq`` broadcast against
+        each other."""
         batch = np.asarray(batch, dtype=np.int64)
         seq = np.asarray(seq, dtype=np.int64)
         tokens = batch * seq

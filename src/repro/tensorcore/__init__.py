@@ -33,11 +33,9 @@ from repro.tensorcore.sparse import (
 )
 from repro.tensorcore.timing import (
     MmaSweep,
-    MmaTiming,
     SweepEntry,
     TensorCoreTimingModel,
     WgmmaSweep,
-    WgmmaTiming,
 )
 from repro.tensorcore.gemm import TiledGemm, GemmReport
 
@@ -54,8 +52,6 @@ __all__ = [
     "SweepEntry",
     "MmaSweep",
     "WgmmaSweep",
-    "MmaTiming",
-    "WgmmaTiming",
     "TiledGemm",
     "GemmReport",
 ]

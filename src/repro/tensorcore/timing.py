@@ -32,7 +32,7 @@ Three mechanisms, composed:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Sequence
+from typing import Dict, Literal, Sequence
 
 import numpy as np
 
@@ -58,26 +58,12 @@ def _tc_instant(tracer, kind: str, device: DeviceSpec, instr) -> None:
               "flops": int(instr.flops)})
 
 
-def _record_tc_instruction(kind: str, device: DeviceSpec,
-                           instr) -> None:
-    """Feed the active observability session one tensor-core
-    instruction event (MAC counts + a per-instruction issue marker)."""
-    sess = _obs.ACTIVE
-    if sess is None:
-        return
-    c = sess.counters
-    c.add(f"tc.{kind}.instructions")
-    c.add(f"tc.{kind}.macs", int(instr.flops) // 2)
-    if sess.tracer is not None:
-        _tc_instant(sess.tracer, kind, device, instr)
-
-
 def _record_tc_batch(kind: str, device: DeviceSpec,
                      instrs: Sequence) -> None:
-    """Batched :func:`_record_tc_instruction`: one counter update per
-    sweep, per-instruction trace instants only when a tracer is live.
-    Counter totals are integer sums, so a sweep and the equivalent
-    per-instruction loop produce identical deltas."""
+    """Feed the active observability session one sweep's tensor-core
+    instructions: one counter update per sweep (instruction and MAC
+    counts), per-instruction trace instants only when a tracer is
+    live."""
     sess = _obs.ACTIVE
     if sess is None or not instrs:
         return
@@ -90,8 +76,6 @@ def _record_tc_batch(kind: str, device: DeviceSpec,
             _tc_instant(sess.tracer, kind, device, instr)
 
 __all__ = [
-    "MmaTiming",
-    "WgmmaTiming",
     "SweepEntry",
     "MmaSweep",
     "WgmmaSweep",
@@ -112,270 +96,6 @@ InitKind = Literal["zero", "rand"]
 # the 5-cycle IMAD latency of the CUDA-core fallback).
 
 
-def _wgmma_ss_stall(n: int) -> float:
-    """Extra dense-SS latency (cycles) when N is too small to hide the
-    A-tile shared-memory fetch under compute.  Vanishes for N ≥ 64."""
-    if n >= 64:
-        return 0.0
-    if n <= 32:
-        return min(4.0 + n / 8.0, 8.0)
-    return 8.0 * (64 - n) / 32.0
-
-
-@dataclass(frozen=True)
-class MmaTiming:
-    """Latency/throughput of one ``mma`` instruction on one device."""
-
-    device: DeviceSpec
-    instr: MmaInstruction
-
-    def __post_init__(self) -> None:
-        lowered = lower(self.instr, self.device.pack)
-        object.__setattr__(self, "_lowered", lowered)
-        _record_tc_instruction("mma", self.device, self.instr)
-
-    # -- helpers ---------------------------------------------------------
-
-    @property
-    def steps(self) -> int:
-        shapes = mma_shapes(self.instr.ab_type)
-        min_k = shapes[0].k
-        return self.instr.shape.k // min_k
-
-    @property
-    def _f32acc_half_rate(self) -> bool:
-        """Generations whose pack declares ``f32acc_rate < 1`` (Ada's
-        consumer parts) run FP16/BF16→FP32 accumulation at a reduced
-        rate."""
-        return (
-            self.device.pack.mma.f32acc_rate != 1.0
-            and self.instr.ab_type in (DType.FP16, DType.BF16)
-            and self.instr.cd_type is DType.FP32
-        )
-
-    @property
-    def _f32acc_slow_latency(self) -> bool:
-        """All FP32-accumulate mma takes the deeper pipe where the pack
-        calibrates one (the paper measures 19.2/33.4 for TF32 and
-        18.8/33.0 for FP16→FP32 vs 17.7/24.6 for FP16→FP16 on Ada)."""
-        return (
-            self.device.pack.mma.f32acc_latency_clk is not None
-            and self.instr.cd_type is DType.FP32
-        )
-
-    @property
-    def on_tensor_core(self) -> bool:
-        return self._lowered.uses_tensor_core
-
-    # -- latency --------------------------------------------------------------
-
-    @property
-    def latency_clk(self) -> float:
-        """Completion latency of a single dependent instruction."""
-        cal = self.device.pack.mma
-        if not self.on_tensor_core:
-            # CUDA-core fallback (Hopper INT4): a serial IMAD sequence.
-            imad_latency = 5.0
-            return imad_latency * self._lowered.instruction_count
-        if self._f32acc_slow_latency:
-            return cal.f32acc_latency_clk[self.steps]
-        return cal.latency_clk[self.steps]
-
-    # -- throughput ------------------------------------------------------------
-
-    @property
-    def issue_efficiency(self) -> float:
-        cal = self.device.pack.mma
-        return cal.efficiency[self.instr.sparse][self.steps]
-
-    @property
-    def throughput_flops_per_clk_sm(self) -> float:
-        """Sustained per-SM FLOPs (or int-ops) per cycle."""
-        cal = self.device.pack.mma
-        if not self.on_tensor_core:
-            # INT4-on-Hopper path: 32-lane IMAD per scheduler, one
-            # scheduler per pipe, 2 ops (mul+add) per MAC, II of 2.
-            return cal.pipes_per_sm * 32 * 2 / 2.0
-        peak = self.device.tc_flops_per_clk_sm(
-            self.instr.ab_type.peak_key, sparse=self.instr.sparse
-        )
-        rate = peak * self.issue_efficiency
-        if self._f32acc_half_rate:
-            rate *= cal.f32acc_rate
-        return rate
-
-    @property
-    def issue_interval_clk(self) -> float:
-        """Cycles between back-to-back independent issues per pipe."""
-        per_pipe = (self.throughput_flops_per_clk_sm
-                    / self.device.pack.mma.pipes_per_sm)
-        return self.instr.flops / per_pipe
-
-    def throughput_tflops(self, init: InitKind = "zero") -> float:
-        """Device-wide sustained throughput in TFLOPS (TOPS for ints).
-
-        ``init='rand'`` applies the power model's frequency throttle
-        for random operand data (negligible for mma — its issue rate
-        keeps power under the cap on all three devices).
-        """
-        base = (
-            self.throughput_flops_per_clk_sm
-            * self.device.num_sms
-            * self.device.clocks.observed_hz
-            / 1e12
-        )
-        if init == "rand":
-            base *= self._power_scale(base)
-        return base
-
-    def fraction_of_peak(self) -> float:
-        peak = self.device.tc_peak_tflops(
-            self.instr.ab_type.peak_key, sparse=self.instr.sparse
-        )
-        return self.throughput_tflops() / peak
-
-    def _power_scale(self, tflops: float) -> float:
-        from repro.power import PowerModel  # local import, no cycle
-        return PowerModel(self.device).throttle_scale(
-            op="mma",
-            ab=self.instr.ab_type,
-            cd=self.instr.cd_type,
-            tflops=tflops,
-            sparse=self.instr.sparse,
-            operand_bytes_per_s=0.0,
-        )
-
-
-@dataclass(frozen=True)
-class WgmmaTiming:
-    """Latency/throughput of one ``wgmma`` instruction (Hopper only)."""
-
-    device: DeviceSpec
-    instr: WgmmaInstruction
-
-    def __post_init__(self) -> None:
-        if not self.device.pack.has_wgmma:
-            raise UnsupportedInstruction(
-                f"{self.device.name} has no wgmma instructions"
-            )
-        _record_tc_instruction("wgmma", self.device, self.instr)
-
-    # -- latency ----------------------------------------------------------
-
-    @property
-    def latency_clk(self) -> float:
-        """Completion latency: N/2 cycles of tensor-core work plus the
-        operand-path effects described in the module docstring."""
-        cal = self.device.pack.wgmma
-        n = self.instr.n
-        base = n / 2.0
-        ss = self.instr.a_source is OperandSource.SHARED
-        if not self.instr.sparse:
-            lat = max(base, cal.min_latency_clk)
-            if ss:
-                lat += _wgmma_ss_stall(n)
-            return lat
-        if ss:
-            # Unpruned A (m × 2k) streams from shared memory; the extra
-            # m×k·elem bytes over the dense fetch take exactly this long:
-            extra = (
-                self.instr.m * self.instr.k * self.instr.ab_type.bytes
-                / self.device.mem_widths.smem_bytes_per_clk_sm
-            )
-            return base + extra
-        return max(base, cal.sparse_rs_floor_clk)
-
-    # -- throughput -------------------------------------------------------------
-
-    @property
-    def compute_interval_clk(self) -> float:
-        """Issue interval if only the tensor-core array limited us."""
-        peak = self.device.tc_flops_per_clk_sm(
-            self.instr.ab_type.peak_key, sparse=self.instr.sparse
-        )
-        return self.instr.flops / (peak * self.device.pack.wgmma.compute_eff)
-
-    @property
-    def smem_interval_clk(self) -> float:
-        """Issue interval if only shared-memory bandwidth limited us."""
-        return (
-            self.instr.shared_memory_bytes()
-            / self.device.mem_widths.smem_bytes_per_clk_sm
-        )
-
-    @property
-    def issue_interval_clk(self) -> float:
-        """Sustained interval between wgmma completions per SM.
-
-        The dependent-accumulator chain makes the interval track the
-        completion latency (which already contains every operand-path
-        stall, including the sparse-SS unpruned-A fetch), unless the
-        tensor-core array itself is the bottleneck.  At N = 256 sparse
-        SS the two bounds coincide: latency×stretch = 161 ≈
-        20480 B / 128 B/clk = 160 — the shared-memory port is exactly
-        saturated, which is why Table IX's SS columns sit below RS.
-        """
-        return max(
-            self.latency_clk * self.device.pack.wgmma.chain_stretch,
-            self.compute_interval_clk,
-        )
-
-    @property
-    def throughput_flops_per_clk_sm(self) -> float:
-        return self.instr.flops / self.issue_interval_clk
-
-    def throughput_tflops(self, init: InitKind = "zero") -> float:
-        """Device-wide sustained throughput in TFLOPS/TOPS.
-
-        With random data the H800-PCIe nears its 350 W cap and sheds
-        frequency (paper §IV-C); zero operands barely toggle the
-        datapath and run unthrottled.
-        """
-        base = (
-            self.throughput_flops_per_clk_sm
-            * self.device.num_sms
-            * self.device.clocks.observed_hz
-            / 1e12
-        )
-        if init == "rand":
-            base *= self._power_scale(base)
-        return base
-
-    def fraction_of_peak(self, init: InitKind = "zero") -> float:
-        peak = self.device.tc_peak_tflops(
-            self.instr.ab_type.peak_key, sparse=self.instr.sparse
-        )
-        return self.throughput_tflops(init) / peak
-
-    @property
-    def operand_bytes_total(self) -> float:
-        """Per-instruction A+B (+metadata) operand traffic, regardless
-        of whether it streams from shared memory or the register file —
-        delivery energy is what the power model cares about."""
-        instr = self.instr
-        b = instr.shared_memory_bytes()
-        if instr.a_source is OperandSource.REGISTER:
-            a_bytes = instr.m * instr.k * instr.ab_type.bytes
-            meta = (instr.m * instr.k / 4.0) if instr.sparse else 0.0
-            b += a_bytes + meta
-        return b
-
-    def _power_scale(self, tflops: float) -> float:
-        from repro.power import PowerModel
-        operand_rate = (
-            self.operand_bytes_total / self.issue_interval_clk
-            * self.device.num_sms * self.device.clocks.observed_hz
-        )
-        return PowerModel(self.device).throttle_scale(
-            op="wgmma",
-            ab=self.instr.ab_type,
-            cd=self.instr.cd_type,
-            tflops=tflops,
-            sparse=self.instr.sparse,
-            operand_bytes_per_s=operand_rate,
-        )
-
-
 # --------------------------------------------------------------------------
 # vectorized sweeps
 # --------------------------------------------------------------------------
@@ -383,9 +103,9 @@ class WgmmaTiming:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """One instruction's slice of a sweep — duck-compatible with the
-    ``latency_clk``/``throughput_tflops``/``fraction_of_peak`` surface
-    of :class:`MmaTiming`/:class:`WgmmaTiming`."""
+    """One instruction's timing: a sweep's row, and what
+    :meth:`TensorCoreTimingModel.mma`/:meth:`~TensorCoreTimingModel.wgmma`
+    return."""
 
     latency_clk: float
     issue_interval_clk: float
@@ -393,10 +113,15 @@ class SweepEntry:
     tflops_rand: float
     frac_zero: float
     frac_rand: float
-    #: False when the instruction does not exist on the device's
-    #: architecture (the "×" cells of the paper's tables); the numeric
+    #: False when the device cannot run the instruction: it does not
+    #: exist on the architecture, or the tensor cores have no peak for
+    #: its inputs (the "×" cells of the paper's tables).  The numeric
     #: fields are then nan/0 placeholders.
     supported: bool = True
+    #: False for the CUDA-core fallback (INT4 mma on Hopper), whose
+    #: ``fraction_of_peak`` is nan where the tensor cores have no peak
+    #: for the inputs.
+    on_tensor_core: bool = True
 
     def throughput_tflops(self, init: InitKind = "zero") -> float:
         return self.tflops_rand if init == "rand" else self.tflops_zero
@@ -412,6 +137,7 @@ class _Sweep:
     latency_clk: np.ndarray
     issue_interval_clk: np.ndarray
     supported: np.ndarray
+    on_tensor_core: np.ndarray
     _tflops_zero: np.ndarray
     _tflops_rand: np.ndarray
     _frac_zero: np.ndarray
@@ -429,6 +155,7 @@ class _Sweep:
             frac_zero=float(self._frac_zero[i]),
             frac_rand=float(self._frac_rand[i]),
             supported=bool(self.supported[i]),
+            on_tensor_core=bool(self.on_tensor_core[i]),
         )
 
     def throughput_tflops(self, init: InitKind = "zero") -> np.ndarray:
@@ -452,10 +179,11 @@ class MmaSweep(_Sweep):
         pm = PowerModel(device)
 
         # Pack per-instruction table lookups; all arithmetic below is
-        # elementwise float64 and mirrors MmaTiming op-for-op.
-        # Instructions the architecture lacks entirely (Table VI "×"
-        # cells, e.g. TF32 on Volta) are marked unsupported instead of
-        # raising, so one grid can sweep every device.
+        # elementwise float64.  Instructions the device cannot run
+        # (Table VI "×" cells, e.g. TF32 on Volta, or tensor-core
+        # inputs without a peak, e.g. FP64 on Ada) are marked
+        # unsupported instead of raising, so one grid can sweep every
+        # device.
         lat = np.zeros(n)
         eff = np.zeros(n)
         peak_rate = np.zeros(n)       # tc flops/clk/SM (0 off-TC)
@@ -500,13 +228,17 @@ class MmaSweep(_Sweep):
                         device.tc_peak_tflops(key[0], sparse=key[1]),
                     )
                 except KeyError:
-                    peak_cache[key] = (0.0, np.nan)
+                    peak_cache[key] = None
             if tc:
+                if peak_cache[key] is None:
+                    supported[i] = False
+                    continue
                 peak_rate[i], peak_tflops[i] = peak_cache[key]
             energy[i] = pm.energy_pj("mma", instr.ab_type,
                                      instr.cd_type, instr.sparse)
 
         self.supported = supported
+        self.on_tensor_core = on_tc
         self.latency_clk = np.where(
             supported, np.where(on_tc, lat, 5.0 * icount), np.nan)
         rate = peak_rate * eff
@@ -611,38 +343,46 @@ class WgmmaSweep(_Sweep):
         self._frac_zero = tz / peak_tflops
         self._frac_rand = self._tflops_rand / peak_tflops
         self.supported = np.ones(n, dtype=bool)
+        self.on_tensor_core = np.ones(n, dtype=bool)
         _record_tc_batch("wgmma", device, self.instructions)
 
 
 def _wgmma_ss_stall_array(n: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_wgmma_ss_stall` with identical arithmetic."""
+    """Extra dense-SS latency (cycles) when N is too small to hide the
+    A-tile shared-memory fetch under compute.  Vanishes for N ≥ 64."""
     small = np.minimum(4.0 + n / 8.0, 8.0)
     mid = 8.0 * (64 - n) / 32.0
     return np.where(n >= 64, 0.0, np.where(n <= 32, small, mid))
 
 
 class TensorCoreTimingModel:
-    """The timing model: per-instruction pricing plus NumPy-batched
-    :meth:`mma_sweep`/:meth:`wgmma_sweep` fast paths that price a
-    whole Table VII–X grid in one pass.
+    """The timing model of one device.
 
-    :meth:`mma` and :meth:`wgmma` are the original per-instruction
-    implementation and the executable specification the sweeps are
-    property-tested against (``tests/test_vectorized_equivalence.py``).
-    Every elementwise operation of a sweep mirrors
-    :class:`MmaTiming`/:class:`WgmmaTiming` in the same order, so the
-    two are render-identical and feed the same ``tc.*`` observability
-    counters, the sweeps in batched form.
+    :meth:`mma_sweep`/:meth:`wgmma_sweep` price a whole Table VII–X
+    grid in one NumPy pass; they are the only pricing code.  The point
+    API, :meth:`mma`/:meth:`wgmma`, returns the single row of a
+    one-instruction sweep and raises :class:`UnsupportedInstruction`
+    where the sweep marks that row unsupported.  Both feed the
+    ``tc.*`` observability counters.  The per-instruction arithmetic
+    the sweeps replaced is the reference in ``tests/reference.py``
+    (``tests/test_vectorized_equivalence.py``).
     """
 
     def __init__(self, device: DeviceSpec) -> None:
         self.device = device
 
-    def mma(self, instr: MmaInstruction) -> MmaTiming:
-        return MmaTiming(self.device, instr)
+    def mma(self, instr: MmaInstruction) -> SweepEntry:
+        return self._only_row(self.mma_sweep([instr]), instr)
 
-    def wgmma(self, instr: WgmmaInstruction) -> WgmmaTiming:
-        return WgmmaTiming(self.device, instr)
+    def wgmma(self, instr: WgmmaInstruction) -> SweepEntry:
+        return self._only_row(self.wgmma_sweep([instr]), instr)
+
+    def _only_row(self, sweep: _Sweep, instr) -> SweepEntry:
+        entry = sweep[0]
+        if not entry.supported:
+            raise UnsupportedInstruction(
+                f"{self.device.name} cannot run {instr.opcode}")
+        return entry
 
     def best_dense_tflops(self, ab: DType, cd: DType) -> float:
         """Best achievable dense throughput for a type pair on this

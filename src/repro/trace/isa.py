@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 from repro.arch import DeviceSpec
 from repro.isa.lowering import FunctionalUnit
 from repro.isa.mma import MmaInstruction
-from repro.tensorcore.timing import MmaTiming
+from repro.tensorcore.timing import TensorCoreTimingModel
 
 __all__ = ["TraceInstr", "WarpTrace", "TraceBuilder"]
 
@@ -90,7 +90,7 @@ class TraceBuilder:
                             n: int) -> WarpTrace:
         """``D += A×B`` n times — the tensor-core benchmark loop, with
         the timing signature taken from the calibrated model."""
-        timing = MmaTiming(device, instr)
+        timing = TensorCoreTimingModel(device).mma(instr)
         t = WarpTrace()
         for _ in range(n):
             t.append(TraceInstr(
@@ -105,7 +105,7 @@ class TraceBuilder:
     def mma_independent(device: DeviceSpec, instr: MmaInstruction,
                         n: int, *, accumulators: int = 4) -> WarpTrace:
         """mma over several accumulators (ILP across D registers)."""
-        timing = MmaTiming(device, instr)
+        timing = TensorCoreTimingModel(device).mma(instr)
         t = WarpTrace()
         for i in range(n):
             r = 1 + (i % accumulators)

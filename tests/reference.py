@@ -12,17 +12,26 @@ exact (or ULP-bounded) agreement:
 * :class:`ScalarPChase` — the one-``load()``-per-hop P-chase loops
   behind :class:`repro.memory.pchase.PChase`
   (``tests/test_memory_chase.py``);
-* :func:`seconds_grid_scalar` and :func:`estimate_workload_scalar` —
-  the per-point walks behind the TE module grids and
-  :meth:`repro.te.llm.LlmInferenceModel.estimate_workload`
+* :class:`ScalarMmaTiming` and :class:`ScalarWgmmaTiming` — the
+  one-instruction-at-a-time timing dataclasses behind
+  :class:`repro.tensorcore.timing.MmaSweep` and
+  :class:`~repro.tensorcore.timing.WgmmaSweep`, and so behind
+  ``TensorCoreTimingModel.mma``/``wgmma``, which return one sweep row
+  (``tests/test_vectorized_equivalence.py``, and the tensor-core row
+  of ``benchmarks/gates.py``);
+* :class:`ScalarCostModel`, :func:`op_costs`,
+  :func:`seconds_grid_scalar` and :func:`latency_ms_scalar` — the
+  per-operator, per-point walk behind the TE cost model's ``*_batch``
+  pricers and the modules' ``op_seconds_grid``
   (``tests/test_vectorized_equivalence.py``);
 * :func:`reference_smith_waterman` and
   :func:`reference_needleman_wunsch` — the naive alignment DPs behind
   :mod:`repro.dp.alignment`'s DPX wavefronts (``tests/test_dp.py``).
 
-The per-instruction ``TensorCoreTimingModel.mma``/``wgmma`` are the
-tensor-core sweeps' reference; they ship, because the cost models
-price single instructions through them.
+The scalar timings and the scalar TE walk record their own ``tc.*``
+and ``te.op.*`` counters, one instruction or operator at a time, so
+the equivalence suite's counter-parity properties compare two
+implementations.
 
 Do not use these on hot paths — they exist to be obviously correct,
 not fast.
@@ -30,23 +39,41 @@ not fast.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Literal, Optional, Tuple
 
 import numpy as np
 
+from repro.arch import DeviceSpec
+from repro.isa.dtypes import DType
+from repro.isa.lowering import UnsupportedInstruction, lower
 from repro.isa.memory_ops import CacheOp
+from repro.isa.mma import (
+    MmaInstruction,
+    OperandSource,
+    WgmmaInstruction,
+    mma_shapes,
+)
 from repro.memory.cache import CacheStats
 from repro.memory.chase import chase_total_clk, latency_counts
 from repro.memory.hierarchy import MemLevel
 from repro.memory.pchase import PChase, PChaseResult, _chain
 from repro.memory.shared import SharedMemory
-from repro.te.cost import CostModel, Precision
-from repro.te.llm import GenerationEstimate, LlamaSpec, \
-    LlmInferenceModel, ShareGptWorkload
-from repro.te.modules import Module
+from repro.obs import session as _obs
+from repro.te.cost import CostModel, Precision, _record_te_op
+from repro.te.modules import (
+    DotProductAttention,
+    LayerNorm,
+    LayerNormMLP,
+    Linear,
+    Module,
+    RMSNorm,
+    TransformerLayer,
+)
 
-__all__ = ["ScalarPChase", "ScalarSetAssociativeCache",
-           "estimate_workload_scalar", "reference_needleman_wunsch",
+__all__ = ["ScalarCostModel", "ScalarMmaTiming", "ScalarPChase",
+           "ScalarSetAssociativeCache", "ScalarWgmmaTiming",
+           "latency_ms_scalar", "op_costs", "reference_needleman_wunsch",
            "reference_smith_waterman", "seconds_grid_scalar"]
 
 
@@ -242,40 +269,357 @@ class ScalarPChase(PChase):
                             at_level / iters)
 
 
-def seconds_grid_scalar(module: Module, cost_model: CostModel, tokens,
+# -- tensor-core timing ---------------------------------------------------
+
+InitKind = Literal["zero", "rand"]
+
+
+def _record_tc_instruction(kind: str, instr) -> None:
+    """Count one timed tensor-core instruction (``tc.<kind>.*``)."""
+    sess = _obs.ACTIVE
+    if sess is None:
+        return
+    sess.counters.add(f"tc.{kind}.instructions")
+    sess.counters.add(f"tc.{kind}.macs", int(instr.flops) // 2)
+
+
+def _wgmma_ss_stall(n: int) -> float:
+    """Extra dense-SS latency (cycles) when N is too small to hide the
+    A-tile shared-memory fetch under compute.  Vanishes for N ≥ 64."""
+    if n >= 64:
+        return 0.0
+    if n <= 32:
+        return min(4.0 + n / 8.0, 8.0)
+    return 8.0 * (64 - n) / 32.0
+
+
+@dataclass(frozen=True)
+class ScalarMmaTiming:
+    """Latency/throughput of one ``mma`` instruction on one device.
+
+    Lazy: lowering runs at construction, and a property that needs a
+    tensor-core peak the device lacks raises ``KeyError`` when read.
+    """
+
+    device: DeviceSpec
+    instr: MmaInstruction
+
+    def __post_init__(self) -> None:
+        lowered = lower(self.instr, self.device.pack)
+        object.__setattr__(self, "_lowered", lowered)
+        _record_tc_instruction("mma", self.instr)
+
+    @property
+    def steps(self) -> int:
+        return self.instr.shape.k // mma_shapes(self.instr.ab_type)[0].k
+
+    @property
+    def _f32acc_half_rate(self) -> bool:
+        return (
+            self.device.pack.mma.f32acc_rate != 1.0
+            and self.instr.ab_type in (DType.FP16, DType.BF16)
+            and self.instr.cd_type is DType.FP32
+        )
+
+    @property
+    def _f32acc_slow_latency(self) -> bool:
+        return (
+            self.device.pack.mma.f32acc_latency_clk is not None
+            and self.instr.cd_type is DType.FP32
+        )
+
+    @property
+    def on_tensor_core(self) -> bool:
+        return self._lowered.uses_tensor_core
+
+    @property
+    def latency_clk(self) -> float:
+        cal = self.device.pack.mma
+        if not self.on_tensor_core:
+            # CUDA-core fallback (Hopper INT4): a serial IMAD sequence.
+            imad_latency = 5.0
+            return imad_latency * self._lowered.instruction_count
+        if self._f32acc_slow_latency:
+            return cal.f32acc_latency_clk[self.steps]
+        return cal.latency_clk[self.steps]
+
+    @property
+    def throughput_flops_per_clk_sm(self) -> float:
+        cal = self.device.pack.mma
+        if not self.on_tensor_core:
+            # 32-lane IMAD per scheduler, one scheduler per pipe, 2 ops
+            # (mul+add) per MAC, II of 2.
+            return cal.pipes_per_sm * 32 * 2 / 2.0
+        peak = self.device.tc_flops_per_clk_sm(
+            self.instr.ab_type.peak_key, sparse=self.instr.sparse
+        )
+        rate = peak * cal.efficiency[self.instr.sparse][self.steps]
+        if self._f32acc_half_rate:
+            rate *= cal.f32acc_rate
+        return rate
+
+    @property
+    def issue_interval_clk(self) -> float:
+        per_pipe = (self.throughput_flops_per_clk_sm
+                    / self.device.pack.mma.pipes_per_sm)
+        return self.instr.flops / per_pipe
+
+    def throughput_tflops(self, init: InitKind = "zero") -> float:
+        base = (
+            self.throughput_flops_per_clk_sm
+            * self.device.num_sms
+            * self.device.clocks.observed_hz
+            / 1e12
+        )
+        if init == "rand":
+            base *= self._power_scale(base)
+        return base
+
+    def fraction_of_peak(self) -> float:
+        peak = self.device.tc_peak_tflops(
+            self.instr.ab_type.peak_key, sparse=self.instr.sparse
+        )
+        return self.throughput_tflops() / peak
+
+    def _power_scale(self, tflops: float) -> float:
+        from repro.power import PowerModel
+        return PowerModel(self.device).throttle_scale(
+            op="mma",
+            ab=self.instr.ab_type,
+            cd=self.instr.cd_type,
+            tflops=tflops,
+            sparse=self.instr.sparse,
+            operand_bytes_per_s=0.0,
+        )
+
+
+@dataclass(frozen=True)
+class ScalarWgmmaTiming:
+    """Latency/throughput of one ``wgmma`` instruction (Hopper only)."""
+
+    device: DeviceSpec
+    instr: WgmmaInstruction
+
+    def __post_init__(self) -> None:
+        if not self.device.pack.has_wgmma:
+            raise UnsupportedInstruction(
+                f"{self.device.name} has no wgmma instructions"
+            )
+        _record_tc_instruction("wgmma", self.instr)
+
+    @property
+    def latency_clk(self) -> float:
+        cal = self.device.pack.wgmma
+        n = self.instr.n
+        base = n / 2.0
+        ss = self.instr.a_source is OperandSource.SHARED
+        if not self.instr.sparse:
+            lat = max(base, cal.min_latency_clk)
+            if ss:
+                lat += _wgmma_ss_stall(n)
+            return lat
+        if ss:
+            # Unpruned A (m × 2k) streams from shared memory.
+            extra = (
+                self.instr.m * self.instr.k * self.instr.ab_type.bytes
+                / self.device.mem_widths.smem_bytes_per_clk_sm
+            )
+            return base + extra
+        return max(base, cal.sparse_rs_floor_clk)
+
+    @property
+    def compute_interval_clk(self) -> float:
+        peak = self.device.tc_flops_per_clk_sm(
+            self.instr.ab_type.peak_key, sparse=self.instr.sparse
+        )
+        return self.instr.flops / (peak * self.device.pack.wgmma.compute_eff)
+
+    @property
+    def issue_interval_clk(self) -> float:
+        return max(
+            self.latency_clk * self.device.pack.wgmma.chain_stretch,
+            self.compute_interval_clk,
+        )
+
+    @property
+    def throughput_flops_per_clk_sm(self) -> float:
+        return self.instr.flops / self.issue_interval_clk
+
+    def throughput_tflops(self, init: InitKind = "zero") -> float:
+        base = (
+            self.throughput_flops_per_clk_sm
+            * self.device.num_sms
+            * self.device.clocks.observed_hz
+            / 1e12
+        )
+        if init == "rand":
+            base *= self._power_scale(base)
+        return base
+
+    def fraction_of_peak(self, init: InitKind = "zero") -> float:
+        peak = self.device.tc_peak_tflops(
+            self.instr.ab_type.peak_key, sparse=self.instr.sparse
+        )
+        return self.throughput_tflops(init) / peak
+
+    @property
+    def operand_bytes_total(self) -> float:
+        """Per-instruction A+B (+metadata) operand traffic, from shared
+        memory or the register file."""
+        instr = self.instr
+        b = instr.shared_memory_bytes()
+        if instr.a_source is OperandSource.REGISTER:
+            a_bytes = instr.m * instr.k * instr.ab_type.bytes
+            meta = (instr.m * instr.k / 4.0) if instr.sparse else 0.0
+            b += a_bytes + meta
+        return b
+
+    def _power_scale(self, tflops: float) -> float:
+        from repro.power import PowerModel
+        operand_rate = (
+            self.operand_bytes_total / self.issue_interval_clk
+            * self.device.num_sms * self.device.clocks.observed_hz
+        )
+        return PowerModel(self.device).throttle_scale(
+            op="wgmma",
+            ab=self.instr.ab_type,
+            cd=self.instr.cd_type,
+            tflops=tflops,
+            sparse=self.instr.sparse,
+            operand_bytes_per_s=operand_rate,
+        )
+
+
+# -- Transformer-Engine cost walk ---------------------------------------------
+
+#: one priced operator: its name and seconds
+Op = Tuple[str, float]
+
+
+class ScalarCostModel(CostModel):
+    """:class:`CostModel` plus one-operator-at-a-time pricers; each
+    counts its operator (``te.op.<name>``) as it prices it."""
+
+    def gemm(self, m: int, n: int, k: int, precision: Precision, *,
+             name: str = "gemm", efficiency: float = 0.85) -> Op:
+        if min(m, n, k) <= 0:
+            raise ValueError("GEMM dimensions must be positive")
+        flops = 2.0 * m * n * k
+        compute = flops / (self.gemm_tflops(precision) * 1e12 * efficiency)
+        io_bytes = precision.bytes * (m * k + k * n) + 4.0 * m * n
+        io = io_bytes / self.membw_bytes_per_s
+        _record_te_op(name)
+        return name, max(compute, io) + self.launch_overhead_s
+
+    def elementwise(self, nbytes: float, *, name: str = "elementwise",
+                    launches: int = 1) -> Op:
+        if nbytes < 0:
+            raise ValueError("nbytes must be non-negative")
+        _record_te_op(name)
+        return name, (nbytes / self.membw_bytes_per_s
+                      + launches * self.launch_overhead_s)
+
+    def cast_to_fp8(self, elements: int, src_bytes: float = 2.0, *,
+                    name: str = "cast_fp8") -> Op:
+        nbytes = elements * (2 * src_bytes + 1.0)
+        return self.elementwise(nbytes, name=name, launches=2)
+
+    def scale_output(self, elements: int, out_bytes: float = 2.0, *,
+                     name: str = "scale_out") -> Op:
+        return self.elementwise(elements * 2 * out_bytes, name=name)
+
+    def linear(self, m: int, n: int, k: int, precision: Precision, *,
+               cache_weight_cast: bool = True,
+               include_overheads: bool = True) -> List[Op]:
+        ops: List[Op] = []
+        if precision is Precision.FP8 and include_overheads:
+            ops.append(self.cast_to_fp8(m * k, name="quantize_input"))
+            if not cache_weight_cast:
+                ops.append(self.cast_to_fp8(k * n,
+                                            name="quantize_weight"))
+        ops.append(self.gemm(m, n, k, precision))
+        if precision is Precision.FP8 and include_overheads:
+            ops.append(self.scale_output(m * n))
+        return ops
+
+    def linear_seconds(self, m: int, n: int, k: int,
+                       precision: Precision, **kw) -> float:
+        return sum(s for _, s in self.linear(m, n, k, precision, **kw))
+
+    def linear_tflops(self, n: int, precision: Precision, **kw) -> float:
+        secs = self.linear_seconds(n, n, n, precision, **kw)
+        return 2.0 * n ** 3 / secs / 1e12
+
+
+def op_costs(module: Module, cm: ScalarCostModel, tokens: int,
+             precision: Precision, *, batch: Optional[int] = None
+             ) -> List[Op]:
+    """``module``'s operators at ``tokens`` tokens, in launch order.
+    ``batch`` (attention and the transformer layer only) defaults to
+    1 and 4, as in their ``op_seconds_grid``."""
+    if isinstance(module, Linear):
+        return cm.linear(tokens, module.out_features,
+                         module.in_features, precision)
+    if isinstance(module, (LayerNorm, RMSNorm)):
+        nbytes = tokens * module.features * 2 * precision.bytes
+        name = "layernorm" if isinstance(module, LayerNorm) else "rmsnorm"
+        return [cm.elementwise(nbytes, name=name)]
+    if isinstance(module, LayerNormMLP):
+        ops = op_costs(module.norm, cm, tokens, precision)
+        fc1 = cm.linear(tokens, module.fc1.out_features, module.hidden,
+                        precision)
+        if precision is Precision.FP8:
+            # fusion: the norm emits FP8 directly
+            fc1 = [o for o in fc1 if o[0] != "quantize_input"]
+        ops += fc1
+        act_bytes = tokens * (module.fc1.out_features
+                              + module.ffn_hidden) * precision.bytes
+        ops.append(cm.elementwise(act_bytes, name=module.activation))
+        ops += cm.linear(tokens, module.hidden, module.ffn_hidden,
+                         precision)
+        return ops
+    if isinstance(module, DotProductAttention):
+        batch = 1 if batch is None else batch
+        seq = max(tokens // max(batch, 1), 1)
+        h = module.num_heads * module.head_dim
+        flops = 4.0 * batch * seq * seq * h
+        gemm_rate = cm.gemm_tflops(Precision.FP16) * 1e12 * 0.6
+        io = 4.0 * batch * seq * h * 2.0 / cm.membw_bytes_per_s
+        _record_te_op("attention")
+        return [("attention",
+                 max(flops / gemm_rate, io) + 2 * cm.launch_overhead_s)]
+    if isinstance(module, TransformerLayer):
+        batch = 4 if batch is None else batch
+        ops = op_costs(module.input_norm, cm, tokens, precision)
+        ops += op_costs(module.qkv, cm, tokens, precision)
+        ops += op_costs(module.attention, cm, tokens, precision,
+                        batch=batch)
+        ops += op_costs(module.proj, cm, tokens, precision)
+        ops += op_costs(module.mlp, cm, tokens, precision)
+        res_bytes = 2 * tokens * module.config.hidden_size \
+            * 2 * precision.bytes
+        ops.append(cm.elementwise(res_bytes, name="residual"))
+        return ops
+    raise TypeError(f"no scalar walk for {type(module).__name__}")
+
+
+def seconds_grid_scalar(module: Module, cm: ScalarCostModel, tokens,
                         precision: Precision, **kw) -> np.ndarray:
-    """:meth:`Module.seconds_grid` priced point by point through the
-    scalar ``op_costs`` walk."""
+    """:meth:`Module.seconds_grid` priced point by point through
+    :func:`op_costs`."""
     tokens = np.asarray(tokens)
-    flat = [sum(o.seconds for o in
-                module.op_costs(cost_model, int(t), precision, **kw))
+    flat = [sum(s for _, s in op_costs(module, cm, int(t), precision,
+                                        **kw))
             for t in tokens.ravel()]
     return np.array(flat).reshape(tokens.shape)
 
 
-def estimate_workload_scalar(llm: LlmInferenceModel, model: LlamaSpec,
-                             precision: Precision, *,
-                             n_requests: int = 64, batch: int = 8,
-                             seed: int = 0) -> GenerationEstimate:
-    """:meth:`LlmInferenceModel.estimate_workload` as one
-    :meth:`~LlmInferenceModel.estimate` per batch group (the
-    pre-vectorization walk)."""
-    wl = ShareGptWorkload(seed=seed)
-    total_text = 0
-    total_time = 0.0
-    for group in wl.batches(n_requests, batch):
-        max_in = max(r.input_len for r in group)
-        max_out = max(r.output_len for r in group)
-        est = llm.estimate(model, precision, batch=len(group),
-                           input_len=max_in, output_len=max_out)
-        if est.status != "ok":
-            return est
-        total_text += sum(r.total_len for r in group)
-        total_time += est.prefill_s + max_out * est.decode_step_s
-    return GenerationEstimate(
-        tokens_per_second=total_text / total_time,
-        status="ok",
-    )
+def latency_ms_scalar(layer: TransformerLayer, cm: ScalarCostModel, *,
+                      batch: int = 4, seq: int = 512,
+                      precision: Precision = Precision.FP16) -> float:
+    """:meth:`TransformerLayer.latency_ms_grid` at one (batch, seq)."""
+    return 1e3 * sum(s for _, s in op_costs(layer, cm, batch * seq,
+                                            precision, batch=batch))
 
 
 def reference_smith_waterman(a: str, b: str, match=3, mismatch=-2,

@@ -25,15 +25,16 @@ class TestSparseSharedMemoryPressure:
 
     def test_sparse_ss_penalty_is_unpruned_a_traffic(self, h800):
         tm = TensorCoreTimingModel(h800)
-        ss = tm.wgmma(WgmmaInstruction(DType.FP16, DType.FP32, 256,
-                                       sparse=True,
-                                       a_source=OperandSource.SHARED))
-        rs = tm.wgmma(WgmmaInstruction(DType.FP16, DType.FP32, 256,
-                                       sparse=True,
-                                       a_source=OperandSource.REGISTER))
-        extra_bytes = (ss.instr.shared_memory_bytes()
-                       - rs.instr.shared_memory_bytes()
-                       - ss.instr.m * ss.instr.k * 2)  # pruned-A share
+        ss_instr = WgmmaInstruction(DType.FP16, DType.FP32, 256,
+                                    sparse=True,
+                                    a_source=OperandSource.SHARED)
+        rs_instr = WgmmaInstruction(DType.FP16, DType.FP32, 256,
+                                    sparse=True,
+                                    a_source=OperandSource.REGISTER)
+        ss, rs = tm.wgmma(ss_instr), tm.wgmma(rs_instr)
+        extra_bytes = (ss_instr.shared_memory_bytes()
+                       - rs_instr.shared_memory_bytes()
+                       - ss_instr.m * ss_instr.k * 2)  # pruned-A share
         smem_clk = extra_bytes / 128.0
         # with the traffic: +16 cycles and lower throughput
         assert ss.latency_clk - rs.latency_clk == smem_clk == 16.0

@@ -14,15 +14,19 @@ import json
 import pytest
 
 from repro.arch import get_device, list_devices
+from repro.isa.dtypes import accumulator_types
+from repro.isa.mma import mma_shapes, valid_wgmma_n, wgmma_k
 from repro.serve import (
     CostOracle,
     Prediction,
     Query,
     QueryError,
+    QueryService,
     parse_query,
     parse_query_line,
     plan_queries,
 )
+from repro.serve.oracle import PRECISION_DTYPES
 
 
 class TestQuerySchema:
@@ -259,3 +263,101 @@ class TestCapabilityGates:
         first, second = oracle.answer_group("mma", queries)
         assert first.status == "ok"
         assert second.status == "unsupported"
+
+    @pytest.mark.parametrize("device,ab,cd,shape", [
+        ("RTX4090", "fp64", "fp64", (8, 8, 4)),     # Ada: no FP64 TC
+        ("B200", "bin1", "int32", (16, 8, 256)),   # Blackwell: no BMMA
+    ])
+    def test_mma_without_tensor_core_peak_is_unsupported(
+            self, device, ab, cd, shape):
+        # the tensor cores have no peak for these inputs: the sweep
+        # marks the row unsupported instead of answering a zero rate
+        m, n, k = shape
+        q = parse_query({"kind": "mma", "device": device,
+                         "params": {"ab": ab, "cd": cd,
+                                    "m": m, "n": n, "k": k}})
+        p = CostOracle(device).answer(q)
+        assert p.status == "unsupported"
+        assert p.metrics == ()
+        assert "SweepEntry.supported gate" in p.reason
+
+
+#: one query spelling per dtype (the first PRECISION_DTYPES lists)
+_SPELLINGS = {dtype: spelling for spelling, dtype
+              in reversed(PRECISION_DTYPES.items())}
+
+
+def _legal_mma_queries(device):
+    for ab, spelling in _SPELLINGS.items():
+        try:
+            shapes = mma_shapes(ab)
+        except ValueError:          # FP8 has no mma
+            continue
+        for cd in accumulator_types(ab):
+            for s in shapes:
+                for sparse in (False, True):
+                    if sparse and ab.name in ("BIN1", "FP64"):
+                        continue
+                    yield {"kind": "mma", "device": device,
+                           "params": {"ab": spelling,
+                                      "cd": _SPELLINGS[cd],
+                                      "m": s.m, "n": s.n, "k": s.k,
+                                      "sparse": sparse}}
+
+
+def _legal_wgmma_queries(device):
+    for ab, spelling in _SPELLINGS.items():
+        try:
+            wgmma_k(ab)
+        except ValueError:          # FP64 and INT4 have no wgmma
+            continue
+        for cd in accumulator_types(ab):
+            for n in valid_wgmma_n():
+                for sparse in (False, True):
+                    if sparse and ab.name == "BIN1":
+                        continue
+                    for src in ("ss", "rs"):
+                        yield {"kind": "wgmma", "device": device,
+                               "params": {"ab": spelling,
+                                          "cd": _SPELLINGS[cd],
+                                          "n": n, "sparse": sparse,
+                                          "a_source": src}}
+
+
+def _no_constants(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+class TestPredictionLinesAreJson:
+    """Every answer line parses as strict JSON: no ``NaN`` or
+    ``Infinity`` literal, whatever the device lacks."""
+
+    def _answer(self, queries):
+        lines = [json.dumps(q) for q in queries]
+        out = QueryService(cache=None).answer_lines_text(lines) \
+            .splitlines()
+        assert len(out) == len(lines)
+        return [json.loads(line, parse_constant=_no_constants)
+                for line in out]
+
+    @pytest.mark.parametrize("device", list_devices())
+    def test_every_legal_mma(self, device):
+        answers = self._answer(list(_legal_mma_queries(device)))
+        assert {a["status"] for a in answers} <= {"ok", "unsupported"}
+        assert any(a["status"] == "ok" for a in answers)
+
+    def test_every_legal_wgmma_on_h800(self):
+        answers = self._answer(list(_legal_wgmma_queries("H800")))
+        assert {a["status"] for a in answers} == {"ok"}
+
+    @pytest.mark.parametrize("device", ["H800", "B200"])
+    def test_cuda_core_int4_omits_fraction_of_peak(self, device):
+        # Hopper and Blackwell run INT4 mma on CUDA cores, where the
+        # tensor cores have no INT4 peak to be a fraction of
+        q = parse_query({"kind": "mma", "device": device,
+                         "params": {"ab": "int4", "cd": "int32",
+                                    "m": 16, "n": 8, "k": 64}})
+        p = CostOracle(device).answer(q)
+        assert p.status == "ok"
+        assert [k for k, _ in p.metrics] == [
+            "latency_clk", "issue_interval_clk", "tflops"]

@@ -27,57 +27,62 @@ class TestCostModel:
 
     def test_gemm_compute_vs_io_bound(self, h800):
         cm = CostModel(h800)
-        big = cm.gemm(8192, 8192, 8192, Precision.FP16)
-        small = cm.gemm(64, 64, 64, Precision.FP16)
-        assert big.seconds > small.seconds
+        big, small = cm.gemm_seconds_batch([8192, 64], [8192, 64],
+                                           [8192, 64], Precision.FP16)
+        assert big > small
         # small GEMM dominated by launch overhead
-        assert small.seconds >= cm.launch_overhead_s
+        assert small >= cm.launch_overhead_s
 
     def test_gemm_validation(self, h800):
         with pytest.raises(ValueError):
-            CostModel(h800).gemm(0, 8, 8, Precision.FP16)
+            CostModel(h800).gemm_seconds_batch(0, 8, 8, Precision.FP16)
 
     def test_elementwise_cost(self, h800):
         cm = CostModel(h800)
-        op = cm.elementwise(cm.membw_bytes_per_s)  # 1 second of traffic
-        assert op.seconds == pytest.approx(1.0, rel=0.01)
+        # 1 second of traffic
+        secs = cm.elementwise_seconds_batch(cm.membw_bytes_per_s)
+        assert float(secs) == pytest.approx(1.0, rel=0.01)
         with pytest.raises(ValueError):
-            cm.elementwise(-1)
+            cm.elementwise_seconds_batch(-1)
 
     def test_linear_fp8_overheads_present(self, h800):
         cm = CostModel(h800)
-        ops = cm.linear(1024, 1024, 1024, Precision.FP8)
-        names = [o.name for o in ops]
+        parts = cm.linear_breakdown_batch(1024, 1024, 1024, Precision.FP8)
+        names = [name for name, _ in parts]
         assert names == ["quantize_input", "gemm", "scale_out"]
-        plain = cm.linear(1024, 1024, 1024, Precision.FP16)
-        assert [o.name for o in plain] == ["gemm"]
-        for n in (2048, 4096, 8192, 16384):        # Fig. 3's sizes
-            assert len(cm.linear(n, n, n, Precision.FP8)) == 3
+        plain = cm.linear_breakdown_batch(1024, 1024, 1024,
+                                          Precision.FP16)
+        assert [name for name, _ in plain] == ["gemm"]
+        fig3 = np.asarray([2048, 4096, 8192, 16384])   # Fig. 3's sizes
+        parts = cm.linear_breakdown_batch(fig3, fig3, fig3, Precision.FP8)
+        assert len(parts) == 3
+        assert all(secs.shape == fig3.shape for _, secs in parts)
 
     def test_weight_cast_cache_toggle(self, h800):
         cm = CostModel(h800)
-        cached = cm.linear_seconds(512, 512, 512, Precision.FP8)
-        uncached = cm.linear_seconds(512, 512, 512, Precision.FP8,
-                                     cache_weight_cast=False)
+        cached = cm.linear_seconds_batch(512, 512, 512, Precision.FP8)
+        uncached = cm.linear_seconds_batch(512, 512, 512, Precision.FP8,
+                                           cache_weight_cast=False)
         assert uncached > cached
 
     def test_overhead_ablation_switch(self, h800):
         cm = CostModel(h800)
-        with_ov = cm.linear_tflops(1024, Precision.FP8)
-        without = cm.linear_tflops(1024, Precision.FP8,
-                                   include_overheads=False)
+        with_ov = cm.linear_tflops_batch(1024, Precision.FP8)
+        without = cm.linear_tflops_batch(1024, Precision.FP8,
+                                         include_overheads=False)
         assert without > 2 * with_ov
 
         # DESIGN.md §4 ablation 5: zeroing the cast/amax/scale ops
         # moves the FP8-vs-FP16 crossover from N ≈ 4–8k to almost 0 —
         # the small-matrix FP8 loss is pure conversion overhead
+        sizes = np.asarray([256, 512, 1024, 2048, 4096, 8192, 16384])
+        fp16 = cm.linear_tflops_batch(sizes, Precision.FP16)
+
         def crossover(include_overheads: bool) -> int:
-            for n in (256, 512, 1024, 2048, 4096, 8192, 16384):
-                fp8 = cm.linear_tflops(
-                    n, Precision.FP8, include_overheads=include_overheads)
-                if fp8 > cm.linear_tflops(n, Precision.FP16):
-                    return n
-            return 1 << 30
+            fp8 = cm.linear_tflops_batch(
+                sizes, Precision.FP8, include_overheads=include_overheads)
+            wins = sizes[fp8 > fp16]
+            return int(wins[0]) if wins.size else 1 << 30
 
         with_ov, without = crossover(True), crossover(False)
         assert with_ov >= 2048          # overhead pushes crossover out
@@ -86,18 +91,11 @@ class TestCostModel:
 
     def test_fig4_crossover(self, h800):
         cm = CostModel(h800)
-        assert cm.linear_tflops(1024, Precision.FP8) \
-            < cm.linear_tflops(1024, Precision.FP16)
-        assert cm.linear_tflops(16384, Precision.FP8) \
-            > 1.6 * cm.linear_tflops(16384, Precision.FP16)
-
-    def test_opcost_addition(self, h800):
-        cm = CostModel(h800)
-        a = cm.gemm(64, 64, 64, Precision.FP16)
-        b = cm.elementwise(1024)
-        s = a + b
-        assert s.seconds == a.seconds + b.seconds
-        assert s.flops == a.flops
+        sizes = np.asarray([1024, 16384])
+        fp8 = cm.linear_tflops_batch(sizes, Precision.FP8)
+        fp16 = cm.linear_tflops_batch(sizes, Precision.FP16)
+        assert fp8[0] < fp16[0]
+        assert fp8[1] > 1.6 * fp16[1]
 
 
 class TestLlamaSpecs:
@@ -165,6 +163,31 @@ class TestLlmInference:
         assert m.estimate_workload(LLAMA_MODELS["llama-3B"],
                                    Precision.BF16, n_requests=64) \
             .tokens_per_second > 0
+
+    @pytest.mark.parametrize("precision,tokens_per_second", [
+        (Precision.BF16, 258.0361976963443),
+        (Precision.FP8, 248.80490304845492),
+        (Precision.FP32, 242.08496522560176),
+    ])
+    def test_workload_estimate_pinned(self, h800, precision,
+                                      tokens_per_second):
+        """H800 llama-2-7B over 64 seed-0 requests in batches of 8,
+        priced one :meth:`estimate` per batch group."""
+        est = LlmInferenceModel(h800).estimate_workload(
+            LLAMA_MODELS["llama-2-7B"], precision, n_requests=64,
+            batch=8, seed=0)
+        assert est.status == "ok"
+        assert est.tokens_per_second == tokens_per_second
+
+    def test_workload_estimate_gates(self):
+        from repro.arch import get_device
+        llama = LLAMA_MODELS["llama-2-7B"]
+        rtx = LlmInferenceModel(get_device("RTX4090"))
+        assert rtx.estimate_workload(llama, Precision.FP8).status \
+            == "OOM"
+        a100 = LlmInferenceModel(get_device("A100"))
+        assert a100.estimate_workload(llama, Precision.FP8).status \
+            == "-"
 
     def test_cell_formatting(self, h800):
         m = LlmInferenceModel(h800)

@@ -82,7 +82,7 @@ class TestLinear:
     def test_lazy_weight_not_materialized_by_costs(self, h800):
         lin = Linear(8192, 8192)
         cm = CostModel(h800)
-        lin.op_costs(cm, tokens=128, precision=Precision.FP16)
+        lin.op_seconds_grid(cm, tokens=128, precision=Precision.FP16)
         assert lin._weight is None     # pricing didn't allocate
 
     def test_weight_setter_validates(self):
@@ -114,10 +114,12 @@ class TestNorms:
 
     def test_norm_costs_are_bandwidth_ops(self, h800):
         cm = CostModel(h800)
-        ops = RMSNorm(4096).op_costs(cm, 2048, Precision.FP16)
-        assert len(ops) == 1
-        assert ops[0].flops == 0
-        assert ops[0].bytes == 2048 * 4096 * 2 * 2
+        parts = RMSNorm(4096).op_seconds_grid(cm, 2048, Precision.FP16)
+        assert [name for name, _ in parts] == ["rmsnorm"]
+        # read + write the activations once, one launch
+        assert float(parts[0][1]) == (2048 * 4096 * 2 * 2
+                                      / cm.membw_bytes_per_s
+                                      + cm.launch_overhead_s)
 
 
 class TestActivations:
@@ -151,8 +153,8 @@ class TestLayerNormMLP:
     def test_fusion_drops_input_quantize(self, h800):
         cm = CostModel(h800)
         mlp = LayerNormMLP(1024, 2816)
-        ops = mlp.op_costs(cm, 2048, Precision.FP8)
-        names = [o.name for o in ops]
+        parts = mlp.op_seconds_grid(cm, 2048, Precision.FP8)
+        names = [name for name, _ in parts]
         # fc1's quantize_input removed by fusion, fc2's kept
         assert names.count("quantize_input") == 1
 
@@ -215,7 +217,8 @@ class TestTransformerLayer:
         for h in (1024, 4096, 8192):
             layer = TransformerLayer(
                 TransformerLayerConfig.PAPER_CONFIGS[h])
-            lat[h] = layer.latency_ms(cm, precision=Precision.FP16)
+            lat[h] = float(layer.latency_ms_grid(
+                cm, precision=Precision.FP16))
         assert lat[1024] < lat[4096] < lat[8192]
         # roughly quadratic in hidden size at large sizes
         assert lat[8192] / lat[4096] > 2.5
@@ -224,7 +227,7 @@ class TestTransformerLayer:
         assert len(configs) == 5
         for cfg in configs.values():
             for p in (Precision.FP8, Precision.FP16, Precision.FP32):
-                assert TransformerLayer(cfg).latency_ms(
+                assert TransformerLayer(cfg).latency_ms_grid(
                     cm, precision=p) > 0
 
     def test_fp8_crossover(self, h800):
@@ -233,7 +236,7 @@ class TestTransformerLayer:
             TransformerLayerConfig.PAPER_CONFIGS[1024])
         large = TransformerLayer(
             TransformerLayerConfig.PAPER_CONFIGS[8192])
-        assert small.latency_ms(cm, precision=Precision.FP8) \
-            > small.latency_ms(cm, precision=Precision.FP16)
-        assert large.latency_ms(cm, precision=Precision.FP8) \
-            < large.latency_ms(cm, precision=Precision.FP16)
+        assert small.latency_ms_grid(cm, precision=Precision.FP8) \
+            > small.latency_ms_grid(cm, precision=Precision.FP16)
+        assert large.latency_ms_grid(cm, precision=Precision.FP8) \
+            < large.latency_ms_grid(cm, precision=Precision.FP16)

@@ -13,7 +13,7 @@ from repro.arch import get_device
 from repro.isa import MatrixShape, MmaInstruction
 from repro.isa.dtypes import DType
 from repro.isa.lowering import FunctionalUnit
-from repro.tensorcore.timing import MmaTiming
+from repro.tensorcore import TensorCoreTimingModel
 from repro.trace import SmSimulator, TraceBuilder, TraceInstr, \
     WarpTrace
 
@@ -143,7 +143,7 @@ class TestAgainstAnalyticalModels:
         completion latency per instruction."""
         instr = MmaInstruction(DType.FP16, DType.FP32,
                                MatrixShape(16, 8, 16))
-        timing = MmaTiming(h800, instr)
+        timing = TensorCoreTimingModel(h800).mma(instr)
         n = 64
         trace = TraceBuilder.mma_accumulate_loop(h800, instr, n)
         res = SmSimulator().run([trace])
@@ -156,7 +156,7 @@ class TestAgainstAnalyticalModels:
         device-wide TFLOPS matches the analytical Table VII value."""
         instr = MmaInstruction(DType.FP16, DType.FP32,
                                MatrixShape(16, 8, 16))
-        timing = MmaTiming(h800, instr)
+        timing = TensorCoreTimingModel(h800).mma(instr)
         n = 128
         traces = [TraceBuilder.mma_independent(h800, instr, n,
                                                accumulators=8)

@@ -1,12 +1,13 @@
 """Scalar-vs-vectorized equivalence properties.
 
-The vectorized fast paths — :class:`TensorCoreTimingModel`'s
-``mma_sweep``/``wgmma_sweep`` and the TE cost model's ``*_batch`` /
-``op_seconds_grid`` walks — claim to be *bit-identical* to the scalar
-reference implementations they replaced (``TensorCoreTimingModel``'s
-per-instruction ``mma``/``wgmma`` and the per-point walks in
-``tests/reference.py``).  This suite makes that claim a
-property, not a hope:
+The vectorized pricing code — :class:`TensorCoreTimingModel`'s
+``mma_sweep``/``wgmma_sweep`` (and the point API, one sweep row) and
+the TE cost model's ``*_batch`` / ``op_seconds_grid`` walks — claims
+to be *bit-identical* to the scalar reference implementations it
+replaced (:class:`reference.ScalarMmaTiming`,
+:class:`reference.ScalarWgmmaTiming` and the per-operator walk of
+:class:`reference.ScalarCostModel` and :func:`reference.op_costs`).
+This suite makes that claim a property, not a hope:
 
 * Hypothesis generates random instruction/module grids (≥200 examples
   per property under the ``ci`` profile, derandomized so CI failures
@@ -33,7 +34,7 @@ from repro.isa.dtypes import DType
 from repro.isa.lowering import UnsupportedInstruction
 from repro.isa.mma import MmaInstruction, WgmmaInstruction, mma_shapes
 from repro.obs.session import ObsSession
-from repro.te.cost import CostModel, Precision
+from repro.te.cost import Precision
 from repro.te.modules import (
     DotProductAttention,
     LayerNorm,
@@ -44,7 +45,13 @@ from repro.te.modules import (
     TransformerLayerConfig,
 )
 from repro.tensorcore.timing import TensorCoreTimingModel
-from reference import estimate_workload_scalar, seconds_grid_scalar
+from reference import (
+    ScalarCostModel,
+    ScalarMmaTiming,
+    ScalarWgmmaTiming,
+    latency_ms_scalar,
+    seconds_grid_scalar,
+)
 from strategies import mma_instructions, token_arrays, wgmma_instructions
 
 # -- CI determinism ----------------------------------------------------------
@@ -80,13 +87,12 @@ def assert_ulp(a: float, b: float, bound: float = 2.0) -> None:
        instrs=st.lists(mma_instructions(), min_size=1, max_size=8))
 def test_mma_sweep_matches_scalar(name, instrs):
     device = get_device(name)
-    scalar = TensorCoreTimingModel(device)
     timings = []
     s_sess = ObsSession()
     with s_sess.activate():
         for instr in instrs:
             try:
-                t = scalar.mma(instr)
+                t = ScalarMmaTiming(device, instr)
                 t.latency_clk, t.throughput_tflops("rand")
             except (UnsupportedInstruction, KeyError, ValueError):
                 assume(False)
@@ -98,6 +104,8 @@ def test_mma_sweep_matches_scalar(name, instrs):
 
     assert len(sweep) == len(instrs)
     for t, entry in zip(timings, sweep):
+        assert entry.supported
+        assert entry.on_tensor_core == t.on_tensor_core
         # cycle quantities: exact
         assert entry.latency_clk == t.latency_clk
         assert entry.issue_interval_clk == t.issue_interval_clk
@@ -120,13 +128,12 @@ def test_mma_sweep_matches_scalar(name, instrs):
 @given(instrs=st.lists(wgmma_instructions(), min_size=1, max_size=8))
 def test_wgmma_sweep_matches_scalar(instrs):
     device = get_device("H800")
-    scalar = TensorCoreTimingModel(device)
     timings = []
     s_sess = ObsSession()
     with s_sess.activate():
         for instr in instrs:
             try:
-                t = scalar.wgmma(instr)
+                t = ScalarWgmmaTiming(device, instr)
                 t.latency_clk, t.throughput_tflops("rand")
             except (UnsupportedInstruction, KeyError, ValueError):
                 assume(False)
@@ -169,11 +176,32 @@ def test_sweep_entries_are_views():
     assert isinstance(sweep.throughput_tflops("rand"), np.ndarray)
 
 
+def test_point_api_is_one_sweep_row():
+    tm = TensorCoreTimingModel(get_device("H800"))
+    mma = MmaInstruction(DType.FP16, DType.FP32,
+                         mma_shapes(DType.FP16)[1])
+    wgmma = WgmmaInstruction(DType.FP16, DType.FP32, 128)
+    assert tm.mma(mma) == tm.mma_sweep([mma])[0]
+    assert tm.wgmma(wgmma) == tm.wgmma_sweep([wgmma])[0]
+
+
+@pytest.mark.parametrize("name,ab,cd", [
+    ("RTX4090", DType.FP64, DType.FP64),   # Ada has no FP64 tensor cores
+    ("B200", DType.BIN1, DType.INT32),     # Blackwell drops binary MMA
+])
+def test_mma_without_tensor_core_peak_is_unsupported(name, ab, cd):
+    tm = TensorCoreTimingModel(get_device(name))
+    instr = MmaInstruction(ab, cd, mma_shapes(ab)[-1])
+    assert not tm.mma_sweep([instr])[0].supported
+    with pytest.raises(UnsupportedInstruction):
+        tm.mma(instr)
+
+
 # -- TE cost model ------------------------------------------------------------
 
 
-def _cost_model(draw_name: str, precision: Precision) -> CostModel:
-    cm = CostModel(get_device(draw_name))
+def _cost_model(draw_name: str, precision: Precision) -> ScalarCostModel:
+    cm = ScalarCostModel(get_device(draw_name))
     try:
         cm.gemm_tflops(precision)
         # attention always prices its GEMMs at the FP16 rate — warm it
@@ -216,12 +244,12 @@ def test_linear_breakdown_batch_matches_scalar(name, precision, cache,
     parts = cm.linear_breakdown_batch(
         np.asarray([m]), np.asarray([n]), np.asarray([k]), precision,
         cache_weight_cast=cache)
-    assert [name for name, _ in parts] == [o.name for o in ops]
-    for (_, secs), op in zip(parts, ops):
+    assert [name for name, _ in parts] == [name for name, _ in ops]
+    for (_, secs), (_, op_secs) in zip(parts, ops):
         if precision is Precision.FP8:
-            assert_ulp(float(secs[0]), op.seconds)
+            assert_ulp(float(secs[0]), op_secs)
         else:
-            assert float(secs[0]) == op.seconds
+            assert float(secs[0]) == op_secs
 
 
 @given(name=st.sampled_from(_DEVICE_NAMES),
@@ -279,8 +307,8 @@ def test_transformer_layer_grid_matches_scalar(name, precision, hidden,
     layer = TransformerLayer(TransformerLayerConfig.PAPER_CONFIGS[hidden])
     s_sess = ObsSession()
     with s_sess.activate():
-        ref = layer.latency_ms(cm, batch=batch, seq=seq,
-                               precision=precision)
+        ref = latency_ms_scalar(layer, cm, batch=batch, seq=seq,
+                                precision=precision)
     v_sess = ObsSession()
     with v_sess.activate():
         grid = float(layer.latency_ms_grid(cm, batch=batch, seq=seq,
@@ -294,7 +322,7 @@ def test_transformer_layer_grid_matches_scalar(name, precision, hidden,
 
 def test_transformer_layer_grid_broadcasts():
     """(batch, seq) arrays broadcast into a full latency surface."""
-    cm = CostModel(get_device("H800"))
+    cm = ScalarCostModel(get_device("H800"))
     layer = TransformerLayer(TransformerLayerConfig.PAPER_CONFIGS[1024])
     batches = np.asarray([1, 4, 8])[:, None]
     seqs = np.asarray([128, 512])[None, :]
@@ -303,28 +331,5 @@ def test_transformer_layer_grid_broadcasts():
     assert surface.shape == (3, 2)
     for i, b in enumerate((1, 4, 8)):
         for j, s in enumerate((128, 512)):
-            assert surface[i, j] == layer.latency_ms(
-                cm, batch=b, seq=s, precision=Precision.FP16)
-
-
-# -- LLM workload -------------------------------------------------------------
-
-
-@given(precision=st.sampled_from((Precision.FP32, Precision.BF16,
-                                  Precision.FP8)),
-       name=st.sampled_from(_DEVICE_NAMES),
-       seed=st.integers(min_value=0, max_value=31),
-       batch=st.integers(min_value=1, max_value=16))
-def test_estimate_workload_matches_scalar(precision, name, seed, batch):
-    from repro.te.llm import LLAMA_MODELS, LlmInferenceModel
-
-    m = LlmInferenceModel(get_device(name))
-    model = LLAMA_MODELS["llama-3B"]
-    ref = estimate_workload_scalar(m, model, precision,
-                                   n_requests=24, batch=batch,
-                                   seed=seed)
-    vec = m.estimate_workload(model, precision, n_requests=24,
-                              batch=batch, seed=seed)
-    assert vec.status == ref.status
-    if ref.status == "ok":
-        assert vec.tokens_per_second == ref.tokens_per_second
+            assert surface[i, j] == latency_ms_scalar(
+                layer, cm, batch=b, seq=s, precision=Precision.FP16)
