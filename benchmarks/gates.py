@@ -59,7 +59,7 @@ from repro.memory.chase import (  # noqa: E402
 from repro.memory.hierarchy import LEVEL_CODES  # noqa: E402
 from repro.perf import (  # noqa: E402
     ResultCache,
-    parallel_map,
+    parallel_imap,
     run_experiments,
 )
 from repro.serve import Query, QueryService, parse_query  # noqa: E402
@@ -369,7 +369,8 @@ def map_chunked(_state) -> List[int]:
 
 
 def map_stealing(_state) -> List[int]:
-    return parallel_map(sleep_job, _COSTS, jobs=_JOBS)
+    return [out for out, _ in parallel_imap(sleep_job, _COSTS,
+                                            jobs=_JOBS)]
 
 
 # -- the result cache vs recomputing ----------------------------------------

@@ -55,7 +55,7 @@ def golden_text(name: str) -> str:
     from repro.obs.export import context_labels, render_counters_v2
 
     session = ObsSession()
-    ctx = session.bind(RunContext())
+    ctx = RunContext()
     with session.activate():
         run_experiments([name], jobs=1, cache=None, context=ctx)
     return render_counters_v2(session.experiment_counters(),

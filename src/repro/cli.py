@@ -218,8 +218,6 @@ def _cmd_run(args) -> int:
     from repro.perf import run_experiments
 
     session = _make_obs(args)
-    if session is not None:
-        context = session.bind(context)
     with _activate(session):
         report = run_experiments(names, jobs=args.jobs,
                                  cache=_make_cache(args),
@@ -247,8 +245,6 @@ def _cmd_fidelity(_args) -> int:
 def _cmd_report(args) -> int:
     context = _make_context(args)
     session = _make_obs(args)
-    if session is not None:
-        context = session.bind(context)
     with _activate(session):
         results = run_all(jobs=args.jobs, cache=_make_cache(args),
                           context=context)
@@ -278,7 +274,6 @@ def _cmd_stats(args) -> int:
               f"{','.join(context.devices)})", file=sys.stderr)
         return 2
     session = ObsSession(trace=bool(args.trace))
-    context = session.bind(context)
     with session.activate():
         report = run_experiments([args.experiment], jobs=1,
                                  cache=None, context=context)

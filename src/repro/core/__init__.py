@@ -29,7 +29,6 @@ from repro.core.registry import (
     ExperimentResult,
     get_experiment,
     list_experiments,
-    register,
     run_experiment,
     run_all,
     supported_experiments,
@@ -50,7 +49,6 @@ __all__ = [
     "DeviceNotInContext",
     "Experiment",
     "ExperimentResult",
-    "register",
     "get_experiment",
     "list_experiments",
     "run_experiment",

@@ -2,7 +2,7 @@
 
 Every :class:`~repro.core.registry.Experiment` builder receives a
 frozen :class:`RunContext` describing *what to run against*: the device
-sweep, the RNG seed and an optional timing hook.  The default context
+sweep and the RNG seed.  The default context
 reproduces the paper's testbed exactly (the three GPUs of Table III,
 seed 0), so ``run_experiment(name)`` with no context is byte-identical
 to the pre-context harness — but the same builder can now be
@@ -26,8 +26,8 @@ Conventions builders follow:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 __all__ = [
     "RunContext",
@@ -46,15 +46,12 @@ class RunContext:
 
     ``devices`` is the device sweep (canonical registry names); the
     default is the paper's testbed.  ``seed`` feeds every RNG-using
-    workload, and ``hook`` (not part of identity — excluded from
-    equality and cache keys) receives ``(experiment_name,
-    wall_seconds)`` after each build.
+    workload.  Both are plain data, so a context pickles as is and
+    crosses the process pool unchanged.
     """
 
     devices: Tuple[str, ...] = ("RTX4090", "A100", "H800")
     seed: int = 0
-    hook: Optional[Callable[[str, float], None]] = field(
-        default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.devices:
@@ -119,31 +116,16 @@ class RunContext:
 
         return np.random.default_rng(self.seed)
 
-    # -- identity / transport ------------------------------------------------
+    # -- identity ------------------------------------------------------------
 
     @property
     def is_default(self) -> bool:
         return self == DEFAULT_CONTEXT
 
     def token(self) -> str:
-        """Canonical identity string (cache keys, reports).
-
-        Covers everything that can change a result; the hook is
-        observability only and deliberately excluded.
-        """
+        """Canonical identity string (cache keys, reports): covers
+        everything that can change a result."""
         return f"devices={','.join(self.devices)};seed={self.seed}"
-
-    def to_payload(self) -> Dict[str, Any]:
-        """A picklable dict for process-pool transport (hook dropped)."""
-        return {"devices": list(self.devices), "seed": self.seed}
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "RunContext":
-        return cls(devices=tuple(payload["devices"]),
-                   seed=int(payload["seed"]))
-
-    def without_hook(self) -> "RunContext":
-        return replace(self, hook=None) if self.hook else self
 
     def derive(self, *, devices: Optional[Tuple[str, ...]] = None,
                seed: Optional[int] = None) -> "RunContext":
@@ -151,20 +133,12 @@ class RunContext:
 
         This is the query→context bridge used by :mod:`repro.serve`:
         a family-level query overrides only the sweep or seed it names
-        and inherits the rest from the service's base context.  The
-        hook is dropped — derived contexts cross process boundaries
-        and identity must stay a pure function of the query plus the
-        base token.
+        and inherits the rest from the service's base context.
         """
         return RunContext(
             devices=self.devices if devices is None else tuple(devices),
             seed=self.seed if seed is None else int(seed),
         )
-
-    def emit(self, name: str, wall_s: float) -> None:
-        """Feed the metrics hook, if one is attached."""
-        if self.hook is not None:
-            self.hook(name, wall_s)
 
 
 #: the paper's testbed — what every zero-argument entry point runs

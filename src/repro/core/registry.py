@@ -8,20 +8,17 @@ The registry starts as the experiment table in
 :mod:`repro.core.experiments`, whose rows name their builders as
 ``"module:function"`` paths: a lookup, a pin check or a cache key
 imports no builder module, and :meth:`Experiment.run` imports one on
-first use.  :func:`register` adds callables at run time.
+first use.
 
 Builders are **context-parameterized**: they take a
 :class:`~repro.core.context.RunContext` and draw their device list
-and seed from it instead of hardcoding the paper's testbed.  Zero-argument builders are not accepted — :func:`register`
-raises a :class:`TypeError`.
+and seed from it instead of hardcoding the paper's testbed.
 """
 
 from __future__ import annotations
 
 import difflib
 import importlib
-import inspect
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -34,7 +31,6 @@ from repro.core.tables import Table
 __all__ = [
     "Experiment",
     "ExperimentResult",
-    "register",
     "get_experiment",
     "list_experiments",
     "supported_experiments",
@@ -43,19 +39,6 @@ __all__ = [
 ]
 
 Builder = Callable[[RunContext], Tuple[Table, List[Check]]]
-
-
-def _accepts_context(fn: Callable) -> bool:
-    """Does ``fn`` take the RunContext positional parameter?"""
-    try:
-        sig = inspect.signature(fn)
-    except (TypeError, ValueError):   # builtins, odd callables
-        return False
-    for p in sig.parameters.values():
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD,
-                      p.VAR_POSITIONAL):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -144,51 +127,12 @@ class Experiment:
                 f"{self.name} is {self.pin_note()} but the context "
                 f"only provides {list(ctx.devices)}"
             )
-        builder = self.resolve()
-        t0 = time.perf_counter()
-        table, checks = builder(ctx)
-        ctx.emit(self.name, time.perf_counter() - t0)
+        table, checks = self.resolve()(ctx)
         return ExperimentResult(self, table, tuple(checks), context=ctx)
 
 
 _REGISTRY: Dict[str, Experiment] = {
     row.name: Experiment(*row) for row in EXPERIMENTS}
-
-
-def register(name: str, paper_ref: str, description: str, *,
-             devices: Optional[Tuple[str, ...]] = None,
-             devices_any: Optional[Tuple[str, ...]] = None):
-    """Decorator registering a builder function as an experiment at
-    run time; the package's own experiments are rows of the table in
-    :mod:`repro.core.experiments`.
-
-    The builder must accept a :class:`RunContext` as its positional
-    parameter; registering a zero-argument builder raises
-    :class:`TypeError`.  ``devices`` requires every named device in
-    the context; ``devices_any`` requires at least one (for builders
-    that adapt their sweep).
-    """
-
-    def deco(fn: Builder):
-        if name in _REGISTRY:
-            raise ValueError(f"experiment {name!r} already registered")
-        if not _accepts_context(fn):
-            raise TypeError(
-                f"experiment {name!r} registered a zero-argument "
-                "builder; builders must take a RunContext "
-                "(the legacy zero-arg shim has been removed)"
-            )
-        _REGISTRY[name] = Experiment(
-            name=name, paper_ref=paper_ref,
-            description=description, builder=fn,
-            devices=tuple(d.upper() for d in devices) if devices
-            else None,
-            devices_any=tuple(d.upper() for d in devices_any)
-            if devices_any else None,
-        )
-        return fn
-
-    return deco
 
 
 def get_experiment(name: str) -> Experiment:

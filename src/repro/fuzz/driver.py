@@ -1,21 +1,21 @@
 """The streaming fuzz loop.
 
-``run_fuzz`` generates scenarios from ``(seed, index)``, fans the
-checks over a work-stealing pool
-(:func:`repro.perf.runner.parallel_imap` — ``imap_unordered`` under
-the hood, so thousands of small scenario checks saturate the workers
-regardless of per-scenario cost skew), and **streams** the results:
-violations and ``fuzz.*`` counters accumulate incrementally through a
-bounded reorder window instead of materializing every result object.
+``run_fuzz`` generates scenarios from ``(seed, index)``, fans
+:func:`~repro.fuzz.oracle.check_scenario` over the work-stealing pool
+(:func:`repro.perf.runner.parallel_imap`, so thousands of small
+scenario checks saturate the workers regardless of per-scenario cost
+skew), and **streams** the results: violations and ``fuzz.*``
+counters accumulate one report at a time instead of materializing
+every result object.
 
-Determinism is the point, so the recipe mirrors the experiment
-runner's: each scenario is checked under a fresh nested
+Determinism is the point, and :func:`~repro.perf.runner.parallel_imap`
+provides it: each scenario is checked under a fresh nested
 :class:`~repro.obs.ObsSession` (in-process for serial runs, in the
-worker otherwise) and ships its counter delta back; the parent merges
-deltas — and fires its own ``fuzz.*`` aggregates — strictly in
-scenario-index order no matter which worker finished first.  A serial
-run and a ``--jobs N`` run therefore produce byte-identical violation
-lists *and* counter dumps.
+worker otherwise) and comes back in scenario-index order with its
+counter delta; the parent merges the deltas — and fires its own
+``fuzz.*`` aggregates — in that order.  A serial run and a ``--jobs
+N`` run therefore produce byte-identical violation lists *and* counter
+dumps.
 
 Violating scenarios are shrunk (in the parent, after the sweep — the
 violation list is already deterministic by then) and written as
@@ -29,40 +29,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.fuzz.generator import Scenario, ScenarioGenerator
+from repro.fuzz.generator import ScenarioGenerator
 from repro.fuzz.oracle import ScenarioReport, Violation, check_scenario
 from repro.fuzz.shrink import shrink_scenario, write_repro
 from repro.obs import session as _obs
-from repro.obs.session import ObsSession
 
 __all__ = ["FuzzReport", "run_fuzz"]
-
-#: one scenario check's transport form: (scenario payload, obs?)
-_Task = Tuple[Dict[str, Any], Optional[Dict[str, Any]]]
-
-
-def _check_one(task: _Task) \
-        -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
-    """Worker entry point — must stay module-level for pickling.
-
-    Rebuilds the scenario from its wire form, checks it under a fresh
-    nested session (when observability is on) and ships the report
-    payload + counter delta back.  The serial path runs this same
-    function in-process, which is what keeps the two modes
-    byte-identical.
-    """
-    payload, obs_cfg = task
-    scenario = Scenario.from_payload(payload)
-    if obs_cfg is not None:
-        session = ObsSession(trace=bool(obs_cfg.get("trace")))
-        with session.activate():
-            report = check_scenario(scenario)
-        dump = session.dump()
-    else:
-        report = check_scenario(scenario)
-        dump = None
-    return report.to_payload(), dump
-
 
 @dataclass
 class FuzzReport:
@@ -167,32 +139,15 @@ def run_fuzz(
         return tracer.span(label, cat="fuzz", tid="fuzz",
                            args=args or None)
 
-    obs_cfg = ({"trace": tracer is not None}
-               if sess is not None else None)
     with _span("fuzz.generate", budget=budget):
-        tasks: List[_Task] = [
-            (gen.scenario(i).to_payload(), obs_cfg)
-            for i in range(budget)
-        ]
+        scenarios = [gen.scenario(i) for i in range(budget)]
 
     agg = _Aggregator(report, sess)
-    # bounded reorder window: results stream in completion order from
-    # the work-stealing pool and are consumed in index order, holding
-    # back only what arrived early
-    pending: Dict[int, Tuple[Dict[str, Any],
-                             Optional[Dict[str, Any]]]] = {}
-    next_index = 0
     with _span("fuzz.dispatch", jobs=max(1, jobs),
-               scenarios=len(tasks)):
-        for index, outcome in parallel_imap(_check_one, tasks,
-                                            jobs=jobs):
-            pending[index] = outcome
-            while next_index in pending:
-                payload, dump = pending.pop(next_index)
-                agg.consume(ScenarioReport.from_payload(payload),
-                            dump)
-                next_index += 1
-    assert not pending and next_index == len(tasks)
+               scenarios=len(scenarios)):
+        for scenario_report, dump in parallel_imap(
+                check_scenario, scenarios, jobs=jobs):
+            agg.consume(scenario_report, dump)
 
     if report.violations and (shrink or repro_dir is not None):
         with _span("fuzz.shrink",

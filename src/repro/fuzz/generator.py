@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch import get_device, list_devices
-from repro.serve.schema import Query, parse_query
+from repro.serve.schema import Query
 
 __all__ = ["Scenario", "ScenarioGenerator"]
 
@@ -57,24 +57,6 @@ class Scenario:
     seed: int
     devices: Tuple[str, ...]
     queries: Tuple[Query, ...]
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "devices": list(self.devices),
-            "queries": [q.to_payload() for q in self.queries],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "Scenario":
-        return cls(
-            index=int(payload["index"]),
-            seed=int(payload["seed"]),
-            devices=tuple(payload["devices"]),
-            queries=tuple(parse_query(p)
-                          for p in payload["queries"]),
-        )
 
 
 class ScenarioGenerator:

@@ -88,25 +88,6 @@ class Violation:
     #: canonical forms of the smallest query set the message is about
     queries: Tuple[str, ...] = ()
 
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "invariant": self.invariant,
-            "scenario_index": self.scenario_index,
-            "seed": self.seed,
-            "message": self.message,
-            "queries": list(self.queries),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "Violation":
-        return cls(
-            invariant=str(payload["invariant"]),
-            scenario_index=int(payload["scenario_index"]),
-            seed=int(payload["seed"]),
-            message=str(payload["message"]),
-            queries=tuple(payload.get("queries", ())),
-        )
-
 
 @dataclass
 class ScenarioReport:
@@ -117,26 +98,6 @@ class ScenarioReport:
     n_checks: int = 0
     status_counts: Dict[str, int] = field(default_factory=dict)
     violations: List[Violation] = field(default_factory=list)
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "n_queries": self.n_queries,
-            "n_checks": self.n_checks,
-            "status_counts": dict(self.status_counts),
-            "violations": [v.to_payload() for v in self.violations],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ScenarioReport":
-        return cls(
-            index=int(payload["index"]),
-            n_queries=int(payload["n_queries"]),
-            n_checks=int(payload["n_checks"]),
-            status_counts=dict(payload["status_counts"]),
-            violations=[Violation.from_payload(v)
-                        for v in payload["violations"]],
-        )
 
 
 class _Checker:

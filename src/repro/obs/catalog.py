@@ -220,8 +220,9 @@ CATALOG: Tuple[CounterEntry, ...] = (
                  "would issue."),
     # -- orchestration ------------------------------------------------------
     CounterEntry("exp.completed", "counter", "experiments",
-                 "repro.obs.session",
-                 "Experiments completed under the session hook."),
+                 "repro.perf.runner",
+                 "Experiments the runner computed; cache hits are "
+                 "not counted."),
     CounterEntry("result_cache.hit", "counter", "lookups",
                  "repro.perf.cache", "Result-cache hits."),
     CounterEntry("result_cache.miss", "counter", "lookups",

@@ -13,7 +13,7 @@ per-experiment counter banks into the two standard shapes:
   a ``+Inf`` bucket and ``_count``.  Every sample carries the
   ``{device, experiment}`` label set; counters the
   orchestration layer fired outside any experiment (cache probes, the
-  ``exp.completed`` hook) are labeled
+  runner's ``exp.completed``) are labeled
   ``experiment="_orchestration"``.
 
 * **``hopperdissect.counters/v2``** — :func:`render_counters_v2`, the
@@ -59,7 +59,7 @@ COUNTERS_V2_SCHEMA = "hopperdissect.counters/v2"
 METRIC_PREFIX = "hopperdissect"
 
 #: pseudo-experiment label for counters fired outside any experiment —
-#: the runner/cache/hook orchestration layer.  The leading underscore
+#: the runner and cache orchestration layer.  The leading underscore
 #: keeps it out of the experiment namespace (registry names are
 #: identifier-like) and sorts it first.
 ORCHESTRATION = "_orchestration"

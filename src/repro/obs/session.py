@@ -1,4 +1,4 @@
-"""The observability session — activation, context wiring, transport.
+"""The observability session — activation and transport.
 
 An :class:`ObsSession` owns one :class:`~repro.obs.counters.CounterSet`
 and (optionally) one :class:`~repro.obs.trace.Tracer` for the duration
@@ -8,18 +8,14 @@ asks :func:`counters_or_null` / :func:`active_tracer` and pays a
 single ``None``/flag check when observability is off, keeping the
 default path byte-identical to an uninstrumented build.
 
-Wiring into the experiment stack:
-
-* :meth:`ObsSession.bind` chains the session onto a
-  :class:`~repro.core.context.RunContext`'s existing timing hook, so
-  every experiment completion lands as a wall-clock span plus an
-  ``exp.completed`` counter without the runner knowing about tracing.
-* The process-pool runner activates a **fresh nested session per
-  experiment** — in workers *and* on the serial path — and ships the
-  :meth:`dump` back with the result; the parent :meth:`merge`\\ s the
-  deltas in requested-name order.  Counters are integers, so the
-  grouping cannot change totals: serial and parallel runs produce
-  byte-identical counter dumps.
+Wiring into the pool: :func:`repro.perf.runner.parallel_imap` runs
+every item under a **fresh nested session** — in workers *and* on
+the serial path — and yields its :meth:`dump` with the result; the
+caller :meth:`merge`\\ s the deltas in input order.  Counters are
+integers, so the grouping cannot change totals: serial and parallel
+runs produce byte-identical counter dumps.  The experiment runner
+adds each computed experiment's ``exp.completed`` counter and wall
+span itself.
 
 Sessions activate as context managers and nest (the previous session
 is restored on exit), so a worker-side session composes with a
@@ -29,7 +25,7 @@ CLI-level one.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.obs.counters import NULL_COUNTERS, CounterSet
 from repro.obs.trace import Tracer
@@ -94,33 +90,6 @@ class ObsSession:
         finally:
             ACTIVE = previous
 
-    # -- RunContext wiring --------------------------------------------------
-
-    def bind(self, ctx):
-        """``ctx`` with this session chained onto its timing hook.
-
-        The hook receives ``(experiment_name, wall_seconds)`` after
-        each build; the session turns that into a completed span on
-        the wall track plus an ``exp.completed`` counter, then feeds
-        any pre-existing hook.  Wall durations never enter the
-        counters — counter dumps stay deterministic.
-        """
-        from dataclasses import replace
-
-        previous = ctx.hook
-
-        def hook(name: str, wall_s: float) -> None:
-            self.counters.add("exp.completed")
-            if self.tracer is not None:
-                now = self.tracer.now_us()
-                dur = wall_s * 1e6
-                self.tracer.complete(name, max(now - dur, 0.0), dur,
-                                     cat="experiment")
-            if previous is not None:
-                previous(name, wall_s)
-
-        return replace(ctx, hook=hook)
-
     # -- transport ----------------------------------------------------------
 
     def dump(self) -> Dict[str, Any]:
@@ -165,8 +134,8 @@ class ObsSession:
 
     def orchestration_counters(self) -> Dict[str, int]:
         """Counters fired *outside* any experiment — the flat totals
-        minus every attributed bank: cache probes, the ``exp.completed``
-        hook, runner self-profiling."""
+        minus every attributed bank: cache probes, the runner's
+        ``exp.completed``."""
         from repro.obs.counters import counter_sort_key
 
         rem = dict(self.counters.as_dict())

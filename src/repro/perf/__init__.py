@@ -15,11 +15,10 @@ exists so the full suite re-runs fast enough to live in an edit loop:
   (:func:`~repro.perf.runner.run_experiments`) that fans
   context-parameterized builders out over a process pool, merges
   results deterministically in requested-name order and times each
-  experiment for ``run --profile``, plus the generic pool helpers
-  behind ``serve --jobs`` (:func:`~repro.perf.runner.parallel_map`,
-  from :func:`repro.serve.dispatch.dispatch_shards`) and ``fuzz
-  --jobs`` (:func:`~repro.perf.runner.parallel_imap`, from
-  :func:`repro.fuzz.driver.run_fuzz`).
+  experiment for ``run --profile``, plus the one pool helper,
+  :func:`~repro.perf.runner.parallel_imap`, that it shares with
+  ``serve --jobs`` (:func:`repro.serve.dispatch.dispatch_shards`) and
+  ``fuzz --jobs`` (:func:`repro.fuzz.driver.run_fuzz`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.perf.runner import (
     Profiler,
     RunReport,
     parallel_imap,
-    parallel_map,
     run_experiments,
 )
 
@@ -42,5 +40,4 @@ __all__ = [
     "RunReport",
     "run_experiments",
     "parallel_imap",
-    "parallel_map",
 ]

@@ -28,7 +28,8 @@ Entries store the pickled :class:`~repro.core.tables.Table` and
 :class:`~repro.core.checks.Check` tuple, *not* the
 :class:`~repro.core.registry.ExperimentResult` itself: the result
 holds the experiment (whose builder may be an arbitrary callable,
-often unpicklable) and is re-attached from the live registry on load.
+often unpicklable) and is re-attached from the live registry on load,
+together with the context the lookup asked for (the key covers it).
 Both classes pickle as plain Python data, so a hit imports no numpy
 and no engine.  Corrupt or truncated files are treated as misses.
 Writes go through a temp file + :func:`os.replace` so concurrent
@@ -87,7 +88,7 @@ __all__ = ["ResultCache", "ResultCacheStats", "CacheKeys",
            "default_cache_dir", "source_digest", "device_digest"]
 
 #: bump when the on-disk payload layout changes
-_SCHEMA = 3
+_SCHEMA = 4
 
 #: orchestration, left out of the source digest (see the module
 #: docstring): paths relative to the ``repro`` package
@@ -276,7 +277,7 @@ class ResultCache:
                 experiment=get_experiment(name),
                 table=payload["table"],
                 checks=tuple(payload["checks"]),
-                context=RunContext.from_payload(payload["context"]),
+                context=ctx,
             )
         except (OSError, pickle.UnpicklingError, EOFError, KeyError,
                 ValueError, AttributeError, ImportError):
@@ -297,7 +298,6 @@ class ResultCache:
         payload = {
             "schema": _SCHEMA,
             "name": name,
-            "context": ctx.to_payload(),
             "table": result.table,
             "checks": tuple(result.checks),
         }

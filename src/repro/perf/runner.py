@@ -1,21 +1,26 @@
-"""The parallel experiment runner.
+"""The parallel experiment runner and the one pool helper.
 
 Experiments are independent pure functions of their
 :class:`~repro.core.context.RunContext`, so the suite parallelises
-trivially — the only care needed is determinism (results are merged in
-requested-name order no matter which worker finishes first) and
-picklability (workers receive ``(name, context_payload)`` and ship
-back ``(name, table, checks, wall)``; the
-:class:`~repro.core.registry.ExperimentResult` is reassembled in the
-parent against its own registry, because ``Experiment.builder`` is an
-arbitrary callable that may not pickle, and the context hook — an
-arbitrary callable too — never crosses the process boundary).
+trivially.  The only care needed is determinism, and
+:func:`parallel_imap` is the one place that provides it for every
+pool caller: the runner (:func:`run_experiments`), serve's shard
+dispatch (:func:`repro.serve.dispatch.dispatch_shards`) and the fuzz
+loop (:func:`repro.fuzz.driver.run_fuzz`).  It yields ``(fn(item),
+dump)`` pairs in input order, and when the caller has an
+:class:`~repro.obs.ObsSession` active, each call runs under a fresh
+nested session whose :meth:`~repro.obs.ObsSession.dump` is ``dump``.
+The serial path runs the same wrapper in-process, so a caller that
+merges the dumps in the order they arrive builds the same counter
+bank at any ``--jobs``.  Items and results cross the process
+boundary as they are, so both must pickle; ``fn`` must be a
+module-level function.
 
-The same pool serves two non-experiment callers, each fanning a
-module-level worker function out: serve's shard dispatch
-(:func:`repro.serve.dispatch.dispatch_shards`) through
-:func:`parallel_map`, results in input order, and the fuzz loop
-(:func:`repro.fuzz.driver.run_fuzz`) through :func:`parallel_imap`.
+The runner ships ``(name, context)`` to a worker and gets back
+``(table, checks, wall)``; the
+:class:`~repro.core.registry.ExperimentResult` is reassembled in the
+parent against its own registry, because ``Experiment.builder`` may be
+an arbitrary callable that does not pickle.
 
 One worker is one thread.  ``hopperdissect`` sets
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
@@ -26,14 +31,12 @@ oversubscribe them.  A value the user exported wins.  This module sets
 nothing: a library caller of :func:`run_experiments` owns its BLAS
 threads, and caps them, if it wants, before importing numpy.
 
-There is one dispatch discipline, **work-stealing**
-(:func:`parallel_imap` — ``imap_unordered`` over index-tagged items,
-one item at a time): an idle worker immediately pulls the next item,
-so a heavy-tailed job mix never strands light items behind a
-pre-assigned chunk (``benchmarks/gates.py`` gates the ≥2x claim
-against chunked ``Pool.map``).  Results stream in completion order;
-:func:`parallel_map` and the experiment runner re-merge by the
-yielded index, so determinism is untouched.
+There is one dispatch discipline, **work-stealing**: ``Pool.imap``
+with chunksize 1 hands out one item per pull, so an idle worker
+immediately takes the next item and a heavy-tailed job mix never
+strands light items behind a pre-assigned chunk
+(``benchmarks/gates.py`` gates the ≥2x claim against chunked
+``Pool.map``).  Results come back in input order.
 
 The runner also times every experiment into a :class:`Profiler`,
 which renders the ``run --profile`` table.
@@ -66,7 +69,7 @@ from repro.obs.session import ObsSession
 from repro.perf.cache import ResultCache
 
 __all__ = ["ExperimentTiming", "Profiler", "RunReport",
-           "run_experiments", "parallel_map", "parallel_imap"]
+           "run_experiments", "parallel_imap"]
 
 
 @dataclass(frozen=True)
@@ -113,37 +116,17 @@ class Profiler:
         return "\n".join(lines)
 
 
-def _run_one(task: Tuple[str, dict, Optional[dict]]) \
-        -> Tuple[str, object, tuple, float, Optional[dict]]:
-    """Worker entry point — must stay module-level for pickling.
-
-    The registry is the experiment table, read when this module is
-    imported, so this also works under spawn-style process start
-    methods where the child begins with a blank interpreter.  The
-    builder is resolved before the clock starts: importing its module
-    is start-up cost, not experiment time.
-
-    When observability is requested (``obs_cfg``), the experiment runs
-    under a **fresh nested session** and its counter/event delta ships
-    back with the result.  The same path runs in-process for serial
-    runs, so the parent merges per-experiment integer deltas in
-    requested-name order either way — which is what makes serial and
-    ``--jobs N`` counter dumps byte-identical.
-    """
-    name, ctx_payload, obs_cfg = task
-    ctx = RunContext.from_payload(ctx_payload)
-    get_experiment(name).resolve()
+def _build(task: Tuple[str, RunContext]) -> Tuple[Any, tuple, float]:
+    """One experiment's table, checks and wall time — the pool item of
+    :func:`run_experiments`.  The builder is resolved before the clock
+    starts: importing its module is start-up cost, not experiment
+    time."""
+    name, ctx = task
+    exp = get_experiment(name)
+    exp.resolve()
     t0 = time.perf_counter()
-    if obs_cfg is not None:
-        session = ObsSession(trace=bool(obs_cfg.get("trace")))
-        with session.activate():
-            result = get_experiment(name).run(ctx)
-        dump = session.dump()
-    else:
-        result = get_experiment(name).run(ctx)
-        dump = None
-    wall = time.perf_counter() - t0
-    return name, result.table, tuple(result.checks), wall, dump
+    result = exp.run(ctx)
+    return result.table, result.checks, time.perf_counter() - t0
 
 
 @dataclass(frozen=True)
@@ -188,8 +171,8 @@ def run_experiments(
 
     def _span(label: str, **args):
         """A ``runner.*`` self-profiling span on the wall track —
-        orchestration overhead (cache probes, serialization, dispatch,
-        merge) shows up in the trace next to the experiment spans."""
+        orchestration overhead (cache probes, dispatch, merge) shows
+        up in the trace next to the experiment spans."""
         if tracer is None:
             return nullcontext()
         return tracer.span(label, cat="runner", tid="runner",
@@ -216,36 +199,27 @@ def run_experiments(
         if jobs > 1:
             for name in pending:
                 get_experiment(name).resolve()
-        obs_cfg = ({"trace": sess.tracer is not None}
-                   if sess is not None else None)
-        with _span("runner.context_serialize"):
-            payload = ctx.to_payload()
-            tasks = [(name, payload, obs_cfg) for name in pending]
+        tasks = [(name, ctx) for name in pending]
         with _span("runner.dispatch", jobs=max(1, jobs),
                    pending=len(pending)):
-            # work-stealing dispatch: completion order is arbitrary,
-            # so collect by index and process in requested order —
-            # the merge below stays deterministic either way
-            outcomes: List[Any] = [None] * len(tasks)
-            for i, outcome in parallel_imap(_run_one, tasks,
-                                            jobs=jobs):
-                outcomes[i] = outcome
-        for name, table, checks, wall, dump in outcomes:
-            res = ExperimentResult(
-                experiment=get_experiment(name),
-                table=table,
-                checks=checks,
-                context=ctx.without_hook(),
-            )
-            results[name] = res
-            timings[name] = (wall, False)
-            if sess is not None and dump is not None:
-                with _span("runner.merge", experiment=name):
-                    sess.merge(dump, experiment=name)
-            ctx.emit(name, wall)
-            if cache is not None:
-                with _span("runner.cache_store", experiment=name):
-                    cache.put(name, res, ctx)
+            for name, ((table, checks, wall), dump) in zip(
+                    pending, parallel_imap(_build, tasks, jobs=jobs)):
+                res = ExperimentResult(get_experiment(name), table,
+                                       checks, context=ctx)
+                results[name] = res
+                timings[name] = (wall, False)
+                if sess is not None:
+                    with _span("runner.merge", experiment=name):
+                        sess.merge(dump, experiment=name)
+                    sess.counters.add("exp.completed")
+                    if tracer is not None:
+                        dur = wall * 1e6
+                        tracer.complete(
+                            name, max(tracer.now_us() - dur, 0.0), dur,
+                            cat="experiment")
+                if cache is not None:
+                    with _span("runner.cache_store", experiment=name):
+                        cache.put(name, res, ctx)
 
     # 3. deterministic merge: requested order, whatever ran where
     ordered = {name: results[name] for name in names}
@@ -260,13 +234,18 @@ def run_experiments(
     return RunReport(results=ordered, profiler=profiler)
 
 
-def _indexed_call(task: Tuple[Callable[[Any], Any], int, Any]) \
-        -> Tuple[int, Any]:
-    """Worker shim — tags each result with its input index so the
-    parent can re-merge completion-order streams deterministically.
-    Must stay module-level for pickling (and so must ``fn``)."""
-    fn, index, item = task
-    return index, fn(item)
+def _isolated(task: Tuple[Callable[[Any], Any], Any, Optional[bool]]) \
+        -> Tuple[Any, Optional[dict]]:
+    """``(fn(item), dump)``: the call under a fresh nested session when
+    ``trace`` is not ``None``.  Module-level, so the pool can pickle
+    it."""
+    fn, item, trace = task
+    if trace is None:
+        return fn(item), None
+    session = ObsSession(trace=trace)
+    with session.activate():
+        out = fn(item)
+    return out, session.dump()
 
 
 def parallel_imap(
@@ -274,51 +253,30 @@ def parallel_imap(
     items: Sequence[Any],
     *,
     jobs: int = 1,
-) -> Iterator[Tuple[int, Any]]:
-    """Work-stealing map: yields ``(index, fn(item))`` in
-    **completion order**.
+) -> Iterator[Tuple[Any, Optional[dict]]]:
+    """``(fn(item), dump)`` for every item, in input order.
 
-    Built on ``multiprocessing.Pool.imap_unordered`` with chunksize 1,
-    so an idle worker steals the next pending item instead of sitting
-    behind a pre-assigned chunk — on heavy-tailed job mixes this is
-    what keeps the pool saturated.  ``jobs <= 1`` or a single item
-    short-circuits to a serial generator (indices then arrive in input
-    order, trivially).
+    With an :class:`~repro.obs.ObsSession` active, each call runs
+    under a fresh nested session, which traces only if the caller's
+    session traces, and ``dump`` is its
+    :meth:`~repro.obs.ObsSession.dump`; the caller merges it.  With no
+    session active, ``dump`` is ``None``.
 
-    Callers needing input order re-merge by the yielded index
-    (:func:`parallel_map` does, as do the experiment runner and the
-    fuzz driver's reorder window).
+    ``jobs > 1`` fans the calls over ``multiprocessing.Pool.imap`` with
+    chunksize 1, so an idle worker takes the next item instead of
+    sitting behind a pre-assigned chunk.  ``jobs <= 1`` or a single
+    item runs the same wrapper in-process, so callers can pass a
+    user-controlled job count straight through.  ``fn`` must be a
+    module-level function, and items and results must pickle.
     """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        for i, x in enumerate(items):
-            yield i, fn(x)
+    sess = _obs.ACTIVE
+    trace = None if sess is None else sess.tracer is not None
+    tasks = [(fn, item, trace) for item in items]
+    if jobs <= 1 or len(tasks) <= 1:
+        for task in tasks:
+            yield _isolated(task)
         return
     import multiprocessing
 
-    tasks = [(fn, i, x) for i, x in enumerate(items)]
-    with multiprocessing.Pool(
-        processes=min(jobs, len(items))
-    ) as pool:
-        yield from pool.imap_unordered(_indexed_call, tasks)
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    *,
-    jobs: int = 1,
-) -> List[Any]:
-    """``[fn(x) for x in items]``, fanned over a process pool.
-
-    ``fn`` must be a module-level (picklable) callable.  Items are
-    dispatched work-stealing (:func:`parallel_imap`) and re-merged by
-    index, so results come back in input order whatever order they
-    finished in.  ``jobs <= 1`` or a single item runs serially, so
-    callers can pass a user-controlled job count straight through.
-    """
-    items = list(items)
-    out: List[Any] = [None] * len(items)
-    for i, result in parallel_imap(fn, items, jobs=jobs):
-        out[i] = result
-    return out
+    with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
+        yield from pool.imap(_isolated, tasks, chunksize=1)

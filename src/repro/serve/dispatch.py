@@ -1,27 +1,27 @@
-"""Sharded dispatch — shards onto the process pool, merged in order.
+"""Sharded dispatch — shards onto the process pool, answered in order.
 
-Mirrors the experiment runner's determinism recipe
-(:mod:`repro.perf.runner`): every shard is answered under a **fresh
-nested** :class:`~repro.obs.ObsSession` — on the serial path and in
-pool workers alike — and ships its counter delta back with the
-prediction payloads.  The parent merges deltas in plan order no matter
-which worker finished first, and builds a fresh
-:class:`~repro.serve.oracle.CostOracle` per shard on both paths, so a
-``--jobs N`` run and a serial run fire byte-identical counter banks.
+:func:`dispatch_shards` hands each shard to
+:func:`repro.perf.runner.parallel_imap`, which owns the determinism
+recipe: every shard is answered under a **fresh nested**
+:class:`~repro.obs.ObsSession` — on the serial path and in pool
+workers alike, tracing when the caller's session traces — and comes
+back in plan order with that session's delta.  A fresh
+:class:`~repro.serve.oracle.CostOracle` is built per shard on both
+paths, so a ``--jobs N`` run and a serial run fire byte-identical
+counter banks.  The service merges the deltas.
 
 Point-query shards route through the oracle's vectorized group calls.
-Family-level shards (``kind == "experiment"``) fall back to
-:func:`~repro.perf.runner.run_experiments` under the query's *derived*
-context (:meth:`~repro.core.context.RunContext.derive`), with the
-experiment-tier cache deliberately off inside the worker — the
-service's shard-level prediction cache is the caching layer on this
-path, and keeping ``result_cache.*`` probes out of the dumps is what
-lets a cached dump replay byte-identically on warm hits.
+Family-level shards (``kind == "experiment"``) run each query's
+registered experiment with :meth:`~repro.core.registry.Experiment.run`
+under the query's *derived* context
+(:meth:`~repro.core.context.RunContext.derive`), with no
+experiment-tier cache: the service's shard-level prediction cache is
+the caching layer on this path, and keeping ``result_cache.*`` probes
+out of the deltas is what lets a cached delta replay byte-identically
+on warm hits.
 
-Workers receive plain payload dicts (queries are rebuilt from their
-wire form; the oracle is rebuilt from the registry), so nothing
-unpicklable crosses the process boundary and spawn-style start methods
-work from a blank interpreter.
+Shards, queries, contexts and predictions all pickle as they are, so
+spawn-style start methods work from a blank interpreter.
 """
 
 from __future__ import annotations
@@ -29,17 +29,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.context import RunContext
-from repro.obs import session as _obs
-from repro.obs.session import ObsSession
 from repro.serve.planner import Shard
-from repro.serve.schema import Prediction, Query, parse_query
+from repro.serve.schema import Prediction, Query
 
-__all__ = ["ShardResult", "answer_shard", "dispatch_shards",
-           "shard_label"]
-
-#: one shard's transport form:
-#: (kind, device, [query payloads], obs?, base-context payload)
-_Task = Tuple[str, str, List[Dict[str, Any]], bool, Dict[str, Any]]
+__all__ = ["dispatch_shards", "shard_label"]
 
 
 def shard_label(kind: str, device: str) -> str:
@@ -56,7 +49,6 @@ def _experiment_predictions(queries: List[Query],
     point queries)."""
     from repro.core.context import DeviceNotInContext
     from repro.core.registry import get_experiment
-    from repro.perf.runner import run_experiments
 
     out: List[Prediction] = []
     for q in queries:
@@ -86,11 +78,10 @@ def _experiment_predictions(queries: List[Query],
                    f"devices={list(ctx.devices)} ({exp.pin_note()})"))
             continue
         try:
-            report = run_experiments([name], context=ctx, jobs=1)
+            result = exp.run(ctx)
         except DeviceNotInContext as exc:
             out.append(Prediction.unsupported(q, str(exc)))
             continue
-        result = report.results[name]
         checks = result.checks
         out.append(Prediction(
             status="ok", kind=q.kind, device=q.device, qid=q.qid,
@@ -104,100 +95,29 @@ def _experiment_predictions(queries: List[Query],
     return out
 
 
-def _answer_queries(kind: str, device: str, queries: List[Query],
-                    obs: bool, base: RunContext) \
-        -> Tuple[List[Prediction], Optional[Dict[str, Any]]]:
-    """Answer one shard's queries: fresh oracle (or the experiment
-    runner, for family shards) under a fresh nested session when
-    observability is on.  Shared by the in-process fast path and the
-    pool worker, so both produce identical predictions and deltas."""
+def _answer(task: Tuple[Shard, RunContext]) -> List[Prediction]:
+    """One shard's predictions in slot order: a fresh oracle, or the
+    experiments themselves for family shards.  Module-level, so the
+    pool can pickle it."""
+    shard, base = task
+    if shard.kind == "experiment":
+        return _experiment_predictions(shard.queries, base)
     from repro.serve.oracle import CostOracle
 
-    def compute() -> List[Prediction]:
-        if kind == "experiment":
-            return _experiment_predictions(queries, base)
-        return CostOracle(device).answer_group(kind, queries)
-
-    if obs:
-        session = ObsSession()
-        with session.activate():
-            predictions = compute()
-        dump = session.dump()
-    else:
-        predictions = compute()
-        dump = None
-    return predictions, dump
-
-
-def answer_shard(task: _Task) \
-        -> Tuple[List[Dict[str, Any]], Optional[Dict[str, Any]]]:
-    """Worker entry point — must stay module-level for pickling.
-
-    Rebuilds the shard's queries and context from their wire forms,
-    answers them, and ships prediction payloads + counter delta back.
-    """
-    kind, device, query_payloads, obs, ctx_payload = task
-    queries = [parse_query(p) for p in query_payloads]
-    base = RunContext.from_payload(ctx_payload)
-    predictions, dump = _answer_queries(kind, device, queries, obs,
-                                        base)
-    return [p.to_payload() for p in predictions], dump
-
-
-class ShardResult:
-    """One answered shard: predictions in slot order + counter delta."""
-
-    def __init__(self, shard: Shard,
-                 predictions: List[Prediction],
-                 dump: Optional[Dict[str, Any]]) -> None:
-        self.shard = shard
-        self.predictions = predictions
-        self.dump = dump
-
-    @property
-    def label(self) -> str:
-        return shard_label(self.shard.kind, self.shard.device)
+    return CostOracle(shard.device).answer_group(shard.kind,
+                                                 shard.queries)
 
 
 def dispatch_shards(shards: List[Shard], *, jobs: int = 1,
                     context: Optional[RunContext] = None) \
-        -> List[ShardResult]:
-    """Answer every shard, fanned out when asked to, results in plan
-    order.  Counter deltas are **not** merged here — the service
+        -> List[Tuple[List[Prediction], Optional[Dict[str, Any]]]]:
+    """``(predictions, dump)`` for every shard, in plan order, fanned
+    out when asked to.  Deltas are **not** merged here — the service
     merges them (or replays cached ones) in plan order so cache hits
     and fresh computes interleave deterministically."""
     from repro.core.context import DEFAULT_CONTEXT
-    from repro.perf.runner import parallel_map
+    from repro.perf.runner import parallel_imap
 
     base = DEFAULT_CONTEXT if context is None else context
-    obs = _obs.ACTIVE is not None
-
-    if jobs == 1:
-        # in-process fast path: same compute, no wire round-trip
-        # (payload encode/parse is the identity on canonical queries
-        # and predictions, so this stays byte-identical to --jobs N)
-        return [
-            ShardResult(s, *_answer_queries(
-                s.kind, s.device, list(s.queries), obs, base))
-            for s in shards
-        ]
-
-    ctx_payload = base.to_payload()
-    tasks: List[_Task] = [
-        (s.kind, s.device,
-         [q.to_payload() for q in s.queries], obs, ctx_payload)
-        for s in shards
-    ]
-    # work-stealing dispatch: shards of very different weights (one
-    # heavy memory chase vs many light sweep shards) never strand a
-    # worker; parallel_map re-merges by index so plan order — and
-    # with it the deterministic counter merge — is preserved
-    outcomes = parallel_map(answer_shard, tasks, jobs=jobs)
-    results = []
-    for shard, (payloads, dump) in zip(shards, outcomes):
-        results.append(ShardResult(
-            shard,
-            [Prediction.from_payload(p) for p in payloads],
-            dump,
-        ))
-    return results
+    return list(parallel_imap(_answer, [(s, base) for s in shards],
+                              jobs=jobs))

@@ -29,7 +29,9 @@ That — plus keeping the cache probes themselves out of the session
 ``stats`` bank instead, because hit/miss sequences are precisely what
 cold and warm runs do *not* share) — is why cold-vs-warm and
 serial-vs-parallel runs of one batch produce byte-identical prediction
-streams *and* counter dumps.
+streams *and* counter dumps.  The tiers keep counters, not trace
+events: a fresh compute's spans join the live trace once, and a
+replay adds none.
 
 The session bank only ever receives values that are pure functions of
 the input stream (``serve.queries``, ``serve.batch.size``, the per-shard
@@ -117,14 +119,13 @@ class QueryService:
     still dedups repeat batches); ``jobs`` fans un-cached shards over
     the process pool.  ``context`` is the base
     :class:`~repro.core.context.RunContext` family-level queries
-    derive from (hook dropped — the service owns observability).
+    derive from.
     """
 
     def __init__(self, *, context: Optional[RunContext] = None,
                  cache: Optional[Any] = None, jobs: int = 1,
                  memo_entries: Optional[int] = None) -> None:
-        self.context = (DEFAULT_CONTEXT if context is None
-                        else context).without_hook()
+        self.context = DEFAULT_CONTEXT if context is None else context
         self.cache = cache
         self.jobs = max(1, int(jobs))
         if memo_entries is None:
@@ -286,17 +287,20 @@ class QueryService:
                 [plan.shards[i] for i in missing],
                 jobs=self.jobs, context=self.context)
             self._wall("serve.wall.dispatch_us", t0)
-            for i, result in zip(missing, results):
-                entry: _Entry = (result.predictions, result.dump)
-                entries[i] = self._memo_put(keys[i], entry)
+            for i, (predictions, dump) in zip(missing, results):
+                entries[i] = (predictions, dump)
+                # the tiers keep counters only: trace events belong to
+                # the run that computed them, never to a replay
+                kept = None if dump is None \
+                    else {"counters": dump["counters"]}
+                self._memo_put(keys[i], (predictions, kept))
                 if self.cache is not None:
                     before = self.cache.stats.evictions
                     with _muted():
                         self.cache.put_blob(
                             _BLOB_KIND, keys[i],
-                            [[p.to_payload()
-                              for p in result.predictions],
-                             result.dump])
+                            [[p.to_payload() for p in predictions],
+                             kept])
                     evicted = self.cache.stats.evictions - before
                     if evicted:
                         self.stats.add("serve.cache.evictions",

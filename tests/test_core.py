@@ -14,7 +14,7 @@ from repro.core import (
     ratio_between,
     run_experiment,
 )
-from repro.core.registry import Experiment, register
+from repro.core.registry import Experiment
 from repro.core.report import experiments_markdown, summary_line
 
 
@@ -96,10 +96,6 @@ class TestRegistry:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             get_experiment("table99")
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError):
-            register("table06_sass", "x", "y")(lambda: None)
 
     def test_experiment_metadata(self):
         exp = get_experiment("table07_mma")

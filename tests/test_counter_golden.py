@@ -28,7 +28,7 @@ GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
 
 def fresh_payload(name: str) -> dict:
     session = ObsSession()
-    ctx = session.bind(RunContext())
+    ctx = RunContext()
     with session.activate():
         run_experiments([name], jobs=1, cache=None, context=ctx)
     return session.counters_v2_payload(context=ctx)

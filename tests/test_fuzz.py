@@ -17,6 +17,7 @@ The acceptance story lives here end to end:
 from __future__ import annotations
 
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -65,24 +66,23 @@ def bad_dsm_device():
 
 class TestGenerator:
     def test_same_seed_same_scenarios(self):
-        a = [s.to_payload() for s in
-             ScenarioGenerator(_SEED).generate(10)]
-        b = [s.to_payload() for s in
-             ScenarioGenerator(_SEED).generate(10)]
+        a = list(ScenarioGenerator(_SEED).generate(10))
+        b = list(ScenarioGenerator(_SEED).generate(10))
         assert a == b
 
     def test_scenarios_differ_across_indices_and_seeds(self):
         gen = ScenarioGenerator(_SEED)
-        assert gen.scenario(0).to_payload() != \
-            gen.scenario(1).to_payload()
+        assert gen.scenario(0) != gen.scenario(1)
         other = ScenarioGenerator(_SEED + 1).scenario(0)
-        assert other.to_payload() != gen.scenario(0).to_payload()
+        assert other != gen.scenario(0)
 
     def test_payload_round_trip(self):
+        # the pool ships scenarios pickled, as they are
         scenario = ScenarioGenerator(_SEED).scenario(3)
-        again = Scenario.from_payload(
-            json.loads(json.dumps(scenario.to_payload())))
+        again = pickle.loads(pickle.dumps(scenario))
         assert again == scenario
+        assert [q.qid for q in again.queries] == \
+            [q.qid for q in scenario.queries]
 
     def test_lineups_stay_inside_the_pool(self):
         gen = ScenarioGenerator(_SEED, devices=("A100", "H800"))
@@ -135,8 +135,8 @@ class TestOracleHealthy:
             sess = ObsSession()
             with sess.activate():
                 report = run_fuzz(_SEED, 8, jobs=jobs)
-            return ([v.to_payload() for v in report.violations],
-                    report.status_counts, sess.counters.dump())
+            return (report.violations, report.status_counts,
+                    sess.counters.dump())
 
         assert sweep(1) == sweep(2)
 
@@ -236,15 +236,16 @@ class TestOracleMechanics:
         scenario = ScenarioGenerator(_SEED).scenario(4)
         a = check_scenario(scenario)
         b = check_scenario(scenario)
-        assert a.to_payload() == b.to_payload()
+        assert a == b
 
     def test_report_payload_round_trip(self):
         from repro.fuzz import ScenarioReport
 
+        # the pool ships reports back pickled, as they are
         report = check_scenario(ScenarioGenerator(_SEED).scenario(1))
-        again = ScenarioReport.from_payload(
-            json.loads(json.dumps(report.to_payload())))
-        assert again.to_payload() == report.to_payload()
+        again = pickle.loads(pickle.dumps(report))
+        assert isinstance(again, ScenarioReport)
+        assert again == report
 
     def test_lineage_checked_from_lineup_alone(self):
         """A scenario with no queries still checks the spec lineage

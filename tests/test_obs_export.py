@@ -42,7 +42,7 @@ CHEAP = ["table04_mem_latency", "ext_cache_detection"]
 def run_session(jobs: int, devices=None) -> ObsSession:
     session = ObsSession()
     kwargs = {"devices": tuple(devices)} if devices else {}
-    ctx = session.bind(RunContext(**kwargs))
+    ctx = RunContext(**kwargs)
     with session.activate():
         run_experiments(CHEAP, jobs=jobs, cache=None, context=ctx)
     session.context = ctx   # stash for the assertions
@@ -89,7 +89,7 @@ class TestExportDeterminism:
         banks = {}
         for jobs in (1, 2):
             session = ObsSession()
-            ctx = session.bind(RunContext(devices=("A100",)))
+            ctx = RunContext(devices=("A100",))
             with session.activate():
                 run_all(jobs=jobs, context=ctx)
             banks[jobs] = (session.experiment_counters(),

@@ -22,7 +22,7 @@ from repro.core.registry import Experiment, get_experiment
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import ObsSession
 from repro.obs import session as obs_session
-from repro.perf import run_experiments
+from repro.perf import ResultCache, run_experiments
 
 CHEAP = ["ext_coalescing", "ext_trace_simulator"]
 
@@ -30,7 +30,7 @@ CHEAP = ["ext_coalescing", "ext_trace_simulator"]
 class TestSerialParallelDeterminism:
     def _dump(self, jobs: int) -> str:
         session = ObsSession()
-        ctx = session.bind(RunContext())
+        ctx = RunContext()
         with session.activate():
             run_experiments(CHEAP, jobs=jobs, cache=None,
                             context=ctx)
@@ -43,6 +43,21 @@ class TestSerialParallelDeterminism:
         dump = json.loads(self._dump(1))
         assert dump.get("exp.completed") == len(CHEAP)
         assert any(k.startswith("sm.") for k in dump)
+
+
+class TestRunnerCountsCompletions:
+    def test_cache_hits_are_not_completions(self, tmp_path):
+        """``exp.completed`` counts what the runner computed under any
+        active session; a cache hit computes nothing."""
+        run_experiments(["table03_devices"],
+                        cache=ResultCache(tmp_path / "rc"))
+        session = ObsSession()
+        with session.activate():
+            run_experiments(["table03_devices", "table06_sass"],
+                            cache=ResultCache(tmp_path / "rc"))
+        orchestration = session.orchestration_counters()
+        assert orchestration.get("exp.completed") == 1
+        assert orchestration.get("result_cache.hit") == 1
 
 
 class TestOffMeansOff:

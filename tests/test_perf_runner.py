@@ -75,10 +75,17 @@ def _square(x):
     return x * x
 
 
+def _counted_square(x):
+    """Counts ``x`` under its own name in the active session."""
+    from repro.obs.session import counters_or_null
+
+    counters_or_null().add(f"test.item.{x}", x + 1)
+    return x * x
+
+
 class TestWorkStealing:
-    """parallel_imap / parallel_map: the work-stealing dispatch
-    yields every indexed result exactly once and re-merges into input
-    order."""
+    """parallel_imap: the one pool helper yields ``(fn(item), dump)``
+    in input order, each dump holding only its own item's counters."""
 
     ITEMS = list(range(23))
 
@@ -86,25 +93,59 @@ class TestWorkStealing:
         from repro.perf import parallel_imap
 
         pairs = list(parallel_imap(_square, self.ITEMS, jobs=1))
-        assert pairs == [(i, i * i) for i in self.ITEMS]
+        assert pairs == [(i * i, None) for i in self.ITEMS]
 
     def test_parallel_imap_fanned_covers_every_index(self):
         from repro.perf import parallel_imap
 
         pairs = list(parallel_imap(_square, self.ITEMS, jobs=3))
-        assert sorted(pairs) == [(i, i * i) for i in self.ITEMS]
+        assert pairs == [(i * i, None) for i in self.ITEMS]
 
     def test_unordered_map_matches_ordered(self):
-        # completion order is arbitrary when fanned; the re-merge by
-        # index must still match the serial loop exactly
-        from repro.perf import parallel_map
+        # workers finish in any order; the pairs still come back in
+        # input order, dumps included, exactly as the serial loop
+        from repro.obs import ObsSession
+        from repro.perf import parallel_imap
 
-        serial = parallel_map(_square, self.ITEMS, jobs=1)
-        fanned = parallel_map(_square, self.ITEMS, jobs=2)
-        assert fanned == serial == [i * i for i in self.ITEMS]
+        runs = {}
+        for jobs in (1, 2):
+            with ObsSession().activate():
+                runs[jobs] = list(parallel_imap(_counted_square,
+                                                self.ITEMS, jobs=jobs))
+        assert runs[1] == runs[2]
+
+    def test_session_dump_holds_only_its_item(self):
+        from repro.obs import ObsSession
+        from repro.perf import parallel_imap
+
+        for jobs in (1, 2):
+            outer = ObsSession()
+            with outer.activate():
+                pairs = list(parallel_imap(_counted_square, self.ITEMS,
+                                           jobs=jobs))
+            assert [out for out, _ in pairs] == \
+                [i * i for i in self.ITEMS]
+            for i, (_, dump) in enumerate(pairs):
+                assert dump == {"counters": {f"test.item.{i}": i + 1},
+                                "events": []}
+            # the caller merges; nothing reached its bank directly
+            assert not outer.counters
+
+    def test_nested_session_traces_only_if_the_caller_does(self):
+        from repro.obs import ObsSession
+        from repro.obs.session import active_tracer
+        from repro.perf import parallel_imap
+
+        def traced(_x):
+            return active_tracer() is not None
+
+        for trace in (False, True):
+            with ObsSession(trace=trace).activate():
+                pairs = list(parallel_imap(traced, [0, 1], jobs=1))
+            assert [out for out, _ in pairs] == [trace, trace]
 
     def test_empty_and_single_item_short_circuit(self):
-        from repro.perf import parallel_imap, parallel_map
+        from repro.perf import parallel_imap
 
         assert list(parallel_imap(_square, [], jobs=4)) == []
-        assert parallel_map(_square, [7], jobs=4) == [49]
+        assert list(parallel_imap(_square, [7], jobs=4)) == [(49, None)]

@@ -1,8 +1,10 @@
-"""RunContext semantics: normalization, selection, identity, shims."""
+"""RunContext semantics: normalization, selection, identity."""
 
 from __future__ import annotations
 
+import inspect
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.core import (
     run_experiment,
     supported_experiments,
 )
-from repro.core.registry import Experiment, ExperimentResult, register
+from repro.core.registry import Experiment, ExperimentResult
 
 
 class TestConstruction:
@@ -42,11 +44,8 @@ class TestConstruction:
         assert not RunContext(devices=("A100",)).is_default
         assert not RunContext(seed=7).is_default
 
-    def test_hook_excluded_from_identity(self):
-        with_hook = RunContext(hook=lambda n, s: None)
-        assert with_hook == DEFAULT_CONTEXT
-        assert with_hook.is_default
-        assert with_hook.without_hook().hook is None
+    def test_only_devices_and_seed_are_fields(self):
+        assert [f.name for f in fields(RunContext)] == ["devices", "seed"]
 
 
 class TestSelection:
@@ -83,23 +82,16 @@ class TestIdentity:
         assert a.token() != DEFAULT_CONTEXT.token()
 
     def test_payload_roundtrip(self):
-        a = RunContext(devices=("H800", "A100"), seed=5,
-                       hook=lambda n, s: None)
-        b = RunContext.from_payload(a.to_payload())
-        assert b == a                 # hook excluded from equality
-        assert b.hook is None
-        pickle.dumps(b)               # payload-built contexts pickle
+        # the pool ships contexts pickled, as they are
+        a = RunContext(devices=("H800", "A100"), seed=5)
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and b.token() == a.token()
+        assert b.devices == ("H800", "A100") and b.seed == 5
 
     def test_rng_is_seed_deterministic(self):
         a = RunContext(seed=9).rng().integers(0, 100, 8)
         b = RunContext(seed=9).rng().integers(0, 100, 8)
         assert list(a) == list(b)
-
-    def test_emit_feeds_the_hook(self):
-        seen = []
-        ctx = RunContext(hook=lambda n, s: seen.append((n, s)))
-        ctx.emit("x", 0.5)
-        assert seen == [("x", 0.5)]
 
 
 class TestRegistryIntegration:
@@ -125,13 +117,6 @@ class TestRegistryIntegration:
         res = run_experiment("table03_devices")
         assert "context:" not in res.render()
 
-    def test_run_emits_timing_to_hook(self):
-        seen = []
-        ctx = RunContext(hook=lambda n, s: seen.append((n, s)))
-        run_experiment("table03_devices", ctx)
-        assert len(seen) == 1
-        assert seen[0][0] == "table03_devices" and seen[0][1] >= 0
-
     def test_unknown_name_suggests_close_matches(self):
         with pytest.raises(KeyError,
                            match="table04_mem_latency"):
@@ -142,42 +127,18 @@ class TestRegistryIntegration:
         # resolves to a callable, named by its real path, that takes
         # the RunContext
         from repro.core.experiments import EXPERIMENTS
-        from repro.core.registry import _accepts_context
         assert sorted(row.name for row in EXPERIMENTS) \
             == list_experiments()
         for row in EXPERIMENTS:
             exp = get_experiment(row.name)
             assert exp == Experiment(*row)
             fn = exp.resolve()
-            assert callable(fn) and _accepts_context(fn), row.name
+            assert callable(fn), row.name
+            params = list(inspect.signature(fn).parameters.values())
+            assert len(params) == 1, row.name
+            assert params[0].kind in (params[0].POSITIONAL_ONLY,
+                                      params[0].POSITIONAL_OR_KEYWORD)
             assert f"{fn.__module__}:{fn.__qualname__}" == row.builder
-
-    def test_zero_arg_builder_registration_raises(self):
-        # the shim warned since PR 2; it's gone now
-        from repro.core import registry as regmod
-        t = Table("legacy", ["a"])
-        t.add_row(1)
-        try:
-            with pytest.raises(TypeError, match="zero-argument"):
-                register("zz_legacy_probe", "none",
-                         "legacy shim coverage")(lambda: (t, []))
-            assert "zz_legacy_probe" not in regmod._REGISTRY
-        finally:
-            regmod._REGISTRY.pop("zz_legacy_probe", None)
-
-    def test_context_builder_still_registers_fine(self):
-        from repro.core import registry as regmod
-        t = Table("direct", ["a"])
-        t.add_row(1)
-        try:
-            register("zz_ctx_probe", "none", "context builder")(
-                lambda ctx: (t, [Check("ok", True)]))
-            res = run_experiment(
-                "zz_ctx_probe", RunContext(devices=("A100",)))
-            assert isinstance(res, ExperimentResult) and res.passed
-            assert res.table is t
-        finally:
-            regmod._REGISTRY.pop("zz_ctx_probe", None)
 
     def test_direct_experiment_passes_context_to_builder(self):
         # no shim on the direct path either: the builder gets the ctx

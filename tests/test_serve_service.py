@@ -10,6 +10,7 @@ result cache's LRU size guard and the serve CLI round trip.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +90,32 @@ class TestDeterminism:
         stats = service.stats.as_dict()
         assert stats["serve.cache.memo_hits"] \
             == stats["serve.cache.shard_misses"]
+
+    def test_trace_records_computed_shards_once(self, tmp_path):
+        """A computed shard's engine spans join the live trace once;
+        the memo and blob tiers replay its counters, never its
+        events."""
+        lines = (Path(__file__).parent / "golden"
+                 / "serve_batch.jsonl").read_text().splitlines()
+        root = tmp_path / "cache"
+
+        def traced(service):
+            session = ObsSession(trace=True)
+            with session.activate():
+                text = service.answer_lines_text(lines)
+            return (text, session.counters.dump(),
+                    len(session.tracer.events))
+
+        service = QueryService(cache=ResultCache(root=root))
+        cold = traced(service)
+        memo = traced(service)
+        fresh = QueryService(cache=ResultCache(root=root))
+        blob = traced(fresh)
+        assert cold[2] > 0
+        assert memo[2] == 0 and blob[2] == 0
+        assert cold[:2] == memo[:2] == blob[:2]
+        assert service.stats.as_dict()["serve.cache.memo_hits"] > 0
+        assert fresh.stats.as_dict()["serve.cache.blob_hits"] > 0
 
     def test_qids_reattach_after_dedup(self, tmp_path):
         q = {"kind": "dsm.bandwidth", "device": "H800",
