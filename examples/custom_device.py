@@ -11,10 +11,7 @@ Run:  python examples/custom_device.py
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.arch import (
-    Architecture,
     CacheGeometry,
     ClockDomain,
     DeviceSpec,
@@ -34,7 +31,9 @@ from repro.tensorcore import TensorCoreTimingModel
 H100_SXM = DeviceSpec(
     name="H100-SXM",
     marketing_name="H100 SXM5",
-    architecture=Architecture.HOPPER,
+    # same generation as the H800: reuse its capabilities and
+    # calibration tables
+    pack=get_device("H800").pack,
     num_sms=132,
     cuda_cores_per_sm=128,
     max_threads_per_sm=2048,

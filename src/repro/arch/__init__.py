@@ -23,13 +23,9 @@ from repro.arch.packs import (
     PackValidationError,
     PowerCalibration,
     WgmmaCalibration,
-    get_pack,
-    list_packs,
-    register_pack,
     validate_pack,
 )
 from repro.arch.specs import (
-    Architecture,
     CacheGeometry,
     ClockDomain,
     DeviceSpec,
@@ -48,7 +44,6 @@ from repro.arch.registry import (
 
 __all__ = [
     "ArchPack",
-    "Architecture",
     "AsyncCopyCalibration",
     "CacheGeometry",
     "ClockDomain",
@@ -64,11 +59,8 @@ __all__ = [
     "WgmmaCalibration",
     "PAPER_DEVICES",
     "get_device",
-    "get_pack",
     "list_devices",
-    "list_packs",
     "register_device",
-    "register_pack",
     "validate_pack",
     "DEVICES",
 ]

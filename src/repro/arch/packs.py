@@ -8,7 +8,8 @@ fabric parameters — lives here as declarative data.  Engines
 (:mod:`repro.tensorcore.timing`, :mod:`repro.power.model`,
 :mod:`repro.isa.lowering`, :mod:`repro.asynccopy`, :mod:`repro.dsm`,
 …) read ``device.pack`` and stay generation-agnostic; adding a GPU
-generation means registering a pack, not editing engine code.
+generation means writing a pack and registering a device that carries
+it, not editing engine code.
 
 Two kinds of fields, by contract:
 
@@ -30,7 +31,7 @@ the Blackwell pack in the B200 microbenchmark study (arXiv
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import FrozenSet, Mapping, Optional, Tuple
 
 __all__ = [
     "MmaCalibration",
@@ -39,9 +40,6 @@ __all__ = [
     "AsyncCopyCalibration",
     "DsmCalibration",
     "ArchPack",
-    "register_pack",
-    "get_pack",
-    "list_packs",
     "validate_pack",
     "PackValidationError",
 ]
@@ -133,7 +131,7 @@ class ArchPack:
     """Everything per-generation, as data.  See the module docstring
     for the parameter-vs-derived contract."""
 
-    name: str                      # registry key, e.g. "hopper"
+    name: str                      # lowercase identifier, e.g. "hopper"
     display_name: str              # e.g. "Hopper"
     compute_capability: str        # e.g. "9.0"
     tensor_core_generation: int
@@ -477,38 +475,3 @@ BLACKWELL = ArchPack(
         contention_alpha=0.110,
     ),
 )
-
-
-# --------------------------------------------------------------------------
-# registry
-# --------------------------------------------------------------------------
-
-_PACKS: Dict[str, ArchPack] = {}
-
-
-def register_pack(pack: ArchPack, *, overwrite: bool = False) -> ArchPack:
-    """Validate and register a pack (third-party generations welcome)."""
-    validate_pack(pack)
-    if pack.name in _PACKS and not overwrite:
-        raise ValueError(f"pack {pack.name!r} already registered")
-    _PACKS[pack.name] = pack
-    return pack
-
-
-def get_pack(name: str) -> ArchPack:
-    try:
-        return _PACKS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown architecture pack {name!r}; known packs: "
-            f"{', '.join(sorted(_PACKS))}"
-        ) from None
-
-
-def list_packs() -> Tuple[str, ...]:
-    return tuple(sorted(_PACKS))
-
-
-for _pack in (VOLTA, AMPERE, ADA, HOPPER, BLACKWELL):
-    register_pack(_pack)
-del _pack

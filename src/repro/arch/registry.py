@@ -26,8 +26,15 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.arch.packs import (
+    ADA,
+    AMPERE,
+    BLACKWELL,
+    HOPPER,
+    VOLTA,
+    validate_pack,
+)
 from repro.arch.specs import (
-    Architecture,
     CacheGeometry,
     ClockDomain,
     DeviceSpec,
@@ -44,14 +51,18 @@ def register_device(spec: DeviceSpec, *, overwrite: bool = False) -> None:
     """Add a device to the registry.
 
     Third-party code can register additional GPUs (e.g. an H100 SXM
-    variant) and run every experiment against them.  The spec must be
-    coherent with its architecture pack: the tensor-core generation a
-    device claims has to match the generation its pack calibrates.
+    variant) and run every experiment against them.  The device's pack
+    must pass :func:`~repro.arch.packs.validate_pack` (a
+    :class:`~repro.arch.packs.PackValidationError` otherwise), and the
+    tensor-core generation the device claims has to match the
+    generation its pack calibrates.  A rejected device stays
+    unregistered.
     """
     key = spec.name.upper()
     if key in DEVICES and not overwrite:
         raise ValueError(f"device {spec.name!r} is already registered")
     pack = spec.pack
+    validate_pack(pack)
     if spec.tensor_core.generation != pack.tensor_core_generation:
         raise ValueError(
             f"device {spec.name!r}: TensorCoreSpec.generation="
@@ -98,7 +109,7 @@ def list_devices() -> List[str]:
 _A100 = DeviceSpec(
     name="A100",
     marketing_name="A100 PCIe",
-    architecture=Architecture.AMPERE,
+    pack=AMPERE,
     num_sms=108,
     cuda_cores_per_sm=64,
     max_threads_per_sm=2048,
@@ -159,7 +170,7 @@ _A100 = DeviceSpec(
 _RTX4090 = DeviceSpec(
     name="RTX4090",
     marketing_name="RTX4090",
-    architecture=Architecture.ADA,
+    pack=ADA,
     num_sms=128,
     cuda_cores_per_sm=128,
     max_threads_per_sm=1536,
@@ -223,7 +234,7 @@ _RTX4090 = DeviceSpec(
 _H800 = DeviceSpec(
     name="H800",
     marketing_name="H800 PCIe",
-    architecture=Architecture.HOPPER,
+    pack=HOPPER,
     num_sms=114,
     cuda_cores_per_sm=128,
     max_threads_per_sm=2048,
@@ -285,7 +296,7 @@ _H800 = DeviceSpec(
 _V100 = DeviceSpec(
     name="V100",
     marketing_name="Tesla V100 PCIe",
-    architecture=Architecture.VOLTA,
+    pack=VOLTA,
     num_sms=80,
     cuda_cores_per_sm=64,
     max_threads_per_sm=2048,
@@ -342,7 +353,7 @@ _V100 = DeviceSpec(
 _B200 = DeviceSpec(
     name="B200",
     marketing_name="B200 SXM",
-    architecture=Architecture.BLACKWELL,
+    pack=BLACKWELL,
     num_sms=148,
     cuda_cores_per_sm=128,
     max_threads_per_sm=2048,

@@ -12,71 +12,10 @@ Units are spelled out in field names wherever ambiguity is possible:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Mapping
 
-from repro.arch.packs import ArchPack, get_pack
-
-
-class Architecture(enum.Enum):
-    """Nvidia GPU architecture generations the registry models.
-
-    The enum is an *identity*; every per-generation property delegates
-    to the generation's :class:`~repro.arch.packs.ArchPack`, which is
-    the single source of truth for capabilities and calibration.
-    """
-
-    VOLTA = "volta"
-    AMPERE = "ampere"
-    ADA = "ada"
-    HOPPER = "hopper"
-    BLACKWELL = "blackwell"
-
-    @property
-    def pack(self) -> ArchPack:
-        """The generation's declarative data plane."""
-        return get_pack(self.value)
-
-    @property
-    def compute_capability(self) -> str:
-        return self.pack.compute_capability
-
-    @property
-    def tensor_core_generation(self) -> int:
-        return self.pack.tensor_core_generation
-
-    @property
-    def has_dpx_hardware(self) -> bool:
-        """DPX hardware (VIMNMX et al.) ships with Hopper."""
-        return self.pack.has_dpx_hardware
-
-    @property
-    def has_distributed_shared_memory(self) -> bool:
-        """Thread-block clusters + the SM-to-SM network (Hopper+)."""
-        return self.pack.has_distributed_shared_memory
-
-    @property
-    def has_wgmma(self) -> bool:
-        """Warp-group MMA (asynchronous tensor core path), Hopper's
-        ISA only — Blackwell replaces it with tcgen05."""
-        return self.pack.has_wgmma
-
-    @property
-    def has_tma(self) -> bool:
-        """The Tensor Memory Accelerator ships with Hopper."""
-        return self.pack.has_tma
-
-    @property
-    def has_cp_async(self) -> bool:
-        """``cp.async`` (async global→shared copies) exists since
-        Ampere; Volta predates it."""
-        return self.pack.has_cp_async
-
-    @property
-    def has_fp8(self) -> bool:
-        """FP8 tensor-core inputs exist on Ada and later."""
-        return self.pack.has_fp8
+from repro.arch.packs import ArchPack
 
 
 @dataclass(frozen=True)
@@ -283,7 +222,9 @@ class DeviceSpec:
 
     name: str
     marketing_name: str
-    architecture: Architecture
+    #: the generation's capabilities and calibration tables; derive a
+    #: variant with ``with_overrides(pack=replace(spec.pack, ...))``
+    pack: ArchPack
     num_sms: int
     cuda_cores_per_sm: int
     max_threads_per_sm: int
@@ -297,9 +238,6 @@ class DeviceSpec:
     tensor_core: TensorCoreSpec
     power_cap_watts: float
     max_cluster_size: int = 1   # >1 only where DSM exists
-    #: substitute a custom ArchPack (third-party devices whose silicon
-    #: deviates from the stock generation data); None = the stock pack
-    pack_override: Optional[ArchPack] = None
 
     def __post_init__(self) -> None:
         if self.num_sms <= 0:
@@ -311,15 +249,6 @@ class DeviceSpec:
             )
 
     # -- convenience -----------------------------------------------------
-
-    @property
-    def pack(self) -> ArchPack:
-        """The architecture pack this device reads capabilities and
-        calibration from — the stock generation pack unless overridden
-        at registration time."""
-        if self.pack_override is not None:
-            return self.pack_override
-        return self.architecture.pack
 
     @property
     def compute_capability(self) -> str:
@@ -357,7 +286,9 @@ class DeviceSpec:
     def with_overrides(self, **kwargs) -> "DeviceSpec":
         """Return a copy with some top-level fields replaced.
 
-        Used by ablation benchmarks (e.g. lifting the power cap)."""
+        Used by ablation benchmarks (e.g. lifting the power cap) and to
+        derive a device whose pack deviates from its generation's
+        (``pack=replace(spec.pack, ...)``)."""
         return replace(self, **kwargs)
 
     def table3_row(self) -> dict:

@@ -16,8 +16,8 @@ headline findings live:
 Every per-generation decision is data-driven: the rules gate on
 capability flags and lowering deltas of the target's
 :class:`~repro.arch.packs.ArchPack` (``int4_mma_emulated``,
-``mma_peak_keys``, ``has_wgmma``, …).  ``lower`` accepts either an
-:class:`~repro.arch.Architecture` member or an ``ArchPack`` directly.
+``mma_peak_keys``, ``has_wgmma``, …); every entry point takes that
+pack (``device.pack``).
 """
 
 from __future__ import annotations
@@ -25,19 +25,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import singledispatch
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
-from repro.arch import ArchPack, Architecture
+from repro.arch import ArchPack
 from repro.isa.dtypes import DType
 from repro.isa.memory_ops import CpAsync, LoadGlobal, LoadShared, Mapa, TmaCopy
 from repro.isa.mma import MmaInstruction, WgmmaInstruction
-
-#: lowering targets: the enum identity or a pack itself
-ArchLike = Union[Architecture, ArchPack]
-
-
-def _pack_of(arch: ArchLike) -> ArchPack:
-    return arch.pack if isinstance(arch, Architecture) else arch
 
 __all__ = [
     "FunctionalUnit",
@@ -84,7 +77,7 @@ class LoweredOp:
     """The SASS sequence one PTX instruction lowers to."""
 
     ptx: str
-    arch: ArchLike
+    arch: ArchPack
     sass: Tuple[SassInstruction, ...]
 
     @property
@@ -159,35 +152,34 @@ def _gmma_suffix(ab: DType, cd: DType) -> str:
 
 
 @singledispatch
-def lower(instr, arch: ArchLike) -> LoweredOp:
+def lower(instr, arch: ArchPack) -> LoweredOp:
     """Lower a PTX instruction descriptor to SASS for ``arch``."""
     raise TypeError(f"no lowering rule for {type(instr).__name__}")
 
 
 @lower.register
-def _lower_mma(instr: MmaInstruction, arch: ArchLike) -> LoweredOp:
-    pack = _pack_of(arch)
+def _lower_mma(instr: MmaInstruction, arch: ArchPack) -> LoweredOp:
     ab, cd = instr.ab_type, instr.cd_type
     if ab.is_fp8:
         # There are no FP8 mma instructions on any architecture — the
         # "×" cells of Table VI.  FP8 is reachable only through wgmma.
         raise UnsupportedInstruction(
             f"no mma instruction exists for FP8 inputs on "
-            f"{pack.name} (FP8 requires Hopper wgmma)"
+            f"{arch.name} (FP8 requires Hopper wgmma)"
         )
-    if not pack.supports_mma_input(ab.peak_key):
+    if not arch.supports_mma_input(ab.peak_key):
         # Older generations predate the dtype entirely (e.g. Volta has
         # only FP16 tensor-core inputs).
         raise UnsupportedInstruction(
-            f"{pack.name} tensor cores do not accept {ab.paper_label} "
+            f"{arch.name} tensor cores do not accept {ab.paper_label} "
             "mma inputs"
         )
-    if instr.sparse and not pack.has_sparse_mma:
+    if instr.sparse and not arch.has_sparse_mma:
         raise UnsupportedInstruction(
-            f"sparse mma requires sm_80+; {pack.name} has no sparsity "
+            f"sparse mma requires sm_80+; {arch.name} has no sparsity "
             "selector hardware"
         )
-    if ab is DType.INT4 and pack.int4_mma_emulated:
+    if ab is DType.INT4 and arch.int4_mma_emulated:
         # Hopper dropped INT4 tensor-core support: the PTX still
         # compiles, but to CUDA-core integer MACs (one 32-lane IMAD per
         # 32 scalar MACs) plus register moves.
@@ -212,11 +204,10 @@ def _lower_mma(instr: MmaInstruction, arch: ArchLike) -> LoweredOp:
 
 
 @lower.register
-def _lower_wgmma(instr: WgmmaInstruction, arch: ArchLike) -> LoweredOp:
-    pack = _pack_of(arch)
-    if not pack.has_wgmma:
+def _lower_wgmma(instr: WgmmaInstruction, arch: ArchPack) -> LoweredOp:
+    if not arch.has_wgmma:
         raise UnsupportedInstruction(
-            f"wgmma requires Hopper (sm_90); {pack.name} has no GMMA "
+            f"wgmma requires Hopper (sm_90); {arch.name} has no GMMA "
             "SASS instructions"
         )
     eff = instr.effective_shape
@@ -234,7 +225,7 @@ def _lower_wgmma(instr: WgmmaInstruction, arch: ArchLike) -> LoweredOp:
 
 
 @lower.register
-def _lower_ld_global(instr: LoadGlobal, arch: ArchLike) -> LoweredOp:
+def _lower_ld_global(instr: LoadGlobal, arch: ArchPack) -> LoweredOp:
     bits = instr.bytes_per_thread * 8
     mnemonic = f"LDG.E.{bits}" if bits <= 64 else "LDG.E.128"
     if instr.cache_op.value == "cg":
@@ -246,7 +237,7 @@ def _lower_ld_global(instr: LoadGlobal, arch: ArchLike) -> LoweredOp:
 
 
 @lower.register
-def _lower_ld_shared(instr: LoadShared, arch: ArchLike) -> LoweredOp:
+def _lower_ld_shared(instr: LoadShared, arch: ArchPack) -> LoweredOp:
     bits = instr.bytes_per_thread * 8
     return LoweredOp(
         ptx=instr.opcode, arch=arch,
@@ -255,8 +246,8 @@ def _lower_ld_shared(instr: LoadShared, arch: ArchLike) -> LoweredOp:
 
 
 @lower.register
-def _lower_cp_async(instr: CpAsync, arch: ArchLike) -> LoweredOp:
-    if not _pack_of(arch).has_cp_async:
+def _lower_cp_async(instr: CpAsync, arch: ArchPack) -> LoweredOp:
+    if not arch.has_cp_async:
         raise UnsupportedInstruction("cp.async requires sm_80+")
     return LoweredOp(
         ptx=instr.opcode, arch=arch,
@@ -266,8 +257,8 @@ def _lower_cp_async(instr: CpAsync, arch: ArchLike) -> LoweredOp:
 
 
 @lower.register
-def _lower_tma(instr: TmaCopy, arch: ArchLike) -> LoweredOp:
-    if not _pack_of(arch).has_tma:
+def _lower_tma(instr: TmaCopy, arch: ArchPack) -> LoweredOp:
+    if not arch.has_tma:
         raise UnsupportedInstruction("TMA requires Hopper (sm_90)")
     return LoweredOp(
         ptx=instr.opcode, arch=arch,
@@ -276,8 +267,8 @@ def _lower_tma(instr: TmaCopy, arch: ArchLike) -> LoweredOp:
 
 
 @lower.register
-def _lower_mapa(instr: Mapa, arch: ArchLike) -> LoweredOp:
-    if not _pack_of(arch).has_distributed_shared_memory:
+def _lower_mapa(instr: Mapa, arch: ArchPack) -> LoweredOp:
+    if not arch.has_distributed_shared_memory:
         raise UnsupportedInstruction(
             "mapa requires Hopper thread-block clusters"
         )
@@ -293,7 +284,7 @@ def _lower_mapa(instr: Mapa, arch: ArchLike) -> LoweredOp:
 def lower_dpx(
     name: str,
     *,
-    arch: ArchLike,
+    arch: ArchPack,
     hw_mnemonics: Sequence[str],
     emulation_mnemonics: Sequence[str],
 ) -> LoweredOp:
@@ -304,7 +295,7 @@ def lower_dpx(
     emulation sequence.  The caller (:mod:`repro.dpx`) supplies both,
     since the sequences are per-function properties.
     """
-    if _pack_of(arch).has_dpx_hardware:
+    if arch.has_dpx_hardware:
         sass = tuple(
             SassInstruction(m, FunctionalUnit.DPX) for m in hw_mnemonics
         )
@@ -319,12 +310,12 @@ def lower_dpx(
 # -- Table VI ------------------------------------------------------------------
 
 
-def sass_table(arch: ArchLike) -> List[dict]:
+def sass_table(arch: ArchPack) -> List[dict]:
     """Regenerate Table VI: SASS for each A/B–C/D tensor-core pairing.
 
     Returns one row per (A/B, C/D) pair with the ``mma`` and ``wgmma``
     lowering (or ``×`` where the instruction does not exist) for the
-    given architecture (enum member or pack — no implicit default).
+    given architecture pack.
     """
     from repro.isa.mma import mma_shapes, wgmma_k  # local to avoid cycle
 

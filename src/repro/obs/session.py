@@ -13,9 +13,11 @@ every item under a **fresh nested session** — in workers *and* on
 the serial path — and yields its :meth:`dump` with the result; the
 caller :meth:`merge`\\ s the deltas in input order.  Counters are
 integers, so the grouping cannot change totals: serial and parallel
-runs produce byte-identical counter dumps.  The experiment runner
-adds each computed experiment's ``exp.completed`` counter and wall
-span itself.
+runs produce byte-identical counter dumps.  A nested tracer counts
+from its caller's epoch, so merged spans keep their wall alignment.
+The experiment runner adds each computed experiment's
+``exp.completed`` counter itself; the experiment's wall span is
+recorded inside the item, where it runs.
 
 Sessions activate as context managers and nest (the previous session
 is restored on exit), so a worker-side session composes with a

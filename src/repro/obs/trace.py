@@ -3,8 +3,8 @@
 The tracer records three event shapes on named tracks:
 
 * **complete spans** (``ph="X"``) — a name, a start timestamp and a
-  duration.  The runner emits one per experiment (wall clock); the
-  probe sweeps emit one per sweep with their budget in ``args``.
+  duration.  Each experiment records one where it runs (wall clock);
+  the probe sweeps emit one per sweep with their budget in ``args``.
 * **instant events** (``ph="i"``) — point markers (a result-cache hit,
   a wave boundary, a tensor-core instruction issue).
 * **counter samples** (``ph="C"``) — optional numeric series.
@@ -50,14 +50,23 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        self._epoch = time.perf_counter()
+        #: the ``time.perf_counter`` reading wall timestamps count
+        #: from; a nested session's tracer adopts its caller's, so its
+        #: spans land on the caller's timeline
+        self.epoch = time.perf_counter()
         self.events: List[Dict[str, Any]] = []
 
     # -- clocks -------------------------------------------------------------
 
+    def at_us(self, t: float) -> float:
+        """A ``time.perf_counter`` reading as microseconds since this
+        tracer's epoch — for a span timed by clock reads its caller
+        already takes."""
+        return (t - self.epoch) * 1e6
+
     def now_us(self) -> float:
         """Microseconds since this tracer's epoch (the wall clock)."""
-        return (time.perf_counter() - self._epoch) * 1e6
+        return self.at_us(time.perf_counter())
 
     # -- event emission -----------------------------------------------------
 
@@ -117,10 +126,11 @@ class Tracer:
     # -- composition --------------------------------------------------------
 
     def merge(self, events: Iterable[Dict[str, Any]]) -> None:
-        """Append events shipped back from a worker, as-is.
+        """Append events shipped back from a nested session, as-is.
 
-        Worker wall timestamps are relative to the worker's own epoch;
-        sim-track timestamps are cycle counts and merge exactly.
+        The nested tracer counted wall timestamps from this tracer's
+        epoch (:func:`repro.perf.runner.parallel_imap` hands it over),
+        so they need no shift; sim-track timestamps are cycle counts.
         """
         self.events.extend(events)
 

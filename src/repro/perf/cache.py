@@ -2,12 +2,12 @@
 
 An experiment's output is a pure function of (a) the ``repro`` source
 and (b) the :class:`RunContext` it ran under (device sweep and seed)
-plus the registered specs of those devices and the architecture packs
-they resolve to.  The cache key therefore hashes
-the experiment name and its builder's ``"module:function"`` path
-together with the package version, the context token, a digest of the
-context's :class:`~repro.arch.DeviceSpec` objects and their
-:class:`~repro.arch.ArchPack` objects, and the **source digest**
+plus the registered specs of those devices, each with the
+:class:`~repro.arch.ArchPack` it carries.  The cache key therefore
+hashes the experiment name and its builder's ``"module:function"``
+path together with the package version, the context token, a digest
+of the context's :class:`~repro.arch.DeviceSpec` objects, and the
+**source digest**
 (:func:`source_digest`): one sha256 over every ``repro/**/*.py`` path
 and its bytes.  The builder's path comes from the experiment table
 (:mod:`repro.core.experiments`), so deriving a key imports no builder;
@@ -84,11 +84,11 @@ def _record_provenance(event: str, name: str) -> None:
                             cat="result_cache",
                             args={"experiment": name, "event": event})
 
-__all__ = ["ResultCache", "ResultCacheStats", "CacheKeys",
-           "default_cache_dir", "source_digest", "device_digest"]
+__all__ = ["ResultCache", "ResultCacheStats", "default_cache_dir",
+           "source_digest", "device_digest"]
 
 #: bump when the on-disk payload layout changes
-_SCHEMA = 4
+_SCHEMA = 5
 
 #: orchestration, left out of the source digest (see the module
 #: docstring): paths relative to the ``repro`` package
@@ -125,19 +125,14 @@ def source_digest() -> str:
 
 
 def device_digest(devices: Optional[Tuple[str, ...]] = None) -> str:
-    """Digest of the named device specs and the architecture packs
-    they resolve to (default: all registered devices).  A stock
-    device's repr names its :class:`~repro.arch.Architecture` but not
-    the pack registered for it, so the pack is hashed too."""
+    """Digest of the named device specs, their architecture packs
+    included (default: all registered devices)."""
     from repro.arch import get_device, list_devices
 
     names = list(devices) if devices else list_devices()
     h = hashlib.sha256()
     for name in sorted(names):
-        spec = get_device(name)
-        h.update(repr(spec).encode())
-        h.update(b"\0")
-        h.update(repr(spec.pack).encode())
+        h.update(repr(get_device(name)).encode())
         h.update(b"\0")
     return h.hexdigest()
 
@@ -158,37 +153,6 @@ def _write_atomic(path: Path, data: bytes, prefix: str) -> None:
         except OSError:
             pass
         raise
-
-
-class CacheKeys:
-    """Derives result-cache keys for one view of the source tree,
-    hashed on first use."""
-
-    def __init__(self) -> None:
-        self._digest: Optional[str] = None
-
-    @property
-    def digest(self) -> str:
-        """The :func:`source_digest` this instance keys under."""
-        if self._digest is None:
-            self._digest = source_digest()
-        return self._digest
-
-    def key_for(self, name: str,
-                context: Optional[RunContext] = None) -> str:
-        """The full content-address of one (experiment, context)."""
-        import repro
-
-        ctx = DEFAULT_CONTEXT if context is None else context
-        h = hashlib.sha256()
-        h.update(f"schema={_SCHEMA}\n".encode())
-        h.update(f"version={repro.__version__}\n".encode())
-        h.update(f"name={name}\n".encode())
-        h.update(f"builder={get_experiment(name).target}\n".encode())
-        h.update(f"context={ctx.token()}\n".encode())
-        h.update(f"devices={device_digest(ctx.devices)}\n".encode())
-        h.update(f"source={self.digest}\n".encode())
-        return h.hexdigest()
 
 
 @dataclass
@@ -234,7 +198,8 @@ class ResultCache:
     root: Optional[Path] = None
     stats: ResultCacheStats = field(default_factory=ResultCacheStats)
     max_entries: Optional[int] = None
-    _keys: CacheKeys = field(init=False, repr=False, compare=False)
+    _digest: Optional[str] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self) -> None:
         if self.root is None:
@@ -245,14 +210,32 @@ class ResultCache:
                 "HOPPERDISSECT_CACHE_MAX_ENTRIES", None)
         if self.max_entries is not None and self.max_entries < 1:
             raise ValueError("max_entries must be positive or None")
-        self._keys = CacheKeys()
 
     # -- keys ---------------------------------------------------------------
+
+    @property
+    def digest(self) -> str:
+        """The :func:`source_digest` this cache keys under, hashed on
+        first use."""
+        if self._digest is None:
+            self._digest = source_digest()
+        return self._digest
 
     def key_for(self, name: str,
                 context: Optional[RunContext] = None) -> str:
         """The full content-address of one (experiment, context)."""
-        return self._keys.key_for(name, context)
+        import repro
+
+        ctx = DEFAULT_CONTEXT if context is None else context
+        h = hashlib.sha256()
+        h.update(f"schema={_SCHEMA}\n".encode())
+        h.update(f"version={repro.__version__}\n".encode())
+        h.update(f"name={name}\n".encode())
+        h.update(f"builder={get_experiment(name).target}\n".encode())
+        h.update(f"context={ctx.token()}\n".encode())
+        h.update(f"devices={device_digest(ctx.devices)}\n".encode())
+        h.update(f"source={self.digest}\n".encode())
+        return h.hexdigest()
 
     def path_for(self, name: str,
                  context: Optional[RunContext] = None) -> Path:
@@ -317,7 +300,7 @@ class ResultCache:
         ``{name}-{address[:20]}.pkl`` layout the experiment tier uses,
         so :meth:`clear` and the LRU bound govern both tiers."""
         address = hashlib.sha256(
-            f"source={self._keys.digest}\nkey={key}\n".encode())
+            f"source={self.digest}\nkey={key}\n".encode())
         return self.root / f"{kind}-{address.hexdigest()[:20]}.pkl"
 
     def get_blob(self, kind: str, key: str) -> Optional[Any]:

@@ -120,13 +120,19 @@ def _build(task: Tuple[str, RunContext]) -> Tuple[Any, tuple, float]:
     """One experiment's table, checks and wall time — the pool item of
     :func:`run_experiments`.  The builder is resolved before the clock
     starts: importing its module is start-up cost, not experiment
-    time."""
+    time.  Under a tracing session the experiment's wall span is
+    recorded here, where it runs, from the same two clock reads."""
     name, ctx = task
     exp = get_experiment(name)
     exp.resolve()
     t0 = time.perf_counter()
     result = exp.run(ctx)
-    return result.table, result.checks, time.perf_counter() - t0
+    wall = time.perf_counter() - t0
+    tracer = _obs.active_tracer()
+    if tracer is not None:
+        tracer.complete(name, tracer.at_us(t0), wall * 1e6,
+                        cat="experiment")
+    return result.table, result.checks, wall
 
 
 @dataclass(frozen=True)
@@ -212,11 +218,6 @@ def run_experiments(
                     with _span("runner.merge", experiment=name):
                         sess.merge(dump, experiment=name)
                     sess.counters.add("exp.completed")
-                    if tracer is not None:
-                        dur = wall * 1e6
-                        tracer.complete(
-                            name, max(tracer.now_us() - dur, 0.0), dur,
-                            cat="experiment")
                 if cache is not None:
                     with _span("runner.cache_store", experiment=name):
                         cache.put(name, res, ctx)
@@ -234,15 +235,18 @@ def run_experiments(
     return RunReport(results=ordered, profiler=profiler)
 
 
-def _isolated(task: Tuple[Callable[[Any], Any], Any, Optional[bool]]) \
+def _isolated(task: Tuple[Callable[[Any], Any], Any, bool,
+                          Optional[float]]) \
         -> Tuple[Any, Optional[dict]]:
     """``(fn(item), dump)``: the call under a fresh nested session when
-    ``trace`` is not ``None``.  Module-level, so the pool can pickle
-    it."""
-    fn, item, trace = task
-    if trace is None:
+    ``observed``, tracing on the caller's ``epoch`` when that is not
+    ``None``.  Module-level, so the pool can pickle it."""
+    fn, item, observed, epoch = task
+    if not observed:
         return fn(item), None
-    session = ObsSession(trace=trace)
+    session = ObsSession(trace=epoch is not None)
+    if session.tracer is not None:
+        session.tracer.epoch = epoch
     with session.activate():
         out = fn(item)
     return out, session.dump()
@@ -259,8 +263,11 @@ def parallel_imap(
     With an :class:`~repro.obs.ObsSession` active, each call runs
     under a fresh nested session, which traces only if the caller's
     session traces, and ``dump`` is its
-    :meth:`~repro.obs.ObsSession.dump`; the caller merges it.  With no
-    session active, ``dump`` is ``None``.
+    :meth:`~repro.obs.ObsSession.dump`; the caller merges it.  A
+    nested tracer counts wall time from the caller's tracer's epoch,
+    in a pool worker too (on Linux ``time.perf_counter`` reads the
+    system-wide monotonic clock), so merged spans land on the
+    caller's timeline.  With no session active, ``dump`` is ``None``.
 
     ``jobs > 1`` fans the calls over ``multiprocessing.Pool.imap`` with
     chunksize 1, so an idle worker takes the next item instead of
@@ -270,8 +277,9 @@ def parallel_imap(
     module-level function, and items and results must pickle.
     """
     sess = _obs.ACTIVE
-    trace = None if sess is None else sess.tracer is not None
-    tasks = [(fn, item, trace) for item in items]
+    tracer = None if sess is None else sess.tracer
+    epoch = None if tracer is None else tracer.epoch
+    tasks = [(fn, item, sess is not None, epoch) for item in items]
     if jobs <= 1 or len(tasks) <= 1:
         for task in tasks:
             yield _isolated(task)

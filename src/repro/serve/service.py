@@ -9,8 +9,8 @@ order with each caller's ``id`` tag re-attached.
 
 Two cache tiers sit between planning and dispatch, both addressed by a
 **storage key** layered over the shard's content digest (package
-version, base-context token, device-spec digest, observability mode,
-and — for family shards — the experiment tier's keys):
+version, base-context token, device-spec digest and observability
+mode; a family shard's content names each experiment and seed):
 
 * an in-process **memo** — the warm-service fast path;
 * the persistent blob tier of the shared content-addressed
@@ -31,7 +31,10 @@ cold and warm runs do *not* share) — is why cold-vs-warm and
 serial-vs-parallel runs of one batch produce byte-identical prediction
 streams *and* counter dumps.  The tiers keep counters, not trace
 events: a fresh compute's spans join the live trace once, and a
-replay adds none.
+replay adds none.  Under a tracing session every batch also records
+its stage spans (``serve.plan``, ``serve.dispatch`` when a shard
+was computed, ``serve.expand`` and ``serve.total``), so a fully warm
+batch still writes a trace.
 
 The session bank only ever receives values that are pure functions of
 the input stream (``serve.queries``, ``serve.batch.size``, the per-shard
@@ -137,8 +140,6 @@ class QueryService:
         #: Deliberately not the session's — see the module docstring.
         self.stats = CounterSet()
         self._memo: "OrderedDict[str, _Entry]" = OrderedDict()
-        #: derives experiment-family keys (see _experiment_key)
-        self._keys: Optional[Any] = None
 
     # -- the memo tier ------------------------------------------------------
 
@@ -188,41 +189,7 @@ class QueryService:
                      .encode())
         h.update(f"obs={int(obs)}\n".encode())
         h.update(f"content={shard.content_key()}\n".encode())
-        if shard.kind == "experiment":
-            # family answers depend on the experiment's builder and
-            # derived context: reuse the experiment tier's keys
-            for q in shard.queries:
-                h.update(self._experiment_key(q).encode())
-                h.update(b"\n")
         return h.hexdigest()
-
-    def _experiment_key(self, query: Query) -> str:
-        from repro.core.registry import get_experiment
-
-        name = query.param("name")
-        try:
-            get_experiment(name)
-        except KeyError:
-            return f"unknown={name}"
-        try:
-            ctx = self.context.derive(
-                devices=(query.device,) if query.device else None,
-                seed=query.param("seed"))
-        except (KeyError, ValueError) as exc:
-            # underivable context (unknown device — experiment-kind
-            # queries skip device validation at construction): a
-            # stable sentinel keeps the shard dispatchable so the
-            # in-stream error path answers the query
-            return f"badctx={exc}"
-        if self._keys is None:
-            from repro.perf.cache import CacheKeys, ResultCache
-
-            # the service cache's keys share its source digest;
-            # without one, the tree is hashed here, on the first
-            # family shard only
-            self._keys = self.cache if isinstance(
-                self.cache, ResultCache) else CacheKeys()
-        return f"experiment={self._keys.key_for(name, ctx)}"
 
     # -- the batch path -----------------------------------------------------
 
@@ -236,7 +203,7 @@ class QueryService:
         entries = self._resolve(plan, sess is not None)
         predictions = self._merge_and_expand(plan, entries, queries,
                                              sess)
-        self._wall("serve.wall.total_us", t_total)
+        self._wall("total", t_total)
         return predictions
 
     def answer(self, query: Query) -> Prediction:
@@ -255,7 +222,7 @@ class QueryService:
             sess.counters.add("serve.shards", len(plan.shards))
             if plan.n_duplicates:
                 sess.counters.add("serve.dedup", plan.n_duplicates)
-        self._wall("serve.wall.plan_us", t0)
+        self._wall("plan", t0)
         return plan
 
     def _resolve(self, plan: Plan, obs: bool) -> List[_Entry]:
@@ -286,7 +253,7 @@ class QueryService:
             results = dispatch_shards(
                 [plan.shards[i] for i in missing],
                 jobs=self.jobs, context=self.context)
-            self._wall("serve.wall.dispatch_us", t0)
+            self._wall("dispatch", t0)
             for i, (predictions, dump) in zip(missing, results):
                 entries[i] = (predictions, dump)
                 # the tiers keep counters only: trace events belong to
@@ -325,7 +292,7 @@ class QueryService:
             shard_predictions[si][slot].with_qid(queries[pos].qid)
             for pos, (si, slot) in enumerate(plan.expansion)
         ]
-        self._wall("serve.wall.expand_us", t0)
+        self._wall("expand", t0)
         return out
 
     # -- the JSONL path -----------------------------------------------------
@@ -366,9 +333,16 @@ class QueryService:
 
     # -- private stats ------------------------------------------------------
 
-    def _wall(self, histogram: str, t0: float) -> None:
+    def _wall(self, stage: str, t0: float) -> None:
+        """Close a stage timed from ``t0``: its ``serve.wall.<stage>_us``
+        histogram in the private bank and, when the active session
+        traces, a ``serve.<stage>`` span from the same clock reads."""
         micros = (time.perf_counter() - t0) * 1e6
-        self.stats.observe(histogram, max(micros, 1.0))
+        self.stats.observe(f"serve.wall.{stage}_us", max(micros, 1.0))
+        tracer = _obs.active_tracer()
+        if tracer is not None:
+            tracer.complete(f"serve.{stage}", tracer.at_us(t0), micros,
+                            cat="serve", tid="serve")
 
     def stats_payload(self) -> Dict[str, Any]:
         """The ``--stats-json`` document: private service stats,

@@ -91,7 +91,7 @@ class TestDsmContention:
         assert with_contention[2] > with_contention[16] * 2
 
         pack = h800.pack
-        ideal = h800.with_overrides(pack_override=replace(
+        ideal = h800.with_overrides(pack=replace(
             pack, dsm=replace(pack.dsm, contention_alpha=0.0)))
         without = self._best_by_cs(ideal)
         # ideal crossbar: cluster size no longer matters (up to the

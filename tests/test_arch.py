@@ -7,58 +7,53 @@ from dataclasses import replace
 import pytest
 
 from repro.arch import (
-    Architecture,
     CacheGeometry,
     ClockDomain,
     DeviceSpec,
     DramSpec,
     MemoryLatencies,
     MemoryWidths,
+    PackValidationError,
     TensorCoreSpec,
     get_device,
     list_devices,
     register_device,
 )
+from repro.arch.packs import ADA, AMPERE, BLACKWELL, HOPPER, VOLTA
 from repro.arch.registry import PAPER_DEVICES
 
 
 class TestArchitecture:
     def test_compute_capabilities(self):
-        assert Architecture.VOLTA.compute_capability == "7.0"
-        assert Architecture.AMPERE.compute_capability == "8.0"
-        assert Architecture.ADA.compute_capability == "8.9"
-        assert Architecture.HOPPER.compute_capability == "9.0"
-        assert Architecture.BLACKWELL.compute_capability == "10.0"
+        assert VOLTA.compute_capability == "7.0"
+        assert AMPERE.compute_capability == "8.0"
+        assert ADA.compute_capability == "8.9"
+        assert HOPPER.compute_capability == "9.0"
+        assert BLACKWELL.compute_capability == "10.0"
 
     def test_tensor_core_generations(self):
-        assert Architecture.VOLTA.tensor_core_generation == 1
-        assert Architecture.AMPERE.tensor_core_generation == 3
-        assert Architecture.ADA.tensor_core_generation == 4
-        assert Architecture.HOPPER.tensor_core_generation == 4
-        assert Architecture.BLACKWELL.tensor_core_generation == 5
+        assert VOLTA.tensor_core_generation == 1
+        assert AMPERE.tensor_core_generation == 3
+        assert ADA.tensor_core_generation == 4
+        assert HOPPER.tensor_core_generation == 4
+        assert BLACKWELL.tensor_core_generation == 5
 
     def test_hopper_exclusive_features(self):
         for feat in ("has_dpx_hardware", "has_distributed_shared_memory",
                      "has_wgmma", "has_tma"):
-            assert getattr(Architecture.HOPPER, feat)
-            assert not getattr(Architecture.AMPERE, feat)
-            assert not getattr(Architecture.ADA, feat)
+            assert getattr(HOPPER, feat)
+            assert not getattr(AMPERE, feat)
+            assert not getattr(ADA, feat)
 
     def test_fp8_support(self):
-        assert not Architecture.AMPERE.has_fp8
-        assert Architecture.ADA.has_fp8
-        assert Architecture.HOPPER.has_fp8
+        assert not AMPERE.has_fp8
+        assert ADA.has_fp8
+        assert HOPPER.has_fp8
 
     def test_cp_async_sm80_onward(self):
-        assert not Architecture.VOLTA.has_cp_async
-        for a in (Architecture.AMPERE, Architecture.ADA,
-                  Architecture.HOPPER, Architecture.BLACKWELL):
+        assert not VOLTA.has_cp_async
+        for a in (AMPERE, ADA, HOPPER, BLACKWELL):
             assert a.has_cp_async
-
-    def test_enum_properties_come_from_packs(self):
-        for a in Architecture:
-            assert a.compute_capability == a.pack.compute_capability
-            assert a.has_wgmma == a.pack.has_wgmma
 
 
 class TestRegistry:
@@ -85,6 +80,16 @@ class TestRegistry:
     def test_overwrite_allowed(self, h800):
         register_device(h800, overwrite=True)
         assert get_device("H800") is h800
+
+    def test_invalid_pack_is_rejected_at_registration(self, h800):
+        # claims wgmma but carries no wgmma calibration: a wgmma query
+        # against it would crash the engine instead of being answered
+        bad = h800.with_overrides(
+            name="H800NOWG", pack=replace(h800.pack, wgmma=None))
+        with pytest.raises(PackValidationError,
+                           match="has_wgmma but no wgmma calibration"):
+            register_device(bad)
+        assert "H800NOWG" not in list_devices()
 
 
 class TestDeviceProperties:

@@ -9,6 +9,7 @@ answer.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -21,8 +22,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.arch import ArchPack, get_pack, register_pack
-from repro.arch import packs as packs_mod
+from repro.arch import ArchPack, get_device, register_device
+from repro.arch import registry as arch_registry
 from repro.cli import main
 from repro.core import list_experiments, run_experiment
 from repro.core import registry as regmod
@@ -31,7 +32,6 @@ from repro.core.registry import get_experiment
 from repro.obs import ObsSession
 from repro.perf import ResultCache, ResultCacheStats, run_experiments
 from repro.perf import cache as cmod
-from repro.perf.cache import CacheKeys
 from repro.serve import QueryService, parse_query
 
 EXP = "table03_devices"
@@ -182,11 +182,13 @@ class TestHashCount:
         service.answer(parse_query(
             {"kind": "memory.latency", "device": "H800",
              "params": {"footprint_kib": 64}}))
+        service.answer(parse_query(
+            {"kind": "experiment", "params": {"name": EXP}}))
         assert hashes == []
 
 
-#: a stock pack's perturbations must reach this key: the experiment
-#: is pinned to H800, a Hopper device in the default context
+#: a perturbation of the H800's pack must reach this key: the
+#: experiment is pinned to H800, which is in the default context
 PACK_EXP = "table08_wgmma_dense"
 
 
@@ -211,21 +213,25 @@ def _bump(value):
         value, **{first: _bump(getattr(value, first))})
 
 
-def _key_with_pack(cache, arch, pack):
-    """``PACK_EXP``'s key while ``pack`` stands in for the stock
-    ``arch`` pack; the stock pack is restored whatever happens."""
-    stock = packs_mod._PACKS[arch]
-    packs_mod._PACKS[arch] = pack
+def _key_with_pack(cache, device, pack):
+    """``PACK_EXP``'s key while the registered ``device`` carries
+    ``pack``; the stock device is restored whatever happens.  The swap
+    skips validation (a bumped ``compute_capability`` is not a valid
+    pack) and the spec's own checks."""
+    stock = get_device(device)
+    swapped = copy.copy(stock)
+    object.__setattr__(swapped, "pack", pack)
+    arch_registry.DEVICES[device] = swapped
     try:
         return cache.key_for(PACK_EXP)
     finally:
-        packs_mod._PACKS[arch] = stock
+        arch_registry.DEVICES[device] = stock
 
 
 class TestPackSoundness:
-    """Replacing a stock pack changes the keys of every context that
-    holds one of its devices — a warm cache never serves results
-    computed with the old pack."""
+    """A device that carries another pack has other keys in every
+    context that holds it — a warm cache never serves results computed
+    with the old pack."""
 
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(ArchPack)])
@@ -233,32 +239,35 @@ class TestPackSoundness:
                                                   field):
         cache = ResultCache(tmp_path / "rc")
         key = cache.key_for(PACK_EXP)
-        hopper = get_pack("hopper")
+        hopper = get_device("H800").pack
         bumped = dataclasses.replace(
             hopper, **{field: _bump(getattr(hopper, field))})
         assert bumped != hopper
-        assert _key_with_pack(cache, "hopper", bumped) != key, \
+        assert _key_with_pack(cache, "H800", bumped) != key, \
             f"perturbing ArchPack.{field} left {PACK_EXP}'s key unchanged"
         assert cache.key_for(PACK_EXP) == key
 
-    def test_registered_replacement_reaches_both_digests(self):
-        before = (cmod.device_digest(("H800",)), CacheKeys().key_for(
-            PACK_EXP))
-        stock = get_pack("hopper")
+    def test_registered_replacement_reaches_both_digests(self, tmp_path):
+        def digests():
+            return (cmod.device_digest(("H800",)),
+                    ResultCache(tmp_path / "rc").key_for(PACK_EXP))
+
+        before = digests()
+        stock = get_device("H800")
         try:
-            register_pack(dataclasses.replace(stock, has_fp8=False),
-                          overwrite=True)
-            after = (cmod.device_digest(("H800",)),
-                     CacheKeys().key_for(PACK_EXP))
+            register_device(stock.with_overrides(
+                pack=dataclasses.replace(stock.pack, has_fp8=False)),
+                overwrite=True)
+            after = digests()
         finally:
-            register_pack(stock, overwrite=True)
+            register_device(stock, overwrite=True)
         assert after[0] != before[0] and after[1] != before[1]
 
     def test_pack_outside_the_context_keeps_the_key(self, tmp_path):
         cache = ResultCache(tmp_path / "rc")
-        volta = get_pack("volta")          # V100 is not in the default
+        volta = get_device("V100").pack    # V100 is not in the default
         assert _key_with_pack(             # context
-            cache, "volta", dataclasses.replace(
+            cache, "V100", dataclasses.replace(
                 volta, has_fp8=not volta.has_fp8)) \
             == cache.key_for(PACK_EXP)
 

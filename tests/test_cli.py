@@ -380,7 +380,7 @@ class TestFuzzCli:
         h800 = get_device("H800")
         register_device(h800.with_overrides(
             name="H800BAD",
-            pack_override=replace(
+            pack=replace(
                 h800.pack,
                 dsm=DsmCalibration(
                     link_bytes_per_clk=h800.pack.dsm.link_bytes_per_clk,

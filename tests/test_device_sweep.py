@@ -130,18 +130,6 @@ class TestColumnarTable:
         assert type(u.cell(0, "f")) is float
         assert u.render() == t.render()
 
-    def test_pickle_is_compact_for_numeric_columns(self):
-        big = Table("big", ["x"])
-        small = Table("small", ["x"])
-        for i in range(4096):
-            big.add_row(float(i))
-        small.add_row(0.0)
-        per_row = (len(pickle.dumps(big)) - len(pickle.dumps(small))) \
-            / 4095
-        # a column list pickles each float as one 9-byte BINFLOAT;
-        # the old row-of-python-floats layout cost several dozen
-        assert per_row < 12, per_row
-
     def test_rows_equality_supports_determinism_checks(self):
         t = Table("t", ["a"])
         t.add_row(1.5)

@@ -6,10 +6,10 @@ The acceptance story lives here end to end:
 * a fixed seed over the registered devices reports **zero**
   violations (the CI ``fuzz-smoke`` job runs the same sweep bigger);
 * a *known-bad* device — an H800 whose DSM pack is given a negative
-  contention coefficient via ``pack_override``, so fabric bandwidth
-  *rises* with cluster size — is injected test-only, convicted by
-  ``dsm_contention_monotone``, shrunk to a two-query repro, written
-  to disk and replayed to the very same violation;
+  contention coefficient via ``with_overrides(pack=...)``, so fabric
+  bandwidth *rises* with cluster size — is injected test-only,
+  convicted by ``dsm_contention_monotone``, shrunk to a two-query
+  repro, written to disk and replayed to the very same violation;
 * ``run_fuzz(jobs=2)`` returns the identical violation list and
   counter dump as the serial run.
 """
@@ -51,7 +51,7 @@ def bad_dsm_device():
     h800 = get_device("H800")
     bad = h800.with_overrides(
         name="H800BAD",
-        pack_override=replace(
+        pack=replace(
             h800.pack,
             dsm=DsmCalibration(
                 link_bytes_per_clk=h800.pack.dsm.link_bytes_per_clk,

@@ -49,7 +49,7 @@ class TestTimingConsistency:
         model must agree it's off the tensor core."""
         instr = MmaInstruction(DType.INT4, DType.INT32,
                                MatrixShape(16, 8, 32))
-        lowered = lower(instr, h800.architecture)
+        lowered = lower(instr, h800.pack)
         timing = TensorCoreTimingModel(h800).mma(instr)
         assert lowered.uses_tensor_core == timing.on_tensor_core \
             is False

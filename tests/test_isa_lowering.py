@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arch import Architecture
+from repro.arch.packs import ADA, AMPERE, HOPPER
 from repro.isa import (
     CpAsync,
     FunctionalUnit,
@@ -22,9 +22,9 @@ from repro.isa.dtypes import DType
 from repro.isa.lowering import UnsupportedInstruction, lower_dpx
 from repro.isa.memory_ops import CacheOp, Ldmatrix
 
-H = Architecture.HOPPER
-A = Architecture.AMPERE
-L = Architecture.ADA
+H = HOPPER
+A = AMPERE
+L = ADA
 
 
 def _mma(ab, cd, shape, sparse=False):

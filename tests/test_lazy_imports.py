@@ -62,8 +62,8 @@ _KEYS_PROBE = """\
 import json, sys
 from repro.core.context import DEFAULT_CONTEXT
 from repro.core.registry import get_experiment, list_experiments
-from repro.perf.cache import CacheKeys
-keys = CacheKeys()
+from repro.perf.cache import ResultCache
+keys = ResultCache(root=sys.argv[1] + ".cache")
 for name in list_experiments():
     exp = get_experiment(name)
     exp.supports(DEFAULT_CONTEXT)

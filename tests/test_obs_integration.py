@@ -60,6 +60,45 @@ class TestRunnerCountsCompletions:
         assert orchestration.get("result_cache.hit") == 1
 
 
+class TestTraceAlignment:
+    """Spans recorded under a nested session land on the caller's
+    timeline: a sweep's probe spans lie inside the span of the
+    experiment that ran them."""
+
+    NAMES = ["table04_mem_latency", "ext_cache_detection"]
+
+    def _spans(self, jobs):
+        session = ObsSession(trace=True)
+        with session.activate():
+            run_experiments(self.NAMES, jobs=jobs, cache=None)
+        events = session.tracer.events
+        experiments = {ev["name"]: ev for ev in events
+                       if ev.get("cat") == "experiment"}
+        probes = [ev for ev in events if ev.get("cat") == "probe"]
+        assert set(experiments) == set(self.NAMES) and probes
+        return experiments, probes
+
+    @staticmethod
+    def _inside(inner, outer, eps=0.01):
+        """``inner`` within ``outer``, up to timestamp rounding (µs)."""
+        return (outer["ts"] - eps <= inner["ts"]
+                and inner["ts"] + inner["dur"]
+                <= outer["ts"] + outer["dur"] + eps)
+
+    def test_serial_spans_nest_and_do_not_overlap(self):
+        experiments, probes = self._spans(jobs=1)
+        detection = experiments["ext_cache_detection"]
+        assert all(self._inside(p, detection) for p in probes)
+        latency = experiments["table04_mem_latency"]
+        assert (latency["ts"] + latency["dur"] <= detection["ts"]
+                or detection["ts"] + detection["dur"] <= latency["ts"])
+
+    def test_pool_spans_nest_in_their_experiment(self):
+        experiments, probes = self._spans(jobs=2)
+        detection = experiments["ext_cache_detection"]
+        assert all(self._inside(p, detection) for p in probes)
+
+
 class TestOffMeansOff:
     def test_no_session_active_by_default(self):
         assert obs_session.ACTIVE is None

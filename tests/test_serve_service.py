@@ -9,6 +9,7 @@ result cache's LRU size guard and the serve CLI round trip.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -46,6 +47,11 @@ def _batch_lines():
         {"kind": "experiment",
          "params": {"name": "table03_devices"}}))
     return lines
+
+
+def _golden_batch():
+    return (Path(__file__).parent / "golden"
+            / "serve_batch.jsonl").read_text().splitlines()
 
 
 def _run(lines, *, jobs, root):
@@ -94,9 +100,8 @@ class TestDeterminism:
     def test_trace_records_computed_shards_once(self, tmp_path):
         """A computed shard's engine spans join the live trace once;
         the memo and blob tiers replay its counters, never its
-        events."""
-        lines = (Path(__file__).parent / "golden"
-                 / "serve_batch.jsonl").read_text().splitlines()
+        events, and a replayed batch records only its stage spans."""
+        lines = _golden_batch()
         root = tmp_path / "cache"
 
         def traced(service):
@@ -104,18 +109,39 @@ class TestDeterminism:
             with session.activate():
                 text = service.answer_lines_text(lines)
             return (text, session.counters.dump(),
-                    len(session.tracer.events))
+                    [ev.get("cat") for ev in session.tracer.events])
 
         service = QueryService(cache=ResultCache(root=root))
         cold = traced(service)
         memo = traced(service)
         fresh = QueryService(cache=ResultCache(root=root))
         blob = traced(fresh)
-        assert cold[2] > 0
-        assert memo[2] == 0 and blob[2] == 0
+        assert set(cold[2]) - {"serve"}
+        for warm in (memo, blob):
+            assert warm[2] and set(warm[2]) == {"serve"}
         assert cold[:2] == memo[:2] == blob[:2]
         assert service.stats.as_dict()["serve.cache.memo_hits"] > 0
         assert fresh.stats.as_dict()["serve.cache.blob_hits"] > 0
+
+    def test_warm_trace_validates(self, tmp_path):
+        """Serving the golden batch twice against one cache writes a
+        schema-valid trace both times, with equal counter dumps."""
+        lines = _golden_batch()
+        spec = importlib.util.spec_from_file_location(
+            "validate_trace", Path(__file__).resolve().parent.parent
+            / "benchmarks" / "validate_trace.py")
+        validator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(validator)
+        dumps = []
+        for run in ("cold", "warm"):
+            session = ObsSession(trace=True)
+            with session.activate():
+                QueryService(cache=ResultCache(root=tmp_path / "rc")) \
+                    .answer_lines_text(lines)
+            path = session.write_trace(tmp_path / f"{run}.json")
+            assert validator.validate_chrome(Path(path)) > 0
+            dumps.append(session.counters.dump())
+        assert dumps[0] == dumps[1]
 
     def test_qids_reattach_after_dedup(self, tmp_path):
         q = {"kind": "dsm.bandwidth", "device": "H800",
