@@ -6,15 +6,14 @@ Usage::
     python benchmarks/gates.py
 
 Each row of :func:`gate_table` names a fast path, the reference it
-replaced and one bound: either a required ratio (reference time / fast
-time) or a ceiling on the fast path alone.  Both paths run in this process,
-on the same workload, passes alternating, so the ratio holds on any
-machine; nothing is compared against a number taken elsewhere.  Every
-timing is the best of the row's repeat count; a path's ``prepare``
-step (fresh services, warmed hierarchies) runs untimed before each
-pass.  Before any bound is judged, the two paths' outputs must agree
-— a fast path that got faster by computing something else fails its
-gate.
+replaced and one bound: a required ratio (reference time / fast time).
+Both paths run in this process, on the same workload, passes
+alternating, so the ratio holds on any machine; nothing is compared
+against a number taken elsewhere.  Every timing is the best of the
+row's repeat count; a path's ``prepare`` step (fresh services, warmed
+hierarchies) runs untimed before each pass.  Before any bound is
+judged, the two paths' outputs must agree — a fast path that got
+faster by computing something else fails its gate.
 
 Prints one line per gate and exits 1 naming every gate that failed.
 The equivalence suites under ``tests/`` pin the fast paths bit-equal
@@ -84,10 +83,9 @@ class Gate:
     name: str
     workload: str
     fast: Side
+    reference: Side
     repeat: int
-    reference: Optional[Side] = None
-    min_ratio: Optional[float] = None   # reference_s / fast_s floor
-    max_s: Optional[float] = None       # fast_s ceiling
+    min_ratio: float   # reference_s / fast_s floor
 
 
 def best_of(sides: Sequence[Side], repeat: int) -> List[Tuple[float, Any]]:
@@ -423,10 +421,14 @@ def gate_table(scratch: Path) -> List[Gate]:
              reference=Side(lambda s: [s.answer(q) for q in batch],
                             fresh_service),
              repeat=3, min_ratio=5.0),
-        Gate("warm point query",
-             "one te.linear answer off a hot memo tier",
+        # 5.2-6.0x over 48 runs on a 2-vCPU host; 0.9-1.0x with the
+        # memo tier switched off
+        Gate("warm point query vs fresh service",
+             "one te.linear answer: hot memo tier vs a fresh "
+             "service's oracle",
              fast=Side(lambda s: s.answer(point), warm_service),
-             repeat=30, max_s=0.050),
+             reference=Side(lambda s: s.answer(point), fresh_service),
+             repeat=30, min_ratio=3.0),
         Gate("work stealing vs chunked map",
              f"{len(_COSTS)} sleep-jobs, heavies at the head, "
              f"{_JOBS} workers",
@@ -461,27 +463,19 @@ def gate_table(scratch: Path) -> List[Gate]:
 def check(gate: Gate) -> Tuple[str, Optional[str]]:
     """Time one gate; return its report line and, if it failed, why."""
     failure = None
-    if gate.reference is None:
-        [(fast_s, _)] = best_of([gate.fast], gate.repeat)
-        ref_txt = ratio_txt = "-"
-        bound = f"<= {gate.max_s * 1e3:.0f} ms"
-        if fast_s > gate.max_s:
-            failure = (f"{fast_s * 1e3:.2f} ms is over the "
-                       f"{gate.max_s * 1e3:.0f} ms ceiling")
-    else:
-        # the reference first in each round: its longer pass leaves the
-        # process and the CPU warm, so the fast path's short pass is not
-        # timed cold (fast-first reads ~10 % lower ratios)
-        (ref_s, ref_out), (fast_s, fast_out) = best_of(
-            [gate.reference, gate.fast], gate.repeat)
-        ratio = ref_s / fast_s if fast_s else math.inf
-        ref_txt, ratio_txt = f"{ref_s * 1e3:.3f} ms", f"{ratio:.1f}x"
-        bound = f">= {gate.min_ratio:.1f}x"
-        if ref_out != fast_out:
-            failure = "fast path and reference outputs disagree"
-        elif ratio < gate.min_ratio:
-            failure = (f"{ratio:.2f}x is below the "
-                       f"{gate.min_ratio:.1f}x bound")
+    # the reference first in each round: its longer pass leaves the
+    # process and the CPU warm, so the fast path's short pass is not
+    # timed cold (fast-first reads ~10 % lower ratios)
+    (ref_s, ref_out), (fast_s, fast_out) = best_of(
+        [gate.reference, gate.fast], gate.repeat)
+    ratio = ref_s / fast_s if fast_s else math.inf
+    ref_txt, ratio_txt = f"{ref_s * 1e3:.3f} ms", f"{ratio:.1f}x"
+    bound = f">= {gate.min_ratio:.1f}x"
+    if ref_out != fast_out:
+        failure = "fast path and reference outputs disagree"
+    elif ratio < gate.min_ratio:
+        failure = (f"{ratio:.2f}x is below the "
+                   f"{gate.min_ratio:.1f}x bound")
     line = (f"{gate.name:<44} {fast_s * 1e3:>9.3f} ms {ref_txt:>12} "
             f"{ratio_txt:>7} {bound:>10}  "
             f"{'FAIL' if failure else 'ok'}  "

@@ -8,13 +8,13 @@ true-LRU replacement, which is sufficient for every access pattern the
 paper's microbenchmarks generate (sequential warm-up passes followed by
 pointer chases).
 
-The state lives in NumPy matrices of shape ``(num_sets, ways)`` —
-``_lines`` (resident line address), ``_valid`` (per-sector valid
-bitmask) and ``_stamp`` (LRU timestamp) — with a flat
-``line address → way`` dict as the lookup index, so a scalar
-:meth:`access` is O(1) in the associativity instead of a linear way
-scan, and constructing a cache is O(1) in its capacity (the matrices
-are callocated, never eagerly initialised).
+The state lives in way-major NumPy matrices of shape
+``(ways, num_sets)`` — ``_lines`` (resident line address), ``_valid``
+(per-sector valid bitmask), ``_stamp`` (LRU timestamp) and ``_ins``
+(insertion sequence) — with a flat ``line address → way`` dict as the
+lookup index, so a scalar :meth:`access` is O(1) in the associativity
+instead of a linear way scan, and constructing a cache is O(1) in its
+capacity (the matrices are callocated, never eagerly initialised).
 
 The batched :meth:`access_many` resolves the warm-up shape in closed
 form: an ascending single-sector stream into an empty cache whose
@@ -29,6 +29,14 @@ O(kept lines) without sorting or visiting the evicted ones.
 non-constant strides, pointer chases, a non-empty cache — takes the
 exact lockstep path (or, for tiny or multi-sector batches, the scalar
 loop).
+
+The matrices are way-major because that fill writes way by way: each
+way it reaches is one contiguous row of each matrix, and the pages of
+the ways it never reaches are never faulted in.  Set-major, it would
+write one 8-byte cell into each set's ``8 · ways``-byte row and touch
+every page of every matrix — about 13 MB for a 4 MiB stream into
+H800's 25,600-set, 16-way L2, of which the way-major fill touches the
+two rows it writes.
 
 Behaviour is access-for-access identical to the original scalar
 implementation, which ``tests/reference.py`` keeps as
@@ -52,7 +60,7 @@ __all__ = ["SetAssociativeCache", "CacheStats"]
 #: below this batch size the per-access loop beats the lockstep setup
 _LOCKSTEP_MIN = 32
 
-#: initial row count of the state matrices (grown on demand)
+#: initial set count (columns) of the state matrices (grown on demand)
 _INIT_SETS = 512
 
 _I64_MAX = np.iinfo(np.int64).max
@@ -145,14 +153,14 @@ class SetAssociativeCache:
     def _alloc_state(self) -> None:
         # Occupied ways of a set are always 0.._set_fill[set]-1, so the
         # zero-initialised matrices are never read before being written.
-        # Rows are allocated for a *prefix* of the sets and grown on
+        # Columns are allocated for a *prefix* of the sets and grown on
         # demand (_ensure_sets): a multi-MB L2 costs real milliseconds
         # to calloc in full, yet the microbenchmarks touch a small
         # fraction of its sets — an untouched set has no state to
         # store, so the short matrices are indistinguishable from
         # full-size ones.
         self._alloc_sets = min(self.num_sets, _INIT_SETS)
-        shape = (self._alloc_sets, self.ways)
+        shape = (self.ways, self._alloc_sets)
         self._lines = np.zeros(shape, dtype=np.int64)   # line addresses
         self._valid = np.zeros(shape, dtype=np.int64)   # sector bitmasks
         self._stamp = np.zeros(shape, dtype=np.int64)   # LRU timestamps
@@ -174,8 +182,8 @@ class SetAssociativeCache:
         new = min(self.num_sets, max(hi, 2 * cur))
 
         def grown(m: np.ndarray) -> np.ndarray:
-            g = np.zeros((new,) + m.shape[1:], dtype=m.dtype)
-            g[:cur] = m
+            g = np.zeros(m.shape[:-1] + (new,), dtype=m.dtype)
+            g[..., :cur] = m
             return g
 
         self._lines = grown(self._lines)
@@ -198,11 +206,11 @@ class SetAssociativeCache:
         path invalidated it (cost ∝ resident lines)."""
         w = self._where
         if w is None:
-            occ = (np.arange(self.ways, dtype=np.int64)[None, :]
-                   < self._set_fill[:, None])
-            r, c = np.nonzero(occ)
-            w = self._where = dict(zip(self._lines[r, c].tolist(),
-                                       c.tolist()))
+            occ = (np.arange(self.ways, dtype=np.int64)[:, None]
+                   < self._set_fill[None, :])
+            ways, sets = np.nonzero(occ)
+            w = self._where = dict(zip(self._lines[ways, sets].tolist(),
+                                       ways.tolist()))
         return w
 
     # -- address helpers ----------------------------------------------------
@@ -264,8 +272,8 @@ class SetAssociativeCache:
         for line_addr, set_idx, sector in span:
             way = where.get(line_addr)
             bit = 1 << sector
-            if way is not None and int(valid[set_idx, way]) & bit:
-                stamp[set_idx, way] = clock
+            if way is not None and int(valid[way, set_idx]) & bit:
+                stamp[way, set_idx] = clock
                 continue
             all_hit = False
             if way is not None:
@@ -274,8 +282,8 @@ class SetAssociativeCache:
                     if obs.enabled:
                         obs.add(self._k_sector)
                 if allocate:
-                    valid[set_idx, way] |= bit
-                    stamp[set_idx, way] = clock
+                    valid[way, set_idx] |= bit
+                    stamp[way, set_idx] = clock
             else:
                 if record:
                     self.stats.tag_misses += 1
@@ -344,7 +352,7 @@ class SetAssociativeCache:
         where = self._index()
         for line_addr, set_idx, sector in self._sector_span(addr, size):
             way = where.get(line_addr)
-            if way is None or not (int(self._valid[set_idx, way])
+            if way is None or not (int(self._valid[way, set_idx])
                                    & (1 << sector)):
                 return False
         return True
@@ -371,7 +379,7 @@ class SetAssociativeCache:
     def flush(self) -> None:
         # Retains the (possibly grown) matrices: occupied ways are
         # always 0.._set_fill[set]-1, so zeroing the fill vector alone
-        # empties the cache — stale rows are never consulted.  The
+        # empties the cache — stale entries are never consulted.  The
         # clocks keep running, exactly as before a flush; LRU is
         # ordinal so no outcome can tell.  Reusing the allocation
         # makes flush-and-rewarm loops (parameter sweeps) cheap.
@@ -388,17 +396,17 @@ class SetAssociativeCache:
         if fill >= self.ways:
             # true LRU: smallest stamp; ties (multi-line accesses share
             # one clock) broken by insertion order, like the scalar
-            # model's list scan.  Rows are at most `ways` wide, where
-            # a plain list scan beats any array reduction.
-            row = self._stamp[set_idx].tolist()
+            # model's list scan.  A set has at most `ways` entries,
+            # where a plain list scan beats any array reduction.
+            row = self._stamp[:, set_idx].tolist()
             lo = min(row)
             if row.count(lo) == 1:
                 way = row.index(lo)
             else:
-                ins = self._ins[set_idx].tolist()
+                ins = self._ins[:, set_idx].tolist()
                 way = min((i for i, s in enumerate(row) if s == lo),
                           key=ins.__getitem__)
-            del self._where[int(self._lines[set_idx, way])]
+            del self._where[int(self._lines[way, set_idx])]
             if record:
                 self.stats.evictions += 1
                 if self._obs.enabled:
@@ -406,10 +414,10 @@ class SetAssociativeCache:
         else:
             way = fill
             self._set_fill[set_idx] = fill + 1
-        self._lines[set_idx, way] = line_addr
-        self._valid[set_idx, way] = sector_bits
-        self._stamp[set_idx, way] = self._clock
-        self._ins[set_idx, way] = self._ins_counter
+        self._lines[way, set_idx] = line_addr
+        self._valid[way, set_idx] = sector_bits
+        self._stamp[way, set_idx] = self._clock
+        self._ins[way, set_idx] = self._ins_counter
         self._ins_counter += 1
         self._where[line_addr] = way     # access() built it via _index
         self._empty = False
@@ -463,14 +471,14 @@ class SetAssociativeCache:
         masks and the 1-based stream position of the last access of
         the ``K = len(valid) = _kept(m, d)`` surviving lines, ranks
         ``m - K .. m - 1``.  The ``i``-th of them goes to set
-        ``rows[i % P]``, way ``i // P`` — a set's kept lines in arrival
+        ``sets[i % P]``, way ``i // P`` — a set's kept lines in arrival
         order (which way holds a line is unobservable: lookups go by
-        tag, LRU by stamp) — so each matrix takes one transposed
-        ``(K // P, P)`` block plus a partial way.  Stamps are the clock
-        after a line's last access and insertion numbers its rank, so
-        state, stats and clocks come out as streaming the accesses one
-        at a time leaves them, in O(K): nothing is sorted or built per
-        access.
+        tag, LRU by stamp) — so each matrix takes one ``(K // P, P)``
+        block, a row per full way, plus a partial way.  Stamps are the
+        clock after a line's last access and insertion numbers its
+        rank, so state, stats and clocks come out as streaming the
+        accesses one at a time leaves them, in O(K): nothing is sorted
+        or built per access.
         """
         S = self.num_sets
         P = S // gcd(d, S)
@@ -478,21 +486,21 @@ class SetAssociativeCache:
         k0 = m - K
         full, rem = divmod(K, P)
         t = np.arange(min(P, K), dtype=np.int64)
-        rows = (l0 + (k0 + t) * d) % S       # every way repeats these
-        self._ensure_sets(int(rows.max()) + 1)
+        sets = (l0 + (k0 + t) * d) % S       # every way repeats these
+        self._ensure_sets(int(sets.max()) + 1)
 
         def put(matrix: np.ndarray, values: np.ndarray) -> None:
             if full:
-                matrix[rows, :full] = values[:full * P].reshape(full, P).T
+                matrix[:full, sets] = values[:full * P].reshape(full, P)
             if rem:
-                matrix[rows[:rem], full] = values[full * P:]
+                matrix[full, sets[:rem]] = values[full * P:]
 
         rank = np.arange(k0, m, dtype=np.int64)
         put(self._lines, l0 + rank * d)
         put(self._valid, valid)
         put(self._stamp, self._clock + last)
         put(self._ins, self._ins_counter + rank)
-        self._set_fill[rows] = full + (t < rem)
+        self._set_fill[sets] = full + (t < rem)
         self._where = None               # index rebuilt lazily
         self._empty = False
 
@@ -578,20 +586,20 @@ class SetAssociativeCache:
         hi = int(set_idx.max()) + 1
         if hi > self._alloc_sets:
             return None        # an untouched set means a sure miss
-        rows = self._lines[set_idx]
-        occ = (np.arange(self.ways, dtype=np.int64)[None, :]
-               < self._set_fill[set_idx][:, None])
-        match = (rows == line[:, None]) & occ
-        tag_hit = match.any(axis=1)
+        cols = self._lines[:, set_idx]
+        occ = (np.arange(self.ways, dtype=np.int64)[:, None]
+               < self._set_fill[set_idx][None, :])
+        match = (cols == line[None, :]) & occ
+        tag_hit = match.any(axis=0)
         if not tag_hit.all():
             return None
-        way = match.argmax(axis=1)
+        way = match.argmax(axis=0)
         bits = np.int64(1) << ((a % self.line_bytes)
                                // self.sector_bytes)
-        if np.any(self._valid[set_idx, way] & bits == 0):
+        if np.any(self._valid[way, set_idx] & bits == 0):
             return None
         n = len(a)
-        self._stamp[set_idx, way] = \
+        self._stamp[way, set_idx] = \
             self._clock + 1 + np.arange(n, dtype=np.int64)
         self._clock += n
         if record:
@@ -652,12 +660,13 @@ class SetAssociativeCache:
         self._ensure_sets(int(us[-1]) + 1)
         ways = self.ways
 
-        # local copies of the touched rows (fancy indexing copies);
-        # written back once at the end
-        L = self._lines[us]
-        V = self._valid[us]
-        S = self._stamp[us]
-        Ins = self._ins[us]
+        # local (set, way) copies of the touched sets' columns, written
+        # back once at the end; C-contiguous, so each step's per-set
+        # gathers read one short run instead of `ways` strided cells
+        L = np.ascontiguousarray(self._lines[:, us].T)
+        V = np.ascontiguousarray(self._valid[:, us].T)
+        S = np.ascontiguousarray(self._stamp[:, us].T)
+        Ins = np.ascontiguousarray(self._ins[:, us].T)
         F = self._set_fill[us]
 
         line_s = line[order]
@@ -751,13 +760,13 @@ class SetAssociativeCache:
 
         # write back only what could have changed: stamps move on
         # every access, the rest only on misses that allocated
-        self._stamp[us] = S
+        self._stamp[:, us] = S.T
         if ins_pos:
-            self._lines[us] = L
-            self._ins[us] = Ins
+            self._lines[:, us] = L.T
+            self._ins[:, us] = Ins.T
             self._set_fill[us] = F
         if v_changed or ins_pos:
-            self._valid[us] = V
+            self._valid[:, us] = V.T
 
         if ins_pos:
             self._empty = False
@@ -836,19 +845,20 @@ class SetAssociativeCache:
                 fill = int(self._set_fill[r])
                 payload.append(fill)
                 occ = sorted(
-                    zip(self._stamp[r, :fill].tolist(),
-                        self._ins[r, :fill].tolist(),
-                        self._lines[r, :fill].tolist(),
-                        self._valid[r, :fill].tolist()))
+                    zip(self._stamp[:fill, r].tolist(),
+                        self._ins[:fill, r].tolist(),
+                        self._lines[:fill, r].tolist(),
+                        self._valid[:fill, r].tolist()))
                 for _, _, ln, vd in occ:
                     payload.append(ln)
                     payload.append(vd)
             h.update(repr(payload).encode())
             return h.digest()
-        L = self._lines[rows]
-        V = self._valid[rows]
-        S = self._stamp[rows]
-        Ins = self._ins[rows]
+        # (set, way) views of the listed sets
+        L = self._lines[:, rows].T
+        V = self._valid[:, rows].T
+        S = self._stamp[:, rows].T
+        Ins = self._ins[:, rows].T
         F = self._set_fill[rows]
         occ = np.arange(self.ways)[None, :] < F[:, None]
         # list each set's lines in LRU-to-MRU order; unoccupied ways
@@ -869,8 +879,8 @@ class SetAssociativeCache:
         if self._empty:
             return 0
         # mask to occupied ways: flush() leaves stale bits behind
-        occ = (np.arange(self.ways, dtype=np.int64)[None, :]
-               < self._set_fill[:, None])
+        occ = (np.arange(self.ways, dtype=np.int64)[:, None]
+               < self._set_fill[None, :])
         valid = np.where(occ, self._valid, 0)
         if hasattr(np, "bitwise_count"):
             sectors = int(np.bitwise_count(valid).sum())

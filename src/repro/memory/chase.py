@@ -89,6 +89,14 @@ def chase_total_clk(counts: Mapping[float, int]) -> float:
     return total
 
 
+def _touched_sets(seq: np.ndarray, cache) -> np.ndarray:
+    """The ascending distinct sets of ``cache`` that ``seq`` maps to —
+    ``np.unique`` by counting, O(num_sets) and without the
+    ``numpy.ma`` import a plain ``np.unique`` pulls in."""
+    return np.flatnonzero(np.bincount(
+        (seq // cache.line_bytes) % cache.num_sets))
+
+
 @dataclass(frozen=True)
 class ChaseStats:
     """Outcome of one engine chase, exact in every count."""
@@ -225,11 +233,9 @@ class ChaseEngine:
                     (prev_sig is not None
                      or done + 2 * superlap <= iters):
                 if l2_sets is None:
-                    l1_sets = np.unique(
-                        (seq // l1.line_bytes) % l1.num_sets) \
+                    l1_sets = _touched_sets(seq, l1) \
                         if l1 is not None else None
-                    l2_sets = np.unique(
-                        (seq // l2.line_bytes) % l2.num_sets)
+                    l2_sets = _touched_sets(seq, l2)
                 sig = self._signature(res, l1, l1_sets, l2, l2_sets)
                 if sig == prev_sig:
                     # fixed point: account the remaining whole

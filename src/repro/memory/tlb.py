@@ -65,7 +65,7 @@ class Tlb:
         starts = np.flatnonzero(np.r_[True, pages[1:] != pages[:-1]])
         heads = pages[starts]
         resident = self._pages
-        if all(p in resident for p in np.unique(heads).tolist()):
+        if all(p in resident for p in set(heads.tolist())):
             hits.fill(True)
             self.hits += n
             rev_uniq, rev_idx = np.unique(heads[::-1],

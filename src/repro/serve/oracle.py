@@ -4,13 +4,13 @@ One :class:`CostOracle` holds the in-process device models for a
 single registered device: the Transformer-Engine
 :class:`~repro.te.cost.CostModel`, the
 :class:`~repro.te.llm.LlmInferenceModel`, the batched
-:class:`~repro.tensorcore.timing.TensorCoreTimingModel` and (per
-query, because chases mutate cache state) a fresh
-:class:`~repro.memory.MemoryHierarchy` driven by the steady-state
-:class:`~repro.memory.chase.ChaseEngine`.  Models are built lazily and
-reused across queries, so a warm oracle answers a point query without
-re-deriving calibration — the "interactive latency" half of the
-service contract.
+:class:`~repro.tensorcore.timing.TensorCoreTimingModel` and one
+:class:`~repro.memory.MemoryHierarchy` per ``memory.latency`` group,
+flushed before each query because chases mutate cache state, driven
+by the steady-state :class:`~repro.memory.chase.ChaseEngine`.  Models
+are built lazily and reused across queries, so a warm oracle answers a
+point query without re-deriving calibration — the "interactive
+latency" half of the service contract.
 
 Routing is **grid-first**: a group of compatible queries is priced
 through the already-vectorized batch calls
@@ -368,15 +368,23 @@ class CostOracle:
         from repro.memory import MemoryHierarchy
         from repro.memory.chase import ChaseEngine
 
+        # one hierarchy per group, grown once for its largest footprint
+        # and flushed before every query: chases mutate cache state,
+        # and a flushed hierarchy answers exactly as a fresh one does
+        # (LRU clocks are ordinal), so answers stay order-independent —
+        # what makes dedup/batching safe
+        mh = MemoryHierarchy(self.device)
+        span = max((q.param("footprint_kib") for q in queries),
+                   default=0) * 1024
+        mh.l1_for_sm(0).reserve_span(span)
+        mh.l2.reserve_span(span)
         out: List[Prediction] = []
         for q in queries:
             footprint = q.param("footprint_kib") * 1024
             stride = q.param("stride_bytes")
             n = max(1, footprint // stride)
             seq = np.arange(n, dtype=np.int64) * stride
-            # a fresh hierarchy per query: chases mutate cache state,
-            # and order-independence is what makes dedup/batching safe
-            mh = MemoryHierarchy(self.device)
+            mh.flush()
             mh.warm_tlb(0, footprint)
             stats = ChaseEngine(mh, size=32).run(
                 seq, n + _CHASE_TAIL_ITERS)

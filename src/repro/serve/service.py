@@ -32,9 +32,10 @@ serial-vs-parallel runs of one batch produce byte-identical prediction
 streams *and* counter dumps.  The tiers keep counters, not trace
 events: a fresh compute's spans join the live trace once, and a
 replay adds none.  Under a tracing session every batch also records
-its stage spans (``serve.plan``, ``serve.dispatch`` when a shard
-was computed, ``serve.expand`` and ``serve.total``), so a fully warm
-batch still writes a trace.
+its stage spans (``serve.plan``; ``serve.resolve`` — storage keys,
+tier lookups and stores — with ``serve.dispatch`` inside it when a
+shard was computed; ``serve.expand`` and ``serve.total``), so a fully
+warm batch still writes a trace.
 
 The session bank only ever receives values that are pure functions of
 the input stream (``serve.queries``, ``serve.batch.size``, the per-shard
@@ -227,6 +228,7 @@ class QueryService:
 
     def _resolve(self, plan: Plan, obs: bool) -> List[_Entry]:
         """Each shard's entry, via memo → blob tier → dispatch."""
+        t0 = time.perf_counter()
         entries: List[Optional[_Entry]] = [None] * len(plan.shards)
         keys = [self._storage_key(s, obs) for s in plan.shards]
         missing: List[int] = []
@@ -249,11 +251,11 @@ class QueryService:
             self.stats.add("serve.cache.shard_misses")
             missing.append(i)
         if missing:
-            t0 = time.perf_counter()
+            t_dispatch = time.perf_counter()
             results = dispatch_shards(
                 [plan.shards[i] for i in missing],
                 jobs=self.jobs, context=self.context)
-            self._wall("dispatch", t0)
+            self._wall("dispatch", t_dispatch)
             for i, (predictions, dump) in zip(missing, results):
                 entries[i] = (predictions, dump)
                 # the tiers keep counters only: trace events belong to
@@ -272,6 +274,7 @@ class QueryService:
                     if evicted:
                         self.stats.add("serve.cache.evictions",
                                        evicted)
+        self._wall("resolve", t0)
         return [e for e in entries if e is not None]
 
     def _merge_and_expand(self, plan: Plan, entries: List[_Entry],

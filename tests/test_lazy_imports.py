@@ -187,6 +187,27 @@ class TestImportBudget:
         assert out.read_text() == (warm / "cold.jsonl").read_text()
 
 
+class TestColdImports:
+    """What a cold command must not import although it runs the
+    engines: a plain ``np.unique`` imports ``numpy.ma`` (~18 ms) to
+    ask whether its input is masked, and no engine needs masks."""
+
+    @pytest.mark.parametrize("command", ["serve", "run"])
+    def test_chases_leave_numpy_ma_unloaded(self, tmp_path, command):
+        if command == "serve":
+            batch = tmp_path / "batch.jsonl"
+            batch.write_text("".join(json.dumps(q) + "\n"
+                                     for q in BATCH))
+            argv = ["serve", "-i", str(batch),
+                    "-o", str(tmp_path / "out.jsonl")]
+        else:
+            argv = ["run", "ext_cache_detection", "--no-cache"]
+        modules = _modules_after(tmp_path, _PROBE, "repro.cli", *argv,
+                                 cache=tmp_path / "cache")
+        assert "repro.memory.chase" in modules
+        assert "numpy.ma" not in modules
+
+
 class TestLazyRegistry:
     def test_lookups_and_keys_import_no_builder(self, tmp_path):
         modules = _modules_after(tmp_path, _KEYS_PROBE)

@@ -16,6 +16,7 @@ import pytest
 from repro.arch import get_device, list_devices
 from repro.isa.dtypes import accumulator_types
 from repro.isa.mma import mma_shapes, valid_wgmma_n, wgmma_k
+from repro.obs.session import ObsSession
 from repro.serve import (
     CostOracle,
     Prediction,
@@ -182,6 +183,33 @@ class TestOracle:
         small = probe(64).metric("mean_latency_clk")
         large = probe(4096).metric("mean_latency_clk")
         assert large > small
+
+    @pytest.mark.parametrize("device", list_devices())
+    def test_memory_shard_answers_are_order_independent(self, device):
+        """One ``memory.latency`` shard reuses a flushed hierarchy
+        across its queries; in either order it answers and counts
+        exactly as a fresh oracle per query does."""
+        shapes = ((16, 128), (256, 128), (4096, 128), (64, 32),
+                  (1024, 4096))
+        queries = [parse_query(
+            {"kind": "memory.latency", "device": device,
+             "params": {"footprint_kib": kib, "stride_bytes": stride}})
+            for kib, stride in shapes]
+
+        def answered(answer):
+            session = ObsSession()
+            with session.activate():
+                predictions = answer()
+            return predictions, session.counters.dump()
+
+        alone = answered(lambda: [CostOracle(device).answer(q)
+                                  for q in queries])
+        forward = answered(lambda: CostOracle(device).answer_group(
+            "memory.latency", queries))
+        backward = answered(lambda: CostOracle(device).answer_group(
+            "memory.latency", queries[::-1])[::-1])
+        assert forward == alone
+        assert backward == alone
 
     def test_dsm_cluster_size_gate(self):
         oracle = CostOracle("H800")

@@ -143,6 +143,30 @@ class TestDeterminism:
             dumps.append(session.counters.dump())
         assert dumps[0] == dumps[1]
 
+    def test_resolve_stage_is_timed(self, tmp_path):
+        """Storage keys, tier lookups and stores are a stage of their
+        own: a warm batch records a ``serve.resolve`` span and wall
+        histogram, and a computed shard's dispatch lies inside it."""
+        lines = _golden_batch()
+        root = tmp_path / "cache"
+
+        def stage_spans(service):
+            session = ObsSession(trace=True)
+            with session.activate():
+                service.answer_lines_text(lines)
+            return {ev["name"]: ev for ev in session.tracer.events
+                    if ev.get("cat") == "serve"}
+
+        cold = stage_spans(QueryService(cache=ResultCache(root=root)))
+        warm_service = QueryService(cache=ResultCache(root=root))
+        warm = stage_spans(warm_service)
+        assert "serve.resolve" in warm and "serve.dispatch" not in warm
+        assert any(k.startswith("serve.wall.resolve_us.")
+                   for k in warm_service.stats_payload()["stats"])
+        outer, inner = cold["serve.resolve"], cold["serve.dispatch"]
+        assert outer["ts"] <= inner["ts"]
+        assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
+
     def test_qids_reattach_after_dedup(self, tmp_path):
         q = {"kind": "dsm.bandwidth", "device": "H800",
              "params": {"cluster_size": 4}}
