@@ -32,15 +32,15 @@ H100_SXM = DeviceSpec(
     name="H100-SXM",
     marketing_name="H100 SXM5",
     # same generation as the H800: reuse its capabilities and
-    # calibration tables
+    # calibration tables (the tensor-core generation is the pack's)
     pack=get_device("H800").pack,
     num_sms=132,
     cuda_cores_per_sm=128,
     max_threads_per_sm=2048,
     max_blocks_per_sm=32,
     registers_per_sm=65536,
-    clocks=ClockDomain(base_sm_mhz=1095.0, boost_sm_mhz=1980.0,
-                       observed_sm_mhz=1980.0, memory_mhz=2619.0),
+    clocks=ClockDomain(boost_sm_mhz=1980.0, observed_sm_mhz=1980.0,
+                       memory_mhz=2619.0),
     cache=CacheGeometry(l1_size_kib=256, shared_max_kib=228,
                         l2_size_kib=50 * 1024),
     # Hopper-family latency signature (same SM design as the H800)
@@ -51,18 +51,22 @@ H100_SXM = DeviceSpec(
         l2_bytes_per_clk=5200.0, lsu_issue_per_clk=0.98,
         # full-rate FP64 on the SXM part
         fp64_add_bytes_per_clk_sm=256.0,
+        # no Table V measurement to fit access_efficiency against:
+        # every L1/L2 cell runs at the structural width (factor 1.0)
     ),
     dram=DramSpec(size_gib=80, mem_type="HBM3", bus_width_bits=5120,
                   peak_bandwidth_gbps=3350.0, refresh_overhead=0.03,
                   rw_turnaround_penalty=0.106),
     tensor_core=TensorCoreSpec(
-        count=528, generation=4,
+        count=528,
         dense_peak_tflops={"fp16": 989.5, "bf16": 989.5, "tf32": 494.7,
                            "fp8": 1979.0, "int8": 1979.0, "fp64": 66.9,
                            "binary": 15832.0},
     ),
     power_cap_watts=700.0,
     max_cluster_size=16,
+    # llm_host_overhead_s_per_layer keeps its uncalibrated default
+    # (0.9 ms): no Table XII measurement exists for this part
 )
 
 

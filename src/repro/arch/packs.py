@@ -144,8 +144,6 @@ class ArchPack:
     has_cp_async: bool = True
     has_fp8: bool = False
     has_sparse_mma: bool = True    # 2:4 structured sparsity (Ampere+)
-    has_tmem: bool = False         # Blackwell tensor memory (tcgen05)
-    has_tcgen05: bool = False      # 5th-gen asynchronous MMA ISA
 
     # -- PTX → SASS lowering deltas ---------------------------------------
     #: INT4 mma compiles but lowers to CUDA-core IMAD sequences
@@ -185,8 +183,6 @@ CAPABILITY_FLAGS = (
     "has_cp_async",
     "has_fp8",
     "has_sparse_mma",
-    "has_tmem",
-    "has_tcgen05",
 )
 
 
@@ -445,8 +441,6 @@ BLACKWELL = ArchPack(
     has_wgmma=False,
     has_tma=True,
     has_fp8=True,
-    has_tmem=True,
-    has_tcgen05=True,
     # like Hopper, no INT4 tensor-core path remains
     int4_mma_emulated=True,
     mma=MmaCalibration(

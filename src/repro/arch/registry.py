@@ -53,23 +53,13 @@ def register_device(spec: DeviceSpec, *, overwrite: bool = False) -> None:
     Third-party code can register additional GPUs (e.g. an H100 SXM
     variant) and run every experiment against them.  The device's pack
     must pass :func:`~repro.arch.packs.validate_pack` (a
-    :class:`~repro.arch.packs.PackValidationError` otherwise), and the
-    tensor-core generation the device claims has to match the
-    generation its pack calibrates.  A rejected device stays
-    unregistered.
+    :class:`~repro.arch.packs.PackValidationError` otherwise); a
+    rejected device stays unregistered.
     """
     key = spec.name.upper()
     if key in DEVICES and not overwrite:
         raise ValueError(f"device {spec.name!r} is already registered")
-    pack = spec.pack
-    validate_pack(pack)
-    if spec.tensor_core.generation != pack.tensor_core_generation:
-        raise ValueError(
-            f"device {spec.name!r}: TensorCoreSpec.generation="
-            f"{spec.tensor_core.generation} disagrees with the "
-            f"{pack.name!r} pack (generation "
-            f"{pack.tensor_core_generation})"
-        )
+    validate_pack(spec.pack)
     DEVICES[key] = spec
 
 
@@ -116,7 +106,6 @@ _A100 = DeviceSpec(
     max_blocks_per_sm=32,
     registers_per_sm=65536,
     clocks=ClockDomain(
-        base_sm_mhz=765.0,
         boost_sm_mhz=1410.0,
         observed_sm_mhz=1410.0,
         memory_mhz=1215.0,
@@ -125,7 +114,6 @@ _A100 = DeviceSpec(
         l1_size_kib=192,
         shared_max_kib=164,
         l2_size_kib=40 * 1024,
-        l2_partitions=2,
     ),
     mem_latencies=MemoryLatencies(
         shared_clk=29.0,
@@ -141,6 +129,13 @@ _A100 = DeviceSpec(
         # A100 keeps full-rate FP64 ALUs (1:2 of FP32) so the FP64
         # dependent-add chain never bottlenecks the cache probe.
         fp64_add_bytes_per_clk_sm=256.0,
+        access_efficiency={
+            ("l1", "FP32.v4"): 0.835,
+            ("l1", "FP64"): 0.94,
+            ("l2", "FP32"): 0.904,
+            ("l2", "FP64"): 0.971,
+            ("l2", "FP32.v4"): 0.979,
+        },
     ),
     dram=DramSpec(
         size_gib=40,
@@ -152,7 +147,6 @@ _A100 = DeviceSpec(
     ),
     tensor_core=TensorCoreSpec(
         count=432,
-        generation=3,
         dense_peak_tflops={
             "fp16": 312.0,
             "bf16": 312.0,
@@ -165,6 +159,7 @@ _A100 = DeviceSpec(
     ),
     power_cap_watts=250.0,
     max_cluster_size=1,
+    llm_host_overhead_s_per_layer=0.75e-3,
 )
 
 _RTX4090 = DeviceSpec(
@@ -177,7 +172,6 @@ _RTX4090 = DeviceSpec(
     max_blocks_per_sm=24,
     registers_per_sm=65536,
     clocks=ClockDomain(
-        base_sm_mhz=2235.0,
         boost_sm_mhz=2520.0,
         # The paper observed the card clocking above its official boost,
         # which is why measured TC throughput exceeds the official peak.
@@ -188,7 +182,6 @@ _RTX4090 = DeviceSpec(
         l1_size_kib=128,
         shared_max_kib=100,
         l2_size_kib=72 * 1024,
-        l2_partitions=1,
     ),
     mem_latencies=MemoryLatencies(
         shared_clk=30.1,
@@ -205,6 +198,13 @@ _RTX4090 = DeviceSpec(
         # Consumer Ada runs FP64 at 1:64 rate → 2 FMA/clk/SM; the
         # dependent add chain moves 16 B of loaded data per clock.
         fp64_add_bytes_per_clk_sm=16.0,
+        access_efficiency={
+            ("l1", "FP32.v4"): 0.947,
+            ("l1", "FP64"): 0.83,
+            ("l2", "FP32"): 0.927,
+            ("l2", "FP64"): 0.858,
+            ("l2", "FP32.v4"): 0.976,
+        },
     ),
     dram=DramSpec(
         size_gib=24,
@@ -216,7 +216,6 @@ _RTX4090 = DeviceSpec(
     ),
     tensor_core=TensorCoreSpec(
         count=512,
-        generation=4,
         dense_peak_tflops={
             "fp16": 330.3,
             "bf16": 330.3,
@@ -229,6 +228,7 @@ _RTX4090 = DeviceSpec(
     ),
     power_cap_watts=450.0,
     max_cluster_size=1,
+    llm_host_overhead_s_per_layer=1.22e-3,
 )
 
 _H800 = DeviceSpec(
@@ -241,7 +241,6 @@ _H800 = DeviceSpec(
     max_blocks_per_sm=32,
     registers_per_sm=65536,
     clocks=ClockDomain(
-        base_sm_mhz=1095.0,
         boost_sm_mhz=1755.0,
         observed_sm_mhz=1755.0,
         memory_mhz=1593.0,
@@ -250,7 +249,6 @@ _H800 = DeviceSpec(
         l1_size_kib=256,
         shared_max_kib=228,
         l2_size_kib=50 * 1024,
-        l2_partitions=2,
     ),
     mem_latencies=MemoryLatencies(
         shared_clk=29.0,
@@ -267,6 +265,11 @@ _H800 = DeviceSpec(
         # The H800 ships with FP64 throughput fused down to ~1 TFLOPS;
         # like Ada, the FP64 add chain caps the FP64 cache probe.
         fp64_add_bytes_per_clk_sm=16.0,
+        access_efficiency={
+            ("l1", "FP32.v4"): 0.97,
+            ("l2", "FP32"): 0.99,
+            ("l2", "FP32.v4"): 0.872,
+        },
     ),
     dram=DramSpec(
         size_gib=80,
@@ -278,7 +281,6 @@ _H800 = DeviceSpec(
     ),
     tensor_core=TensorCoreSpec(
         count=456,
-        generation=4,
         dense_peak_tflops={
             "fp16": 756.5,
             "bf16": 756.5,
@@ -291,6 +293,7 @@ _H800 = DeviceSpec(
     ),
     power_cap_watts=350.0,
     max_cluster_size=16,
+    llm_host_overhead_s_per_layer=0.86e-3,
 )
 
 _V100 = DeviceSpec(
@@ -303,7 +306,6 @@ _V100 = DeviceSpec(
     max_blocks_per_sm=32,
     registers_per_sm=65536,
     clocks=ClockDomain(
-        base_sm_mhz=1245.0,
         boost_sm_mhz=1380.0,
         observed_sm_mhz=1312.0,
         memory_mhz=877.0,
@@ -312,7 +314,6 @@ _V100 = DeviceSpec(
         l1_size_kib=128,
         shared_max_kib=96,
         l2_size_kib=6 * 1024,
-        l2_partitions=1,
     ),
     mem_latencies=MemoryLatencies(
         shared_clk=19.0,
@@ -339,7 +340,6 @@ _V100 = DeviceSpec(
     ),
     tensor_core=TensorCoreSpec(
         count=640,
-        generation=1,
         # 1st-gen tensor cores: FP16 inputs only — 8 TC/SM × 128
         # FLOP/clk at boost clock.
         dense_peak_tflops={
@@ -360,7 +360,6 @@ _B200 = DeviceSpec(
     max_blocks_per_sm=32,
     registers_per_sm=65536,
     clocks=ClockDomain(
-        base_sm_mhz=1125.0,
         boost_sm_mhz=1965.0,
         observed_sm_mhz=1830.0,
         memory_mhz=3200.0,
@@ -369,7 +368,6 @@ _B200 = DeviceSpec(
         l1_size_kib=256,
         shared_max_kib=228,
         l2_size_kib=126 * 1024,
-        l2_partitions=2,
     ),
     mem_latencies=MemoryLatencies(
         shared_clk=29.0,
@@ -396,7 +394,6 @@ _B200 = DeviceSpec(
     ),
     tensor_core=TensorCoreSpec(
         count=592,
-        generation=5,
         # 5th-gen peaks (dense, per arXiv 2507.10789); binary tensor
         # ops are gone, so BMMA pairings price as unsupported.
         dense_peak_tflops={

@@ -13,7 +13,7 @@ Units are spelled out in field names wherever ambiguity is possible:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, Tuple
 
 from repro.arch.packs import ArchPack
 
@@ -28,16 +28,13 @@ class ClockDomain:
     official peak (paper §IV-C).
     """
 
-    base_sm_mhz: float
     boost_sm_mhz: float
     observed_sm_mhz: float
     memory_mhz: float
 
     def __post_init__(self) -> None:
-        if self.base_sm_mhz <= 0 or self.boost_sm_mhz <= 0:
-            raise ValueError("clock frequencies must be positive")
-        if self.boost_sm_mhz < self.base_sm_mhz:
-            raise ValueError("boost clock below base clock")
+        if self.boost_sm_mhz <= 0:
+            raise ValueError("boost clock must be positive")
 
     @property
     def observed_hz(self) -> float:
@@ -59,7 +56,6 @@ class CacheGeometry:
     sector_bytes: int = 32
     l1_associativity: int = 4
     l2_associativity: int = 16
-    l2_partitions: int = 2      # A100/H800 L2 is physically split in two
 
     def __post_init__(self) -> None:
         if self.line_bytes % self.sector_bytes:
@@ -119,6 +115,10 @@ class MemoryWidths:
     ``min(l1_bytes_per_clk_sm, 128 * lsu_issue_per_clk)``.
     ``fp64_add_bytes_per_clk_sm`` is the FP64 *execution unit* width that
     bottlenecks the FP64 row on consumer/nerfed parts (RTX 4090, H800).
+    ``access_efficiency`` maps ``(level, pattern)`` — ``"l1"``/``"l2"``
+    by ``"FP32"``/``"FP64"``/``"FP32.v4"`` — to a residual factor on
+    that Table V cell (crossbar/ECC effects the structural model does
+    not resolve); a cell the mapping omits has factor 1.0.
     """
 
     l1_bytes_per_clk_sm: float
@@ -128,6 +128,8 @@ class MemoryWidths:
     fp64_add_bytes_per_clk_sm: float
     smem_banks: int = 32
     smem_bank_bytes: int = 4
+    access_efficiency: Mapping[Tuple[str, str], float] = \
+        field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in (
@@ -139,6 +141,9 @@ class MemoryWidths:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for cell, factor in self.access_efficiency.items():
+            if factor <= 0:
+                raise ValueError(f"access efficiency {cell} must be positive")
 
 
 @dataclass(frozen=True)
@@ -189,7 +194,6 @@ class TensorCoreSpec:
     """
 
     count: int
-    generation: int
     dense_peak_tflops: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -238,6 +242,11 @@ class DeviceSpec:
     tensor_core: TensorCoreSpec
     power_cap_watts: float
     max_cluster_size: int = 1   # >1 only where DSM exists
+    #: host-side framework dispatch cost per layer per LLM decode step
+    #: (s), calibrated on the paper's HF-transformers + TE harness
+    #: from Table XII; the default is the uncalibrated value a device
+    #: without a Table XII measurement runs on
+    llm_host_overhead_s_per_layer: float = 0.9e-3
 
     def __post_init__(self) -> None:
         if self.num_sms <= 0:
@@ -308,7 +317,7 @@ class DeviceSpec:
             "Mem. Bandwidth": f"{self.dram.peak_bandwidth_gbps:.0f} GB/s",
             "Tensor Core": (
                 f"{self.tensor_core.count} "
-                f"({self.tensor_core.generation}th Gen.)"
+                f"({self.pack.tensor_core_generation}th Gen.)"
             ),
             "DPX hardware": (
                 "Yes" if self.pack.has_dpx_hardware else "No"

@@ -15,8 +15,9 @@ The model splits a configuration's throughput into two regimes:
   synchronous copy exposes the full tile round-trip behind a barrier
   every step; the 2-stage ``cp.async`` pipeline prefetches the next
   tile during the current compute.  ``X`` values for the paper's two
-  benchmarked devices are microbenchmark calibrations
-  (``_STEP_OVERHEAD_CLK``); other devices use a structural fallback.
+  benchmarked devices are microbenchmark calibrations (their packs'
+  ``asynccopy.step_overhead_clk``); other devices use a structural
+  fallback.
 
 * **Resource-bound** (machine full): the saturation throughput is the
   min of three *derived* caps — shared-memory bandwidth (4 B per FLOP

@@ -84,7 +84,7 @@ def _cmd_devices(_args) -> int:
         pack = d.pack
         rows.append(
             [name, pack.display_name, pack.compute_capability,
-             str(d.tensor_core.generation)]
+             str(pack.tensor_core_generation)]
             + [("yes" if getattr(pack, attr) else "-")
                for _, attr in flags]
             + [str(d.max_cluster_size)
@@ -284,7 +284,8 @@ def _cmd_stats(args) -> int:
     _finish_obs(session, args, context)
     drift_failed = False
     if args.diff:
-        from repro.obs import diff_payloads, load_counters_v2
+        from repro.obs.diff import diff_payloads
+        from repro.obs.export import load_counters_v2
 
         baseline_path = args.diff
         if os.path.isdir(baseline_path):

@@ -33,11 +33,9 @@ from repro.core.registry import (
     run_all,
     supported_experiments,
 )
-from repro.core.fidelity import fidelity_report
 from repro.core.report import experiments_markdown
 
 __all__ = [
-    "fidelity_report",
     "experiments_markdown",
     "Table",
     "Check",

@@ -42,9 +42,9 @@ def table03(ctx: RunContext) -> Tuple[Table, List[Check]]:
                   > max(a100.dram.peak_bandwidth_gbps,
                         rtx.dram.peak_bandwidth_gbps)),
             Check("Ada and Hopper carry 4th-gen tensor cores, Ampere 3rd",
-                  rtx.tensor_core.generation == 4
-                  and h800.tensor_core.generation == 4
-                  and a100.tensor_core.generation == 3),
+                  rtx.pack.tensor_core_generation == 4
+                  and h800.pack.tensor_core_generation == 4
+                  and a100.pack.tensor_core_generation == 3),
             Check("compute capabilities are 8.0 / 8.9 / 9.0",
                   (a100.compute_capability, rtx.compute_capability,
                    h800.compute_capability) == ("8.0", "8.9", "9.0")),

@@ -83,11 +83,6 @@ def _table5() -> TableFidelity:
     return TableFidelity("Table V (throughput)", tuple(entries))
 
 
-_LABEL_TO_TYPES = {
-    ("FP16", "FP16"): ("FP16", "FP16"),
-}
-
-
 def _mma_types(ab_label: str, cd_label: str):
     from repro.isa.dtypes import DType
     ab = {"FP16": DType.FP16, "TF32": DType.TF32, "INT8": DType.INT8,

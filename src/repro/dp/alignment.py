@@ -27,9 +27,6 @@ __all__ = ["AlignmentResult", "SmithWaterman", "NeedlemanWunsch"]
 _viaddmax = get_dpx_function("__viaddmax_s32")
 _viaddmax_relu = get_dpx_function("__viaddmax_s32_relu")
 
-#: a safely-representable "minus infinity" for NW borders
-_NEG_INF = -(1 << 28)
-
 
 @dataclass(frozen=True)
 class AlignmentResult:

@@ -17,16 +17,17 @@ bottleneck it:
   turnaround mechanics in :class:`repro.arch.DramSpec`), with the
   paper's 5-reads-1-write vectorised stream.
 
-``_ACCESS_EFFICIENCY`` holds small per-(device, pattern) calibration
-factors (0.83–0.99) capturing crossbar/ECC effects the structural model
-does not resolve; they are calibration constants in the same sense a
-validated simulator (e.g. Accel-Sim) carries per-SKU efficiency tables.
+Each device's ``mem_widths.access_efficiency`` holds small
+per-(level, pattern) calibration factors (0.83–0.99) capturing
+crossbar/ECC effects the structural model does not resolve; they are
+calibration constants in the same sense a validated simulator (e.g.
+Accel-Sim) carries per-SKU efficiency tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict
 
 from repro.arch import DeviceSpec
 
@@ -38,26 +39,8 @@ PATTERNS = ("FP32", "FP64", "FP32.v4")
 #: bytes one warp-level load instruction moves, per pattern
 _BYTES_PER_INSTR = {"FP32": 128, "FP64": 256, "FP32.v4": 512}
 
-#: per-(device, level, pattern) residual efficiency calibration
-_ACCESS_EFFICIENCY: Mapping[Tuple[str, str, str], float] = {
-    ("RTX4090", "l1", "FP32.v4"): 0.947,
-    ("RTX4090", "l1", "FP64"): 0.83,
-    ("A100", "l1", "FP32.v4"): 0.835,
-    ("A100", "l1", "FP64"): 0.94,
-    ("H800", "l1", "FP32.v4"): 0.97,
-    ("RTX4090", "l2", "FP32"): 0.927,
-    ("RTX4090", "l2", "FP64"): 0.858,
-    ("RTX4090", "l2", "FP32.v4"): 0.976,
-    ("A100", "l2", "FP32"): 0.904,
-    ("A100", "l2", "FP64"): 0.971,
-    ("A100", "l2", "FP32.v4"): 0.979,
-    ("H800", "l2", "FP32"): 0.99,
-    ("H800", "l2", "FP32.v4"): 0.872,
-}
-
-
 def _eff(device: DeviceSpec, level: str, pattern: str) -> float:
-    return _ACCESS_EFFICIENCY.get((device.name, level, pattern), 1.0)
+    return device.mem_widths.access_efficiency.get((level, pattern), 1.0)
 
 
 @dataclass(frozen=True)

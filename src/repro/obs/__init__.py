@@ -17,6 +17,8 @@ serial vs ``--jobs N``), :mod:`repro.obs.diff` is the golden-baseline
 counter-regression gate (``hopperdissect stats --diff``), and
 :mod:`repro.obs.catalog` is the registry every emitted counter family
 must appear in — rendered to ``docs/counters.md`` and enforced in CI.
+Import those three from their modules: the package does not load
+them, so a command that only counts or traces never pays for them.
 
 This package is an import leaf: it depends only on the standard
 library (NumPy lazily), so every simulator layer can instrument
@@ -33,27 +35,6 @@ from repro.obs.counters import (
     bucket_label,
     counter_sort_key,
     split_bucket,
-)
-from repro.obs.catalog import (
-    CATALOG,
-    CounterEntry,
-    catalog_markdown,
-    lookup,
-    uncatalogued,
-)
-from repro.obs.diff import (
-    CounterDrift,
-    DriftReport,
-    diff_files,
-    diff_payloads,
-)
-from repro.obs.export import (
-    COUNTERS_V2_SCHEMA,
-    ORCHESTRATION,
-    counters_v2_payload,
-    load_counters_v2,
-    render_counters_v2,
-    render_openmetrics,
 )
 from repro.obs.session import (
     ObsSession,
@@ -72,21 +53,6 @@ __all__ = [
     "bucket_label",
     "counter_sort_key",
     "split_bucket",
-    "COUNTERS_V2_SCHEMA",
-    "ORCHESTRATION",
-    "counters_v2_payload",
-    "load_counters_v2",
-    "render_counters_v2",
-    "render_openmetrics",
-    "CounterDrift",
-    "DriftReport",
-    "diff_files",
-    "diff_payloads",
-    "CATALOG",
-    "CounterEntry",
-    "catalog_markdown",
-    "lookup",
-    "uncatalogued",
     "Tracer",
     "WALL_TRACK",
     "SIM_TRACK",

@@ -27,16 +27,10 @@ from repro.te.workload import Request, ShareGptWorkload
 __all__ = ["LlamaSpec", "LLAMA_MODELS", "GenerationEstimate",
            "LlmInferenceModel"]
 
-#: host-side dispatch overhead per layer per decode step (seconds);
-#: calibrated on the paper's HF-transformers + TE harness, with the
-#: relative factors reflecting the per-dtype casting traffic of that
-#: harness (FP32 = native torch path, BF16 = autocast, FP8 = TE wrappers
-#: with quantise bookkeeping).
-_HOST_OVERHEAD_S_PER_LAYER: Dict[str, float] = {
-    "A100": 0.75e-3,
-    "H800": 0.86e-3,
-    "RTX4090": 1.22e-3,
-}
+#: relative host-side dispatch overhead per precision, scaling the
+#: device's ``llm_host_overhead_s_per_layer``: the per-dtype casting
+#: traffic of the paper's harness (FP32 = native torch path, BF16 =
+#: autocast, FP8 = TE wrappers with quantise bookkeeping)
 _HOST_FACTOR = {
     Precision.FP32: 0.80,
     Precision.BF16: 1.00,
@@ -140,9 +134,7 @@ class LlmInferenceModel:
             # the FP8 shadow copies are what the GEMMs read
             stream_bytes = model.params * 1.0 + model.params * 2.0 * 0.15
         bw = self.cost.membw_bytes_per_s
-        host = (_HOST_OVERHEAD_S_PER_LAYER[self.device.name]
-                if self.device.name in _HOST_OVERHEAD_S_PER_LAYER
-                else 0.9e-3)
+        host = self.device.llm_host_overhead_s_per_layer
         host *= _HOST_FACTOR[precision] * model.layers
         return stream_bytes / bw + host
 

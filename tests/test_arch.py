@@ -151,12 +151,10 @@ class TestDeviceProperties:
 
 class TestValidation:
     def test_clock_validation(self):
-        with pytest.raises(ValueError):
-            ClockDomain(base_sm_mhz=-1, boost_sm_mhz=100,
-                        observed_sm_mhz=100, memory_mhz=100)
-        with pytest.raises(ValueError, match="boost clock below base"):
-            ClockDomain(base_sm_mhz=2000, boost_sm_mhz=1000,
-                        observed_sm_mhz=1000, memory_mhz=100)
+        for boost in (-1, 0):
+            with pytest.raises(ValueError, match="must be positive"):
+                ClockDomain(boost_sm_mhz=boost, observed_sm_mhz=100,
+                            memory_mhz=100)
 
     def test_cache_geometry_validation(self):
         with pytest.raises(ValueError, match="multiple of sector"):
@@ -178,6 +176,12 @@ class TestValidation:
                          smem_bytes_per_clk_sm=128,
                          l2_bytes_per_clk=2000, lsu_issue_per_clk=1,
                          fp64_add_bytes_per_clk_sm=16)
+        with pytest.raises(ValueError, match="access efficiency"):
+            MemoryWidths(l1_bytes_per_clk_sm=128,
+                         smem_bytes_per_clk_sm=128,
+                         l2_bytes_per_clk=2000, lsu_issue_per_clk=1,
+                         fp64_add_bytes_per_clk_sm=16,
+                         access_efficiency={("l2", "FP32"): 0.0})
 
     def test_cluster_requires_dsm(self, a100):
         with pytest.raises(ValueError, match="clusters require"):
@@ -185,10 +189,9 @@ class TestValidation:
 
     def test_tensor_core_validation(self):
         with pytest.raises(ValueError, match="count must be positive"):
-            TensorCoreSpec(count=0, generation=4)
+            TensorCoreSpec(count=0)
         with pytest.raises(ValueError, match="must be positive"):
-            TensorCoreSpec(count=4, generation=4,
-                           dense_peak_tflops={"fp16": -1.0})
+            TensorCoreSpec(count=4, dense_peak_tflops={"fp16": -1.0})
 
 
 class TestDramSpec:

@@ -3,8 +3,9 @@
 The registry is a table of ``"module:function"`` paths, cached tables
 pickle as plain lists, and the serve package loads its oracle on first
 use — so listing experiments, deriving keys, a warm ``run --all`` and
-a warm ``serve`` never import numpy, an engine package or an
-experiment builder module.  Module sets are read from ``sys.modules``
+a warm ``serve`` never import numpy, an engine package, an experiment
+builder module or a reporting module (fidelity scoring, the counter
+catalog, diff and exports).  Module sets are read from ``sys.modules``
 in a fresh interpreter, because this test process has long since
 imported everything.  The same way, every shipped module must import
 with the dev-only dependencies (pytest, Hypothesis, SciPy) missing.
@@ -28,6 +29,11 @@ from repro.core.experiments import EXPERIMENTS
 ENGINES = ("repro.memory", "repro.tensorcore", "repro.te", "repro.isa",
            "repro.dsm", "repro.dpx", "repro.asynccopy", "repro.trace",
            "repro.numerics", "repro.power", "repro.sm", "repro.dp")
+
+#: modules only ``fidelity``, ``stats --diff`` and the counter exports
+#: run; the package inits do not re-export them
+REPORTING = ("repro.core.fidelity", "repro.core.paperdata",
+             "repro.obs.catalog", "repro.obs.diff", "repro.obs.export")
 
 BUILDER_MODULES = sorted({row.builder.partition(":")[0]
                           for row in EXPERIMENTS})
@@ -121,6 +127,7 @@ def _forbidden(modules):
         m for m in modules
         if m == "numpy" or m.startswith("numpy.")
         or any(m == e or m.startswith(e + ".") for e in ENGINES)
+        or m in REPORTING
         or m.startswith("repro.core.experiments."))
 
 
