@@ -287,8 +287,17 @@ class ChaseEngine:
     @staticmethod
     def _absorb(res: BatchAccessResult, counts: Dict[float, int],
                 levels: Dict[MemLevel, int], scale: int = 1) -> None:
-        values, n = np.unique(res.latency_clk, return_counts=True)
-        for v, c in zip(values.tolist(), n.tolist()):
+        # an access's latency is a function of its serving level and
+        # TLB outcome, so a lap holds at most six distinct values:
+        # count the (level, TLB miss) codes instead of sorting the
+        # latencies.  Every access of a code writes the same latency.
+        codes = res.levels * 2 + ~res.tlb_hit
+        n = np.bincount(codes, minlength=6)
+        latency = np.zeros(6)
+        latency[codes] = res.latency_clk
+        present = np.flatnonzero(n)
+        for v, c in sorted(zip(latency[present].tolist(),
+                               n[present].tolist())):
             counts[v] = counts.get(v, 0) + c * scale
         for lvl, c in res.level_counts.items():
             if c:

@@ -126,13 +126,11 @@ class CounterSet:
         a = np.asarray(values)
         if a.size == 0:
             return
-        bounds, counts = np.unique(
-            np.maximum(
-                2 ** np.ceil(np.log2(np.maximum(a, 1.0))).astype(
-                    np.int64), 1),
-            return_counts=True)
-        for bound, count in zip(bounds.tolist(), counts.tolist()):
-            self.add(f"{name}.le{bound:08d}", count)
+        # each value's bucket is 2**e; count the exponents
+        exponents = np.ceil(np.log2(np.maximum(a, 1.0))).astype(np.int64)
+        counts = np.bincount(exponents)
+        for e in np.flatnonzero(counts).tolist():
+            self.add(f"{name}.le{1 << e:08d}", int(counts[e]))
 
     # -- reads --------------------------------------------------------------
 

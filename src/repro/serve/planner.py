@@ -8,11 +8,15 @@ vectorized engine call (one ``linear_seconds_batch``, one
 and partitioning by device is what lets the dispatch layer fan shards
 out across the process pool with no shared state.
 
-De-duplication happens here, against the whole batch: queries with
-equal :meth:`~repro.serve.schema.Query.canonical` forms collapse onto
-one computation, and the plan's ``expansion`` maps every input
-position back to its (shard, slot) so the answer stream comes back in
-input order with each caller's own ``id`` tag re-attached.
+De-duplication happens here, against the whole batch: equal queries
+collapse onto one computation, and the plan's ``expansion`` maps every
+input position back to its (shard, slot) so the answer stream comes
+back in input order with each caller's own ``id`` tag re-attached.
+Equality is the query's value with the ``id`` tag left out.  The
+validators fix each param's type and spelling, so two queries are
+equal exactly when their :meth:`~repro.serve.schema.Query.canonical`
+forms are; the canonical form is rendered once per distinct query, to
+key its shard (:meth:`Shard.content_key`).
 
 Everything is deterministic in the input stream alone: shard order is
 (kind, device) sorted, slot order is first appearance.  Two runs over
@@ -43,14 +47,13 @@ class Shard:
     kind: str
     device: str
     queries: List[Query] = field(default_factory=list)
-    _seen: Dict[str, int] = field(default_factory=dict, repr=False)
+    _seen: Dict[Query, int] = field(default_factory=dict, repr=False)
 
     def slot_for(self, query: Query) -> int:
         """The slot answering ``query``, appending it when new."""
-        key = query.canonical()
-        slot = self._seen.get(key)
+        slot = self._seen.get(query)
         if slot is None:
-            slot = self._seen[key] = len(self.queries)
+            slot = self._seen[query] = len(self.queries)
             self.queries.append(query)
         return slot
 

@@ -47,6 +47,11 @@ __all__ = [
 #: shape changes (mirrors the ``hopperdissect.counters/vN`` convention)
 PREDICTION_SCHEMA = "hopperdissect.prediction/v1"
 
+#: the one encoder behind every canonical query form and response
+#: line: sorted keys, compact separators (``json.dumps`` with those
+#: options builds a fresh encoder per call)
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class QueryError(ValueError):
     """A malformed query: unknown kind, bad field, out-of-domain value.
@@ -152,18 +157,26 @@ KIND_PARAMS: Dict[str, Dict[str, Tuple[bool, Any, Any]]] = {
 
 KINDS: Tuple[str, ...] = tuple(sorted(KIND_PARAMS))
 
+#: per kind: the legal param names, and each param's spec in name
+#: order (the order of the canonical form) — built once, walked per
+#: query
+_PARAM_TABLES = {
+    kind: (frozenset(spec),
+           tuple((name,) + spec[name] for name in sorted(spec)))
+    for kind, spec in KIND_PARAMS.items()
+}
+
 
 def _validated_params(kind: str, params: Mapping[str, Any]) \
         -> Tuple[Tuple[str, Any], ...]:
-    spec = KIND_PARAMS[kind]
-    unknown = sorted(set(params) - set(spec))
+    legal, ordered = _PARAM_TABLES[kind]
+    unknown = params.keys() - legal
     if unknown:
         raise QueryError(
-            f"unknown param(s) {unknown} for kind {kind!r}; "
-            f"legal params: {sorted(spec)}")
+            f"unknown param(s) {sorted(unknown)} for kind {kind!r}; "
+            f"legal params: {sorted(legal)}")
     out = []
-    for name in sorted(spec):
-        required, default, check = spec[name]
+    for name, required, default, check in ordered:
         if name in params:
             out.append((name, check(params[name])))
         elif required:
@@ -257,12 +270,11 @@ class Query:
     def canonical(self) -> str:
         """Canonical serialization: sorted keys, compact separators,
         the client tag excluded — equal questions render to equal
-        bytes.  Memoized: the fields are frozen, and the planner and
-        storage-key layers each render every query."""
+        bytes.  Memoized: the fields are frozen, and the shard's
+        content key and :meth:`key` may each render the same query."""
         cached = self.__dict__.get("_canonical")
         if cached is None:
-            cached = json.dumps(self.to_payload(with_qid=False),
-                                sort_keys=True, separators=(",", ":"))
+            cached = _encode(self.to_payload(with_qid=False))
             object.__setattr__(self, "_canonical", cached)
         return cached
 
@@ -273,17 +285,20 @@ class Query:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
+#: the legal top-level fields of a wire query
+_QUERY_FIELDS = frozenset({"kind", "device", "precision", "params", "id"})
+
+
 def parse_query(obj: Any) -> Query:
     """Build a :class:`Query` from a decoded JSON object."""
     if not isinstance(obj, dict):
         raise QueryError(f"query must be a JSON object, got "
                          f"{type(obj).__name__}")
-    known = {"kind", "device", "precision", "params", "id"}
-    unknown = sorted(set(obj) - known)
+    unknown = obj.keys() - _QUERY_FIELDS
     if unknown:
         raise QueryError(
-            f"unknown query field(s) {unknown}; legal fields: "
-            f"{sorted(known)}")
+            f"unknown query field(s) {sorted(unknown)}; legal fields: "
+            f"{sorted(_QUERY_FIELDS)}")
     if "kind" not in obj:
         raise QueryError("query needs a 'kind' field")
     params = obj.get("params", {})
@@ -340,9 +355,13 @@ class Prediction:
         return default
 
     def with_qid(self, qid: Optional[str]) -> "Prediction":
-        from dataclasses import replace
-
-        return replace(self, qid=qid)
+        """This answer under the client tag ``qid``.  The copy shares
+        the tag-free line encoded here, so every caller asking the same
+        question reuses one encoding."""
+        self._halves()
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, qid=qid)
+        return twin
 
     def to_payload(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -362,9 +381,27 @@ class Prediction:
 
     def to_line(self) -> str:
         """The canonical JSONL response line (sorted keys, compact) —
-        equal predictions serialize byte-identically."""
-        return json.dumps(self.to_payload(), sort_keys=True,
-                          separators=(",", ":"))
+        equal predictions serialize byte-identically.  The tag goes
+        where sorting puts it: after ``"device"`` and before
+        ``"kind"``, which every line carries."""
+        head, tail = self._halves()
+        if self.qid is None:
+            return head + tail
+        return f'{head}"id":{_encode(self.qid)},{tail}'
+
+    def _halves(self) -> Tuple[str, str]:
+        """The tag-free line split where the tag belongs.  Memoized:
+        the fields are frozen and the tag is not among them."""
+        halves = self.__dict__.get("_line")
+        if halves is None:
+            payload = self.to_payload()
+            payload.pop("id", None)
+            line = _encode(payload)
+            # '{"device":' + the encoded device + ','
+            at = 11 + len(_encode(self.device)) if self.device else 1
+            halves = (line[:at], line[at:])
+            object.__setattr__(self, "_line", halves)
+        return halves
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "Prediction":

@@ -163,34 +163,47 @@ class QueryService:
 
     # -- storage keys -------------------------------------------------------
 
-    def _storage_key(self, shard: Shard, obs: bool) -> str:
-        """The cache identity of one shard's answers.
+    def _storage_keys(self, shards: Sequence[Shard], obs: bool) \
+            -> List[str]:
+        """The cache identity of each shard's answers.
 
         Layers everything that can change a prediction *or* its
         counter delta over the shard's content digest; ``obs`` is part
         of the key because entries cached with observability off carry
-        no delta to replay.
+        no delta to replay.  Each distinct device set is digested once
+        per batch, never across batches: a device re-registered
+        between two batches re-keys the second.
         """
         import repro
         from repro.perf.cache import device_digest
 
-        devices = (shard.device,) if shard.device \
-            else self.context.devices
-        h = hashlib.sha256()
-        h.update(f"version={repro.__version__}\n".encode())
-        h.update(f"context={self.context.token()}\n".encode())
-        try:
-            h.update(f"devices={device_digest(devices)}\n".encode())
-        except KeyError:
-            # unknown device on an experiment-kind shard (point-query
-            # devices are validated at construction): key on the raw
-            # names so the shard still dispatches and the in-stream
-            # error path answers it
-            h.update(f"devices=unknown:{','.join(devices)}\n"
-                     .encode())
-        h.update(f"obs={int(obs)}\n".encode())
-        h.update(f"content={shard.content_key()}\n".encode())
-        return h.hexdigest()
+        common = (f"version={repro.__version__}\n"
+                  f"context={self.context.token()}\n").encode()
+        obs_line = f"obs={int(obs)}\n".encode()
+        device_lines: Dict[Tuple[str, ...], bytes] = {}
+        keys = []
+        for shard in shards:
+            devices = (shard.device,) if shard.device \
+                else self.context.devices
+            device_line = device_lines.get(devices)
+            if device_line is None:
+                try:
+                    digest = device_digest(devices)
+                except KeyError:
+                    # unknown device on an experiment-kind shard
+                    # (point-query devices are validated at
+                    # construction): key on the raw names so the shard
+                    # still dispatches and the in-stream error path
+                    # answers it
+                    digest = f"unknown:{','.join(devices)}"
+                device_line = device_lines[devices] = \
+                    f"devices={digest}\n".encode()
+            h = hashlib.sha256(common)
+            h.update(device_line)
+            h.update(obs_line)
+            h.update(f"content={shard.content_key()}\n".encode())
+            keys.append(h.hexdigest())
+        return keys
 
     # -- the batch path -----------------------------------------------------
 
@@ -230,7 +243,7 @@ class QueryService:
         """Each shard's entry, via memo → blob tier → dispatch."""
         t0 = time.perf_counter()
         entries: List[Optional[_Entry]] = [None] * len(plan.shards)
-        keys = [self._storage_key(s, obs) for s in plan.shards]
+        keys = self._storage_keys(plan.shards, obs)
         missing: List[int] = []
         for i, key in enumerate(keys):
             entry = self._memo_get(key)

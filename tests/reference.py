@@ -26,7 +26,11 @@ exact (or ULP-bounded) agreement:
   (``tests/test_vectorized_equivalence.py``);
 * :func:`reference_smith_waterman` and
   :func:`reference_needleman_wunsch` — the naive alignment DPs behind
-  :mod:`repro.dp.alignment`'s DPX wavefronts (``tests/test_dp.py``).
+  :mod:`repro.dp.alignment`'s DPX wavefronts (``tests/test_dp.py``);
+* :func:`prediction_line` — one ``json.dumps`` of the whole payload,
+  behind :meth:`repro.serve.schema.Prediction.to_line`'s memoized line
+  with the client tag spliced in
+  (``tests/test_serve_schema_properties.py``).
 
 The scalar timings and the scalar TE walk record their own ``tc.*``
 and ``te.op.*`` counters, one instruction or operator at a time, so
@@ -39,6 +43,7 @@ not fast.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import List, Literal, Optional, Tuple
 
@@ -648,3 +653,10 @@ def reference_needleman_wunsch(a: str, b: str, match=3, mismatch=-2,
             H[i, j] = max(H[i - 1, j - 1] + s, H[i - 1, j] - gap,
                           H[i, j - 1] - gap)
     return int(H[n, m])
+
+
+def prediction_line(prediction) -> str:
+    """The canonical response line of a
+    :class:`~repro.serve.schema.Prediction`, encoded whole."""
+    return json.dumps(prediction.to_payload(), sort_keys=True,
+                      separators=(",", ":"))

@@ -37,7 +37,9 @@ __all__ = [
     "chase_iters",
     "chase_seeds",
     "chase_strides",
+    "json_text",
     "mma_instructions",
+    "predictions",
     "query_payloads",
     "token_arrays",
     "wgmma_instructions",
@@ -165,3 +167,33 @@ def query_payloads(draw, kind=None) -> dict:
     if draw(st.booleans()):
         payload["id"] = draw(st.sampled_from(("q1", "tag-2")))
     return payload
+
+
+#: strings JSON must escape: quotes, backslashes, control characters,
+#: non-ASCII (a line separator, an astral character, a lone surrogate)
+json_text = st.one_of(
+    st.sampled_from(('q"1', "a\\b", "\t\n\x00\x1f\x7f", "d\u00e9j\u00e0",
+                     "\u2028", "\U0001f600", "\ud800", "")),
+    st.text(max_size=12))
+
+
+@st.composite
+def predictions(draw):
+    """A :class:`~repro.serve.schema.Prediction` of any shape: with or
+    without device, metrics, reason and client tag, its strings drawn
+    from :data:`json_text` and its metrics from every float."""
+    from repro.serve.schema import KINDS, Prediction
+
+    names = st.one_of(st.sampled_from(("seconds", "tflops",
+                                       "latency_clk")), json_text)
+    return Prediction(
+        status=draw(st.sampled_from(("ok", "unsupported", "oom",
+                                     "error"))),
+        kind=draw(st.sampled_from(("",) + KINDS)),
+        device=draw(st.one_of(st.sampled_from(("", "H800")),
+                              json_text)),
+        metrics=tuple(draw(st.lists(st.tuples(names, st.floats()),
+                                    max_size=4))),
+        reason=draw(st.one_of(st.none(), json_text)),
+        qid=draw(st.one_of(st.none(), json_text)),
+    )

@@ -16,7 +16,8 @@ three devices:
 * ``fidelity.txt`` — ``hopperdissect fidelity``, every MAPE cell;
 * ``serve_stream.jsonl`` — the answer stream of the committed
   ``serve_batch.jsonl`` (every query kind on every device, plus
-  malformed lines) from ``QueryService(cache=None)``.
+  malformed lines) from ``QueryService(cache=None)``, and from the
+  memo and blob tiers of a cached service.
 
 Between them, a one-constant edit to any calibration dataclass of any
 pack changes at least one snapshot.
@@ -116,6 +117,27 @@ def test_rendered_output_matches_golden(fixture):
         pytest.fail(
             f"{fixture} drifted from its golden snapshot:\n"
             + "".join(diff), pytrace=False)
+
+
+def test_serve_stream_holds_on_the_warm_tiers(tmp_path):
+    """The golden stream is also what the memo tier (a second pass on
+    one service) and the blob tier (a fresh service over a warmed
+    cache) answer."""
+    from repro.perf import ResultCache
+    from repro.serve import QueryService
+
+    expected = (GOLDEN_DIR / "serve_stream.jsonl").read_text()
+    lines = SERVE_BATCH.read_text().splitlines(keepends=True)
+    service = QueryService(cache=ResultCache(tmp_path))
+    assert service.answer_lines_text(lines) == expected
+    shards = service.stats.get("serve.cache.shard_misses")
+    assert shards > 0
+    assert service.answer_lines_text(lines) == expected
+    assert service.stats.get("serve.cache.memo_hits") == shards
+    fresh = QueryService(cache=ResultCache(tmp_path))
+    assert fresh.answer_lines_text(lines) == expected
+    assert fresh.stats.get("serve.cache.blob_hits") == shards
+    assert fresh.stats.get("serve.cache.shard_misses") == 0
 
 
 def test_fixture_dir_has_no_strays():

@@ -6,24 +6,35 @@ kinds: canonicalization is idempotent, ``key()`` is insensitive to
 param order, device-name case and the client ``id`` tag, and an
 explicitly spelled default equals an omission (for defaults that are
 real values — the ``None`` defaults of ``experiment`` deliberately
-stay out of the canonical form, pinned separately below).
+stay out of the canonical form, pinned separately below).  The
+planner dedups on a query's value, so value equality must coincide
+with canonical-form equality.
+
+The response side: :meth:`Prediction.to_line` splices the client tag
+into a memoized tag-free line, and must equal one ``json.dumps`` of
+the whole payload (:func:`reference.prediction_line`) for every
+prediction and every tag, copies of copies included.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import prediction_line
 from repro.serve.schema import (
     KIND_PARAMS,
     KINDS,
+    Prediction,
     Query,
     parse_query,
     parse_query_line,
 )
-from strategies import query_payloads
+from strategies import json_text, predictions, query_payloads
 
 _SETTINGS = settings(max_examples=200, derandomize=True,
                      deadline=None)
@@ -136,3 +147,56 @@ def test_query_equality_tracks_key():
                       ("m", 16), ("n", 8), ("k", 16)))
     assert a == b
     assert a.key() == b.key()
+
+
+def _respelled(payload: dict) -> dict:
+    """The same question: params reversed, device lower-cased, another
+    client tag."""
+    out = dict(payload, id="respelled")
+    out["params"] = dict(reversed(list(payload["params"].items())))
+    if "device" in out:
+        out["device"] = out["device"].lower()
+    return out
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_query_equality_is_canonical_equality(data):
+    """The planner's dedup key: equal values ⇔ equal canonical forms,
+    and equal queries hash equal."""
+    kind = data.draw(st.sampled_from(KINDS))
+    first = data.draw(query_payloads(kind))
+    second = _respelled(first) if data.draw(st.booleans()) \
+        else data.draw(query_payloads(kind))
+    a, b = parse_query(first), parse_query(second)
+    assert (a == b) == (a.canonical() == b.canonical())
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+_TAGS = st.one_of(st.none(), json_text)
+
+
+@_SETTINGS
+@given(prediction=predictions(), tags=st.lists(_TAGS, max_size=3))
+def test_to_line_equals_encoding_the_whole_payload(prediction, tags):
+    chain = [prediction]
+    for tag in tags:
+        chain.append(chain[-1].with_qid(tag))
+    for p in chain:
+        assert p.to_line() == prediction_line(p)
+        json.loads(p.to_line())
+
+
+@_SETTINGS
+@given(prediction=predictions(), tag=_TAGS)
+def test_with_qid_keeps_every_other_field(prediction, tag):
+    before = prediction_line(prediction)
+    copy = prediction.with_qid(tag)
+    assert copy.qid == tag
+    for f in fields(Prediction):
+        if f.name != "qid":
+            assert getattr(copy, f.name) is getattr(prediction, f.name)
+    assert prediction.to_line() == before
+    copy.with_qid("another").to_line()
+    assert prediction.to_line() == before
