@@ -2,8 +2,9 @@
 "Benchmarking and Dissecting the Nvidia Hopper GPU Architecture"
 (Luo et al., IPDPS 2024).
 
-The package models three GPU generations — Ampere (A100 PCIe), Ada
-Lovelace (RTX 4090) and Hopper (H800 PCIe) — at the level the paper's
+The package models the paper's three GPUs — Ampere (A100 PCIe), Ada
+Lovelace (RTX 4090) and Hopper (H800 PCIe) — and two lineage devices,
+Volta (V100) and Blackwell (B200), at the level the paper's
 microbenchmarks probe them:
 
 * :mod:`repro.arch` — device specifications and the clock model.
@@ -13,7 +14,7 @@ microbenchmarks probe them:
   PTX → SASS lowering (Table VI).
 * :mod:`repro.memory` — set-associative caches, banked shared memory,
   DRAM and TLB models plus a P-chase driver (Tables IV, V).
-* :mod:`repro.sm` — occupancy, block scheduling and the issue pipeline.
+* :mod:`repro.sm` — occupancy, block scheduling and the roofline.
 * :mod:`repro.tensorcore` — functional and timing models of ``mma`` /
   ``wgmma`` dense and 2:4-sparse tensor-core instructions
   (Tables VII–X).

@@ -145,21 +145,25 @@ def _write_metrics(session, path, context) -> None:
         session.write_openmetrics(path, context=context)
         form = "OpenMetrics text"
     print(f"wrote {path} ({form}, "
-          f"{len(session.per_experiment)} experiment banks)")
+          f"{len(session.per_experiment)} experiment banks)",
+          file=sys.stderr)
 
 
-def _finish_obs(session, args, context=None) -> None:
-    """Print/serialize whatever the session collected."""
+def _finish_obs(session, args, context=None, *, table=None) -> None:
+    """Print/serialize whatever the session collected: the
+    ``--counters`` table on ``table`` (stdout by default; ``serve`` and
+    ``query`` pass stderr, so their stdout carries only predictions)
+    and each ``wrote PATH`` status line on stderr."""
     if session is None:
         return
     if getattr(args, "counters", False):
-        print(session.render_counters())
-        print()
+        print(session.render_counters(), file=table)
+        print(file=table)
     counters_path = getattr(args, "counters_json", None)
     if counters_path:
         session.write_counters_json(counters_path, context=context)
         print(f"wrote {counters_path} "
-              f"({len(session.counters)} counters)")
+              f"({len(session.counters)} counters)", file=sys.stderr)
     metrics_path = getattr(args, "metrics", None)
     if metrics_path:
         _write_metrics(session, metrics_path, context)
@@ -168,7 +172,7 @@ def _finish_obs(session, args, context=None) -> None:
         session.write_trace(trace_path)
         print(f"wrote {trace_path} "
               f"({len(session.tracer.events)} events; load in "
-              f"ui.perfetto.dev or chrome://tracing)")
+              f"ui.perfetto.dev or chrome://tracing)", file=sys.stderr)
 
 
 def _device_names(items) -> Optional[Tuple[str, ...]]:
@@ -252,7 +256,8 @@ def _cmd_report(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(md)
-        print(f"wrote {args.output}: {summary_line(results)}")
+        print(f"wrote {args.output}: {summary_line(results)}",
+              file=sys.stderr)
     else:
         print(md)
     _finish_obs(session, args, context)
@@ -356,7 +361,7 @@ def _cmd_serve(args) -> int:
         print(f"wrote {args.output}", file=sys.stderr)
     else:
         sys.stdout.write(text)
-    _finish_obs(session, args, context)
+    _finish_obs(session, args, context, table=sys.stderr)
     if args.stats_json:
         service.write_stats_json(args.stats_json)
         print(f"wrote {args.stats_json} (service stats)",
@@ -405,7 +410,7 @@ def _cmd_query(args) -> int:
     with _activate(session):
         prediction = service.answer(query)
     print(prediction.to_line())
-    _finish_obs(session, args, context)
+    _finish_obs(session, args, context, table=sys.stderr)
     return 0 if prediction.status != "error" else 1
 
 

@@ -45,9 +45,9 @@ class RunContext:
     """Frozen parameters of one experiment run.
 
     ``devices`` is the device sweep (canonical registry names); the
-    default is the paper's testbed.  ``seed`` feeds every RNG-using
-    workload.  Both are plain data, so a context pickles as is and
-    crosses the process pool unchanged.
+    default is the paper's testbed.  ``seed`` (non-negative) feeds
+    every RNG-using workload.  Both are plain data, so a context
+    pickles as is and crosses the process pool unchanged.
     """
 
     devices: Tuple[str, ...] = ("RTX4090", "A100", "H800")
@@ -56,6 +56,9 @@ class RunContext:
     def __post_init__(self) -> None:
         if not self.devices:
             raise ValueError("RunContext needs at least one device")
+        if self.seed < 0:
+            # numpy seeds only from non-negative integers
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         canonical = []
         for name in self.devices:
             key = str(name).upper()

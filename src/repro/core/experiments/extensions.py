@@ -402,7 +402,7 @@ def ext_roofline(ctx: RunContext) -> Tuple[Table, List[Check]]:
         "LLM decode (7B bf16, b=8)": KernelSpec(
             name="decode", block=BlockConfig(threads=256),
             num_blocks=1024, tc_flops_per_thread=1000.0,
-            dram_bytes_per_thread=1000.0, tc_precision="bf16"),
+            dram_bytes_per_thread=1000.0),
         "GEMM 8192^3 fp16": KernelSpec(
             name="gemm", block=BlockConfig(threads=256),
             num_blocks=1024, tc_flops_per_thread=2.7e6,

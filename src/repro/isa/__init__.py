@@ -7,8 +7,8 @@ both layers:
 * :mod:`repro.isa.dtypes` — the PTX element types tensor cores accept.
 * :mod:`repro.isa.mma` — ``mma``/``mma.sp``/``wgmma``/``wgmma.sp``
   instruction descriptors with shape validation against the PTX ISA.
-* :mod:`repro.isa.memory_ops` — loads/stores with cache modifiers,
-  ``ldmatrix``, ``cp.async``, TMA copies and ``mapa``.
+* :mod:`repro.isa.memory_ops` — the ``.ca``/``.cg`` cache operators
+  the P-chase probes load with, and TMA bulk copies.
 * :mod:`repro.isa.lowering` — the per-architecture PTX → SASS lowering
   pass, including the Hopper INT4 fallback onto CUDA-core ``IMAD`` and
   the DPX hardware-vs-emulation split.
@@ -26,35 +26,13 @@ from repro.isa.mma import (
     valid_wgmma_n,
     wgmma_k,
 )
-from repro.isa.memory_ops import (
-    CacheOp,
-    CpAsync,
-    Ldmatrix,
-    LoadGlobal,
-    LoadShared,
-    Mapa,
-    TmaCopy,
-)
+from repro.isa.memory_ops import CacheOp, TmaCopy
 from repro.isa.lowering import (
     FunctionalUnit,
     LoweredOp,
     SassInstruction,
     lower,
     sass_table,
-)
-from repro.isa.fragments import (
-    FragmentLayout,
-    a_layout,
-    b_layout,
-    c_layout,
-    layouts_for,
-)
-from repro.isa.descriptor import (
-    SmemDescriptor,
-    Swizzle,
-    decode_descriptor,
-    descriptor_for_tile,
-    encode_descriptor,
 )
 
 __all__ = [
@@ -69,25 +47,10 @@ __all__ = [
     "valid_wgmma_n",
     "wgmma_k",
     "CacheOp",
-    "CpAsync",
-    "Ldmatrix",
-    "LoadGlobal",
-    "LoadShared",
-    "Mapa",
     "TmaCopy",
     "FunctionalUnit",
     "LoweredOp",
     "SassInstruction",
     "lower",
     "sass_table",
-    "FragmentLayout",
-    "a_layout",
-    "b_layout",
-    "c_layout",
-    "layouts_for",
-    "SmemDescriptor",
-    "Swizzle",
-    "encode_descriptor",
-    "decode_descriptor",
-    "descriptor_for_tile",
 ]

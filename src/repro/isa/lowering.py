@@ -29,7 +29,7 @@ from typing import List, Sequence, Tuple
 
 from repro.arch import ArchPack
 from repro.isa.dtypes import DType
-from repro.isa.memory_ops import CpAsync, LoadGlobal, LoadShared, Mapa, TmaCopy
+from repro.isa.memory_ops import TmaCopy
 from repro.isa.mma import MmaInstruction, WgmmaInstruction
 
 __all__ = [
@@ -225,56 +225,12 @@ def _lower_wgmma(instr: WgmmaInstruction, arch: ArchPack) -> LoweredOp:
 
 
 @lower.register
-def _lower_ld_global(instr: LoadGlobal, arch: ArchPack) -> LoweredOp:
-    bits = instr.bytes_per_thread * 8
-    mnemonic = f"LDG.E.{bits}" if bits <= 64 else "LDG.E.128"
-    if instr.cache_op.value == "cg":
-        mnemonic += ".STRONG.GPU"
-    return LoweredOp(
-        ptx=instr.opcode, arch=arch,
-        sass=(SassInstruction(mnemonic, FunctionalUnit.LSU),),
-    )
-
-
-@lower.register
-def _lower_ld_shared(instr: LoadShared, arch: ArchPack) -> LoweredOp:
-    bits = instr.bytes_per_thread * 8
-    return LoweredOp(
-        ptx=instr.opcode, arch=arch,
-        sass=(SassInstruction(f"LDS.{bits}", FunctionalUnit.LSU),),
-    )
-
-
-@lower.register
-def _lower_cp_async(instr: CpAsync, arch: ArchPack) -> LoweredOp:
-    if not arch.has_cp_async:
-        raise UnsupportedInstruction("cp.async requires sm_80+")
-    return LoweredOp(
-        ptx=instr.opcode, arch=arch,
-        sass=(SassInstruction("LDGSTS.E.BYPASS.128",
-                              FunctionalUnit.LSU),),
-    )
-
-
-@lower.register
 def _lower_tma(instr: TmaCopy, arch: ArchPack) -> LoweredOp:
     if not arch.has_tma:
         raise UnsupportedInstruction("TMA requires Hopper (sm_90)")
     return LoweredOp(
         ptx=instr.opcode, arch=arch,
         sass=(SassInstruction("UBLKCP", FunctionalUnit.TMA),),
-    )
-
-
-@lower.register
-def _lower_mapa(instr: Mapa, arch: ArchPack) -> LoweredOp:
-    if not arch.has_distributed_shared_memory:
-        raise UnsupportedInstruction(
-            "mapa requires Hopper thread-block clusters"
-        )
-    return LoweredOp(
-        ptx=instr.opcode, arch=arch,
-        sass=(SassInstruction("MAPA", FunctionalUnit.CUDA_CORE_INT),),
     )
 
 

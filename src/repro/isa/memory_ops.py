@@ -1,32 +1,19 @@
 """Memory-access instruction descriptors.
 
-Models the PTX memory operations the paper's microbenchmarks use:
+The PTX memory operations the simulator's engines take as input:
 
-* ``ld.global`` with cache-operator modifiers — ``.ca`` (cache at all
-  levels, used to warm L1) and ``.cg`` (cache global, L2 only; used to
-  isolate L2 in the latency tests),
-* ``ld.shared`` / ``st.shared``,
-* ``ldmatrix`` (the tile loader feeding ``mma`` register operands),
-* ``cp.async`` (Ampere asynchronous global→shared copies),
-* TMA bulk tensor copies (Hopper ``cp.async.bulk.tensor``),
-* ``mapa`` (maps a shared-memory address into a peer block of the same
-  cluster — the distributed-shared-memory primitive).
+* the ``ld.global`` cache operators — ``.ca`` (cache at all levels,
+  used to warm L1) and ``.cg`` (cache global, L2 only; used to isolate
+  L2 in the latency tests) — that the P-chase probes load with,
+* TMA bulk tensor copies (Hopper ``cp.async.bulk.tensor``), priced by
+  :mod:`repro.asynccopy.tma`.
 """
-
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 
-__all__ = [
-    "CacheOp",
-    "LoadGlobal",
-    "LoadShared",
-    "Ldmatrix",
-    "CpAsync",
-    "TmaCopy",
-    "Mapa",
-]
+__all__ = ["CacheOp", "TmaCopy"]
 
 
 class CacheOp(enum.Enum):
@@ -46,116 +33,6 @@ class CacheOp(enum.Enum):
     @property
     def allocates_l2(self) -> bool:
         return self is not CacheOp.VOLATILE
-
-
-@dataclass(frozen=True)
-class LoadGlobal:
-    """A warp-level ``ld.global`` of ``width_bytes`` per thread.
-
-    ``vector_width`` counts elements per thread (e.g. 4 for ``float4``
-    vectorised loads, the paper's FP32.v4 rows).
-    """
-
-    width_bytes: int = 4
-    vector_width: int = 1
-    cache_op: CacheOp = CacheOp.CACHE_ALL
-
-    def __post_init__(self) -> None:
-        if self.width_bytes not in (1, 2, 4, 8):
-            raise ValueError("element width must be 1/2/4/8 bytes")
-        if self.vector_width not in (1, 2, 4):
-            raise ValueError("vector width must be 1, 2 or 4")
-        if self.width_bytes * self.vector_width > 16:
-            raise ValueError("PTX loads move at most 16 bytes per thread")
-
-    @property
-    def bytes_per_thread(self) -> int:
-        return self.width_bytes * self.vector_width
-
-    @property
-    def bytes_per_warp(self) -> int:
-        return 32 * self.bytes_per_thread
-
-    @property
-    def opcode(self) -> str:
-        vec = f".v{self.vector_width}" if self.vector_width > 1 else ""
-        return (
-            f"ld.global.{self.cache_op.value}{vec}.b{self.width_bytes * 8}"
-        )
-
-
-@dataclass(frozen=True)
-class LoadShared:
-    """A warp-level ``ld.shared``."""
-
-    width_bytes: int = 4
-    vector_width: int = 1
-
-    def __post_init__(self) -> None:
-        if self.width_bytes * self.vector_width > 16:
-            raise ValueError("PTX loads move at most 16 bytes per thread")
-
-    @property
-    def bytes_per_thread(self) -> int:
-        return self.width_bytes * self.vector_width
-
-    @property
-    def bytes_per_warp(self) -> int:
-        return 32 * self.bytes_per_thread
-
-    @property
-    def opcode(self) -> str:
-        vec = f".v{self.vector_width}" if self.vector_width > 1 else ""
-        return f"ld.shared{vec}.b{self.width_bytes * 8}"
-
-
-@dataclass(frozen=True)
-class Ldmatrix:
-    """``ldmatrix`` — loads 8×8 16-bit tiles from shared memory into
-    the register layout ``mma`` expects.  ``num`` ∈ {1, 2, 4} tiles."""
-
-    num: int = 4
-    transpose: bool = False
-
-    def __post_init__(self) -> None:
-        if self.num not in (1, 2, 4):
-            raise ValueError("ldmatrix moves 1, 2 or 4 tiles")
-
-    @property
-    def bytes_per_warp(self) -> int:
-        return self.num * 8 * 8 * 2
-
-    @property
-    def opcode(self) -> str:
-        t = ".trans" if self.transpose else ""
-        return f"ldmatrix.sync.aligned.m8n8.x{self.num}{t}.shared.b16"
-
-
-@dataclass(frozen=True)
-class CpAsync:
-    """Ampere+ asynchronous global→shared copy (``cp.async``).
-
-    Per-thread granules of 4/8/16 bytes; the hardware path bypasses the
-    register file, freeing the issuing warp immediately — the property
-    the two-stage pipeline of §III-D2 exploits.
-    """
-
-    bytes_per_thread: int = 16
-    bypass_l1: bool = True
-
-    def __post_init__(self) -> None:
-        if self.bytes_per_thread not in (4, 8, 16):
-            raise ValueError("cp.async moves 4, 8 or 16 bytes per thread")
-
-    @property
-    def bytes_per_warp(self) -> int:
-        return 32 * self.bytes_per_thread
-
-    @property
-    def opcode(self) -> str:
-        op = "cg" if self.bypass_l1 else "ca"
-        return f"cp.async.{op}.shared.global [..], [..], " \
-               f"{self.bytes_per_thread}"
 
 
 @dataclass(frozen=True)
@@ -182,19 +59,3 @@ class TmaCopy:
         mc = ".multicast::cluster" if self.multicast else ""
         return f"cp.async.bulk.tensor.{self.dims}d{mc}.shared::cluster" \
                f".global"
-
-
-@dataclass(frozen=True)
-class Mapa:
-    """``mapa`` — map a shared-memory address to block ``target_rank``
-    of the cluster (compiled from ``cluster.map_shared_rank``)."""
-
-    target_rank: int
-
-    def __post_init__(self) -> None:
-        if self.target_rank < 0:
-            raise ValueError("target_rank must be non-negative")
-
-    @property
-    def opcode(self) -> str:
-        return "mapa.shared::cluster.u32"

@@ -31,7 +31,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
+
+from repro.arch import get_device
 
 __all__ = [
     "KINDS",
@@ -206,7 +208,9 @@ class Query:
     kind: str
     device: str = ""
     precision: Optional[str] = None
-    params: Tuple[Tuple[str, Any], ...] = ()
+    #: a mapping or ``(name, value)`` pairs; stored validated, as pairs
+    #: in name order
+    params: Union[Mapping[str, Any], Tuple[Tuple[str, Any], ...]] = ()
     qid: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -218,8 +222,6 @@ class Query:
             if not self.device:
                 raise QueryError(
                     f"kind {self.kind!r} requires a device")
-            from repro.arch import get_device
-
             try:
                 get_device(self.device)
             except KeyError as exc:
@@ -240,9 +242,12 @@ class Query:
         elif self.kind in ("te.linear", "llm.generate"):
             raise QueryError(
                 f"kind {self.kind!r} requires a precision")
+        params = self.params
         object.__setattr__(
             self, "params",
-            _validated_params(self.kind, dict(self.params)))
+            _validated_params(self.kind, params
+                              if isinstance(params, dict)
+                              else dict(params)))
 
     # -- convenience access -------------------------------------------------
 
@@ -311,7 +316,7 @@ def parse_query(obj: Any) -> Query:
         kind=str(obj["kind"]),
         device=str(obj.get("device", "") or ""),
         precision=obj.get("precision"),
-        params=tuple(params.items()),
+        params=params,
         qid=qid,
     )
 

@@ -1,41 +1,28 @@
 """Streaming-multiprocessor execution model.
 
-Three pieces every throughput benchmark in the paper rests on:
-
 * :mod:`repro.sm.occupancy` — how many blocks/warps fit on an SM given
-  threads, registers and shared memory (drives Fig 9's Nbins story),
+  threads, registers and shared memory (drives Fig 9's Nbins story and
+  the resident blocks of Tables XIII/XIV),
 * :mod:`repro.sm.scheduler` — the wave-based block scheduler (drives
   Fig 7's throughput sawtooth at SM-count multiples),
-* :mod:`repro.sm.pipeline` — a Little's-law issue/latency pipeline
-  model (drives everything that hides latency with warps or ILP).
+* :mod:`repro.sm.kernel` and :mod:`repro.sm.roofline` — a kernel's
+  per-thread work and its place on a device's roofline (the
+  ``ext_roofline`` experiment).
 """
-
 from __future__ import annotations
 
 from repro.sm.occupancy import BlockConfig, Occupancy, occupancy
-from repro.sm.pipeline import (
-    PipeSpec,
-    dependent_chain_cycles,
-    sustained_ipc,
-    throughput_cycles,
-)
 from repro.sm.scheduler import KernelLaunch, ScheduleResult, schedule_blocks
-from repro.sm.kernel import KernelEstimate, KernelModel, KernelSpec
+from repro.sm.kernel import KernelSpec
 from repro.sm.roofline import Roofline, RooflinePoint
 
 __all__ = [
     "KernelSpec",
-    "KernelModel",
-    "KernelEstimate",
     "Roofline",
     "RooflinePoint",
     "BlockConfig",
     "Occupancy",
     "occupancy",
-    "PipeSpec",
-    "sustained_ipc",
-    "dependent_chain_cycles",
-    "throughput_cycles",
     "KernelLaunch",
     "ScheduleResult",
     "schedule_blocks",

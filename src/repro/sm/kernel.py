@@ -1,27 +1,19 @@
-"""Generic kernel execution-cost model.
+"""Per-thread work description of a regular kernel.
 
-The paper's stated purpose is to enable *performance modelling*
-(§I, §II).  This module composes the library's calibrated pieces —
-occupancy, wave scheduling, unit throughputs, DRAM bandwidth and
-latency hiding — into a reusable estimator for arbitrary regular
-kernels: describe a kernel's per-thread work (FLOPs, tensor-core
-FLOPs, DRAM and shared-memory traffic), get back its bottleneck and
-execution time on any registered device.
-
-This is the abstraction a downstream user adopts to ask "would my
-kernel be memory- or compute-bound on an H800?" without writing CUDA.
+A :class:`KernelSpec` states a kernel's launch shape and per-thread
+work (FLOPs, tensor-core FLOPs, DRAM traffic); its totals give the
+arithmetic intensity that :class:`~repro.sm.roofline.Roofline` places
+against a device's compute and bandwidth roofs (the ``ext_roofline``
+experiment).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
 
-from repro.arch import DeviceSpec
-from repro.sm.occupancy import BlockConfig, occupancy
-from repro.sm.scheduler import KernelLaunch, schedule_blocks
+from repro.sm.occupancy import BlockConfig
 
-__all__ = ["KernelSpec", "KernelEstimate", "KernelModel"]
+__all__ = ["KernelSpec"]
 
 
 @dataclass(frozen=True)
@@ -33,21 +25,15 @@ class KernelSpec:
     num_blocks: int
     flops_per_thread: float = 0.0          # CUDA-core FP32 FLOPs
     tc_flops_per_thread: float = 0.0       # tensor-core FLOPs
-    tc_precision: str = "fp16"
     dram_bytes_per_thread: float = 0.0
-    smem_bytes_per_thread: float = 0.0
-    #: average outstanding memory requests per thread (latency hiding)
-    memory_ilp: float = 2.0
 
     def __post_init__(self) -> None:
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
         for f in ("flops_per_thread", "tc_flops_per_thread",
-                  "dram_bytes_per_thread", "smem_bytes_per_thread"):
+                  "dram_bytes_per_thread"):
             if getattr(self, f) < 0:
                 raise ValueError(f"{f} must be non-negative")
-        if self.memory_ilp <= 0:
-            raise ValueError("memory_ilp must be positive")
 
     @property
     def total_threads(self) -> int:
@@ -68,112 +54,3 @@ class KernelSpec:
         if self.total_dram_bytes == 0:
             return float("inf")
         return self.total_flops / self.total_dram_bytes
-
-
-@dataclass(frozen=True)
-class KernelEstimate:
-    """Execution estimate: time, bottleneck, per-resource timings."""
-
-    spec: KernelSpec
-    device: str
-    seconds: float
-    limiter: str
-    resource_seconds: Dict[str, float]
-    waves: int
-    occupancy_blocks: int
-
-    @property
-    def achieved_tflops(self) -> float:
-        return self.spec.total_flops / self.seconds / 1e12 \
-            if self.seconds else 0.0
-
-    @property
-    def achieved_gbps(self) -> float:
-        return self.spec.total_dram_bytes / self.seconds / 1e9 \
-            if self.seconds else 0.0
-
-
-class KernelModel:
-    """Per-device kernel cost estimator."""
-
-    def __init__(self, device: DeviceSpec) -> None:
-        self.device = device
-
-    # -- per-resource times ------------------------------------------------
-
-    def _fp32_seconds(self, spec: KernelSpec) -> float:
-        if not spec.flops_per_thread:
-            return 0.0
-        rate = (2.0 * self.device.cuda_cores_per_sm
-                * self.device.num_sms * self.device.clocks.observed_hz)
-        return spec.flops_per_thread * spec.total_threads / rate
-
-    def _tc_seconds(self, spec: KernelSpec) -> float:
-        if not spec.tc_flops_per_thread:
-            return 0.0
-        peak = self.device.tc_peak_tflops(spec.tc_precision) * 1e12
-        return (spec.tc_flops_per_thread * spec.total_threads
-                / (peak * 0.9))
-
-    def _dram_seconds(self, spec: KernelSpec) -> float:
-        if not spec.dram_bytes_per_thread:
-            return 0.0
-        bw = self.device.dram.effective_bandwidth_gbps(0.8) * 1e9
-        return spec.total_dram_bytes / bw
-
-    def _smem_seconds(self, spec: KernelSpec) -> float:
-        if not spec.smem_bytes_per_thread:
-            return 0.0
-        bw = (self.device.mem_widths.smem_bytes_per_clk_sm
-              * self.device.num_sms * self.device.clocks.observed_hz)
-        return (spec.smem_bytes_per_thread * spec.total_threads) / bw
-
-    def _latency_seconds(self, spec: KernelSpec, occ_blocks: int
-                         ) -> float:
-        """Latency-bound floor: outstanding requests over DRAM latency
-        (Little's law with the kernel's memory ILP)."""
-        if not spec.dram_bytes_per_thread:
-            return 0.0
-        lat_s = (self.device.mem_latencies.global_clk
-                 / self.device.clocks.observed_hz)
-        inflight_threads = min(
-            spec.total_threads,
-            occ_blocks * spec.block.threads * self.device.num_sms,
-        )
-        inflight_bytes = inflight_threads * spec.memory_ilp * 32.0
-        achievable = inflight_bytes / lat_s        # bytes per second
-        return spec.total_dram_bytes / achievable
-
-    # -- the estimate --------------------------------------------------------
-
-    def estimate(self, spec: KernelSpec) -> KernelEstimate:
-        occ = occupancy(self.device, spec.block)
-        if not occ.active:
-            raise ValueError(
-                f"kernel {spec.name!r} cannot launch on "
-                f"{self.device.name}: blocked by {occ.limiter}"
-            )
-        sched = schedule_blocks(
-            self.device, KernelLaunch(spec.num_blocks, spec.block)
-        )
-        resources = {
-            "FP32 pipes": self._fp32_seconds(spec),
-            "tensor cores": self._tc_seconds(spec),
-            "DRAM bandwidth": self._dram_seconds(spec),
-            "shared memory": self._smem_seconds(spec),
-            "memory latency": self._latency_seconds(
-                spec, occ.blocks_per_sm),
-        }
-        limiter = max(resources, key=resources.get)
-        base = resources[limiter]
-        # partial-wave stretch: the straggler wave runs at low util
-        seconds = base / max(sched.utilization, 1e-9)
-        return KernelEstimate(
-            spec=spec,
-            device=self.device.name,
-            seconds=seconds,
-            limiter=limiter,
-            resource_seconds=resources,
-            waves=sched.waves,
-            occupancy_blocks=occ.blocks_per_sm,
-        )

@@ -42,14 +42,11 @@ from repro.te.llm import (
 )
 from repro.te.workload import ShareGptWorkload, Request
 from repro.te.recipe import DelayedScaling
-from repro.te.llama import TinyLlama, TinyLlamaConfig
 from repro.te.accuracy import AccuracyReport, layer_accuracy, \
     linear_accuracy
 
 __all__ = [
     "DelayedScaling",
-    "TinyLlama",
-    "TinyLlamaConfig",
     "AccuracyReport",
     "linear_accuracy",
     "layer_accuracy",

@@ -13,8 +13,9 @@
   accumulator chain that makes wgmma throughput track its completion
   latency, and shared-memory port pressure (which penalises sparse
   "SS" mode by exactly the unpruned-A traffic).
-* :mod:`repro.tensorcore.gemm` — a tiled GEMM driver over the
-  functional engine (used by the Transformer-Engine analogue).
+* :mod:`repro.tensorcore.numerics_study` — numeric-behaviour probes
+  (rounding, subnormals, accumulation precision) run against the
+  functional engine.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.tensorcore.timing import (
     TensorCoreTimingModel,
     WgmmaSweep,
 )
-from repro.tensorcore.gemm import TiledGemm, GemmReport
 
 __all__ = [
     "mma_functional",
@@ -52,6 +52,4 @@ __all__ = [
     "SweepEntry",
     "MmaSweep",
     "WgmmaSweep",
-    "TiledGemm",
-    "GemmReport",
 ]

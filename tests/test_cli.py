@@ -257,6 +257,13 @@ class TestContextFlags:
         with pytest.raises(SystemExit, match="bad run context"):
             main(["run", "--devices", "H100", "table03_devices"])
 
+    def test_negative_seed_exits_with_message(self):
+        # rejected before any experiment runs (numpy would raise mid-run)
+        with pytest.raises(SystemExit, match=(
+                r"^hopperdissect: bad run context: "
+                r"seed must be non-negative, got -1$")):
+            main(["run", "--all", "--no-cache", "--seed", "-1"])
+
     def test_seed_flag_reaches_builders(self, capsys):
         assert main(["run", "--seed", "123", "--no-cache",
                      "ext_fp8_accuracy"]) == 0
@@ -294,7 +301,7 @@ class TestCountersJson:
         out = tmp_path / "counters.json"
         assert main(["run", "table07_mma", "--no-cache",
                      "--counters-json", str(out)]) == 0
-        assert f"wrote {out}" in capsys.readouterr().out
+        assert f"wrote {out}" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert payload["schema"] == "hopperdissect.counters/v1"
         assert payload["context"] == "devices=RTX4090,A100,H800;seed=0"
@@ -354,7 +361,7 @@ class TestCountersJson:
         out = tmp_path / "stats_counters.json"
         assert main(["stats", "table07_mma",
                      "--counters-json", str(out)]) == 0
-        assert f"wrote {out}" in capsys.readouterr().out
+        assert f"wrote {out}" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert payload["counters"]["tc.mma.instructions"] > 0
 

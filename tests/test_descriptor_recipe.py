@@ -1,92 +1,11 @@
-"""Tests for wgmma smem descriptors and the delayed-scaling recipe."""
+"""Tests for the delayed-scaling FP8 recipe."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.isa.descriptor import (
-    SmemDescriptor,
-    Swizzle,
-    decode_descriptor,
-    descriptor_for_tile,
-    encode_descriptor,
-)
 from repro.numerics import E4M3
 from repro.te.recipe import DelayedScaling
-
-aligned = st.integers(0, (1 << 14) - 1).map(lambda v: v * 16)
-
-
-class TestDescriptorEncoding:
-    def test_known_encoding(self):
-        d = SmemDescriptor(start_address=0x400,
-                           leading_byte_offset=256,
-                           stride_byte_offset=2048,
-                           base_offset=3, swizzle=Swizzle.B128)
-        w = encode_descriptor(d)
-        assert w & 0x3FFF == 0x400 // 16
-        assert (w >> 16) & 0x3FFF == 256 // 16
-        assert (w >> 32) & 0x3FFF == 2048 // 16
-        assert (w >> 49) & 0x7 == 3
-        assert (w >> 62) == 1
-
-    def test_decode_inverse(self):
-        d = SmemDescriptor(1024, 128, 1024, 2, Swizzle.B64)
-        assert decode_descriptor(encode_descriptor(d)) == d
-
-    @settings(max_examples=200, deadline=None)
-    @given(aligned, aligned, aligned, st.integers(0, 7),
-           st.sampled_from(list(Swizzle)))
-    def test_roundtrip_property(self, start, lbo, sbo, base, sw):
-        d = SmemDescriptor(start, lbo, sbo, base, sw)
-        assert decode_descriptor(encode_descriptor(d)) == d
-
-    def test_alignment_enforced(self):
-        with pytest.raises(ValueError, match="aligned"):
-            SmemDescriptor(8, 16, 16)
-        with pytest.raises(ValueError, match="aligned"):
-            SmemDescriptor(16, 24, 16)
-
-    def test_field_width_enforced(self):
-        with pytest.raises(ValueError, match="field"):
-            SmemDescriptor((1 << 14) * 16, 16, 16)
-        with pytest.raises(ValueError, match="3-bit"):
-            SmemDescriptor(16, 16, 16, base_offset=8)
-
-    def test_decode_range(self):
-        with pytest.raises(ValueError):
-            decode_descriptor(1 << 64)
-        with pytest.raises(ValueError):
-            decode_descriptor(-1)
-
-    def test_swizzle_atom_sizes(self):
-        assert Swizzle.NONE.bytes == 0
-        assert Swizzle.B128.bytes == 128
-        assert Swizzle.B32.bytes == 32
-
-
-class TestTileBuilder:
-    def test_fp16_k_major_tile(self):
-        # a 64×16 FP16 A tile: line = 32 B, core block = 256 B
-        d = descriptor_for_tile(base=0, rows=64, cols=16, elem_bytes=2)
-        assert d.leading_byte_offset == 32
-        assert d.stride_byte_offset == 256
-
-    def test_misaligned_line_rejected(self):
-        with pytest.raises(ValueError, match="pad"):
-            descriptor_for_tile(base=0, rows=64, cols=3, elem_bytes=2)
-
-    def test_column_major(self):
-        d = descriptor_for_tile(base=0, rows=16, cols=256,
-                                elem_bytes=2, row_major=False)
-        assert d.leading_byte_offset == 32
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            descriptor_for_tile(base=0, rows=0, cols=8, elem_bytes=2)
-
 
 class TestDelayedScaling:
     def test_first_quantize_uses_unit_scale(self):

@@ -140,6 +140,25 @@ def test_serve_stream_holds_on_the_warm_tiers(tmp_path):
     assert fresh.stats.get("serve.cache.shard_misses") == 0
 
 
+def test_serve_stdout_is_the_stream_with_every_export_flag(tmp_path,
+                                                           capsys):
+    """``serve`` with ``--counters`` and every export flag prints only
+    the answer stream on stdout; the counter table and the ``wrote``
+    status lines go to stderr."""
+    from repro.cli import main
+
+    paths = [tmp_path / name for name in ("c.json", "m.json", "t.json")]
+    assert main(["serve", "-i", str(SERVE_BATCH), "--counters",
+                 "--counters-json", str(paths[0]),
+                 "--metrics", str(paths[1]),
+                 "--trace", str(paths[2])]) == 0
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN_DIR / "serve_stream.jsonl").read_text()
+    assert "hardware counters" in err
+    for path in paths:
+        assert f"wrote {path} (" in err
+
+
 def test_fixture_dir_has_no_strays():
     """Every committed fixture is owned by a test (no zombie files)."""
     on_disk = {p.name for p in GOLDEN_DIR.iterdir() if p.is_file()}

@@ -16,14 +16,13 @@ from repro.isa import (
     MmaInstruction,
     OperandSource,
     WgmmaInstruction,
-    a_layout,
     lower,
 )
 from repro.isa.dtypes import DType
-from repro.sm import BlockConfig, KernelModel, KernelSpec, Roofline
+from repro.sm import BlockConfig, Roofline
 from repro.te import CostModel, LLAMA_MODELS, LlmInferenceModel, \
     Precision
-from repro.tensorcore import TensorCoreTimingModel, TiledGemm
+from repro.tensorcore import TensorCoreTimingModel
 
 
 class TestTimingConsistency:
@@ -34,14 +33,6 @@ class TestTimingConsistency:
         tm = TensorCoreTimingModel(h800)
         w = tm.wgmma(WgmmaInstruction(DType.FP16, DType.FP16, 256))
         assert cm.gemm_tflops(Precision.FP16) == pytest.approx(
-            w.throughput_tflops("rand"), rel=1e-6)
-
-    def test_tiled_gemm_estimate_matches_timing(self, h800):
-        g = TiledGemm(h800, DType.FP16, DType.FP32)
-        rep = g.run(np.ones((256, 256)), np.ones((256, 256)))
-        tm = TensorCoreTimingModel(h800)
-        w = tm.wgmma(WgmmaInstruction(DType.FP16, DType.FP32, 256))
-        assert rep.est_tflops == pytest.approx(
             w.throughput_tflops("rand"), rel=1e-6)
 
     def test_lowered_unit_matches_timing_path(self, h800):
@@ -77,41 +68,6 @@ class TestRooflineConsistency:
         roofline_floor = spec.weight_bytes(Precision.BF16) \
             / (h800.dram.peak_bandwidth_gbps * 1e9)
         assert step > roofline_floor
-
-    def test_kernel_model_matches_roofline_at_extremes(self, h800):
-        km = KernelModel(h800)
-        r = Roofline(h800, "fp16")
-        streaming = KernelSpec(
-            name="stream", block=BlockConfig(threads=256),
-            num_blocks=h800.num_sms * 64,
-            tc_flops_per_thread=1.0, dram_bytes_per_thread=256.0)
-        est = km.estimate(streaming)
-        place = r.place(streaming)
-        assert place.bound == "memory"
-        # achieved bandwidth within the two models' efficiency split
-        assert est.achieved_gbps == pytest.approx(
-            r.memory_bandwidth_tbps * 1e3, rel=0.02)
-
-
-class TestFunctionalVsLayout:
-    def test_fragments_cover_functional_operands(self):
-        """A fragment-distributed matmul (gather per lane, compute,
-        scatter) reproduces the functional engine's result."""
-        from repro.tensorcore import mma_functional
-        instr = MmaInstruction(DType.FP16, DType.FP32,
-                               MatrixShape(16, 8, 16))
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(16, 16))
-        b = rng.normal(size=(16, 8))
-        # scatter A into 32 thread fragments, then rebuild
-        lay = a_layout(instr.shape, instr.ab_type)
-        frags = np.zeros((32, lay.fragment_size))
-        frags[lay.lane, lay.index] = a
-        a_rebuilt = frags[lay.lane, lay.index]
-        assert np.array_equal(
-            mma_functional(instr, a_rebuilt, b),
-            mma_functional(instr, a, b))
-
 
 class TestSchedulerDpxConsistency:
     def test_block_sweep_matches_scheduler_utilization(self, h800):

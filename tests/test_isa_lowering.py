@@ -6,11 +6,7 @@ import pytest
 
 from repro.arch.packs import ADA, AMPERE, HOPPER
 from repro.isa import (
-    CpAsync,
     FunctionalUnit,
-    LoadGlobal,
-    LoadShared,
-    Mapa,
     MatrixShape,
     MmaInstruction,
     TmaCopy,
@@ -20,7 +16,6 @@ from repro.isa import (
 )
 from repro.isa.dtypes import DType
 from repro.isa.lowering import UnsupportedInstruction, lower_dpx
-from repro.isa.memory_ops import CacheOp, Ldmatrix
 
 H = HOPPER
 A = AMPERE
@@ -124,32 +119,10 @@ class TestWgmmaLowering:
 
 
 class TestMemoryOpLowering:
-    def test_ldg(self):
-        lo = lower(LoadGlobal(4, 1, CacheOp.CACHE_ALL), H)
-        assert lo.primary.mnemonic == "LDG.E.32"
-        assert lo.primary.unit is FunctionalUnit.LSU
-
-    def test_ldg_cg_modifier(self):
-        lo = lower(LoadGlobal(4, 1, CacheOp.CACHE_GLOBAL), H)
-        assert "STRONG.GPU" in lo.primary.mnemonic
-
-    def test_lds(self):
-        lo = lower(LoadShared(4, 4), A)
-        assert lo.primary.mnemonic == "LDS.128"
-
-    def test_cp_async(self):
-        lo = lower(CpAsync(16), A)
-        assert lo.primary.mnemonic.startswith("LDGSTS")
-
     def test_tma_gated(self):
         assert lower(TmaCopy(4096), H).primary.mnemonic == "UBLKCP"
         with pytest.raises(UnsupportedInstruction):
             lower(TmaCopy(4096), A)
-
-    def test_mapa_gated(self):
-        assert lower(Mapa(3), H).primary.mnemonic == "MAPA"
-        with pytest.raises(UnsupportedInstruction):
-            lower(Mapa(3), L)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
@@ -194,10 +167,3 @@ class TestSassTable:
     def test_ampere_int4_stays_on_tensor_core(self):
         rows = {(r["A/B"], r["C/D"]): r for r in sass_table(A)}
         assert rows[("INT4", "INT32")]["mma"] == "IMMA.16864.S4.S4"
-
-    def test_ldmatrix_descriptor(self):
-        lm = Ldmatrix(num=4, transpose=True)
-        assert lm.bytes_per_warp == 512
-        assert "trans" in lm.opcode
-        with pytest.raises(ValueError):
-            Ldmatrix(num=3)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.isa import CacheOp, CpAsync, LoadGlobal, LoadShared, Mapa, \
-    TmaCopy
+from repro.isa import CacheOp, TmaCopy
 
 
 class TestCacheOp:
@@ -22,51 +21,6 @@ class TestCacheOp:
         assert not CacheOp.VOLATILE.allocates_l2
 
 
-class TestLoadGlobal:
-    def test_scalar(self):
-        ld = LoadGlobal(4, 1)
-        assert ld.bytes_per_thread == 4
-        assert ld.bytes_per_warp == 128
-        assert ld.opcode == "ld.global.ca.b32"
-
-    def test_vectorized_float4(self):
-        ld = LoadGlobal(4, 4, CacheOp.CACHE_GLOBAL)
-        assert ld.bytes_per_thread == 16
-        assert ld.bytes_per_warp == 512
-        assert ld.opcode == "ld.global.cg.v4.b32"
-
-    def test_size_limits(self):
-        with pytest.raises(ValueError):
-            LoadGlobal(8, 4)        # 32 bytes per thread: illegal
-        with pytest.raises(ValueError):
-            LoadGlobal(3, 1)
-        with pytest.raises(ValueError):
-            LoadGlobal(4, 3)
-
-
-class TestLoadShared:
-    def test_basic(self):
-        ld = LoadShared(8, 1)
-        assert ld.bytes_per_warp == 256
-        assert ld.opcode == "ld.shared.b64"
-
-    def test_too_wide(self):
-        with pytest.raises(ValueError):
-            LoadShared(8, 4)
-
-
-class TestCpAsync:
-    def test_granule_sizes(self):
-        for b in (4, 8, 16):
-            assert CpAsync(b).bytes_per_thread == b
-        with pytest.raises(ValueError):
-            CpAsync(32)
-
-    def test_bypass_modifier(self):
-        assert "cp.async.cg" in CpAsync(16, bypass_l1=True).opcode
-        assert "cp.async.ca" in CpAsync(16, bypass_l1=False).opcode
-
-
 class TestTmaCopy:
     def test_valid(self):
         t = TmaCopy(tile_bytes=16384, dims=2)
@@ -81,12 +35,3 @@ class TestTmaCopy:
             TmaCopy(tile_bytes=0)
         with pytest.raises(ValueError):
             TmaCopy(tile_bytes=64, dims=6)
-
-
-class TestMapa:
-    def test_opcode(self):
-        assert Mapa(1).opcode == "mapa.shared::cluster.u32"
-
-    def test_negative_rank(self):
-        with pytest.raises(ValueError):
-            Mapa(-1)

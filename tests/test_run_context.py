@@ -40,6 +40,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least one"):
             RunContext(devices=())
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            RunContext(seed=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            DEFAULT_CONTEXT.derive(seed=-1)
+
     def test_non_default_contexts_are_not_default(self):
         assert not RunContext(devices=("A100",)).is_default
         assert not RunContext(seed=7).is_default

@@ -1,19 +1,14 @@
-"""Tests for occupancy, block scheduling and the issue pipeline."""
+"""Tests for occupancy and block scheduling."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.sm import (
     BlockConfig,
     KernelLaunch,
-    PipeSpec,
-    dependent_chain_cycles,
     occupancy,
     schedule_blocks,
-    sustained_ipc,
-    throughput_cycles,
 )
 
 
@@ -124,53 +119,3 @@ class TestScheduler:
     def test_total_threads(self):
         launch = KernelLaunch(10, BlockConfig(threads=256))
         assert launch.total_threads == 2560
-
-
-class TestPipeline:
-    def test_saturated_ipc(self):
-        assert sustained_ipc(latency=20, ii=4, inflight=100) == 0.25
-
-    def test_latency_bound_ipc(self):
-        assert sustained_ipc(latency=20, ii=4, inflight=2) == 0.1
-
-    def test_zero_inflight(self):
-        assert sustained_ipc(10, 1, 0) == 0.0
-
-    def test_dependent_chain(self):
-        assert dependent_chain_cycles(17.7, 100) == 1770.0
-        with pytest.raises(ValueError):
-            dependent_chain_cycles(10, -1)
-
-    def test_throughput_cycles(self):
-        # saturated: fill + (n-1)·II
-        assert throughput_cycles(101, latency=20, ii=4,
-                                 inflight=100) == 20 + 100 * 4
-        assert throughput_cycles(0, latency=20, ii=4, inflight=1) == 0
-
-    def test_pipe_spec_validation(self):
-        with pytest.raises(ValueError):
-            PipeSpec(latency_clk=4, initiation_interval_clk=8)
-        with pytest.raises(ValueError):
-            PipeSpec(latency_clk=0, initiation_interval_clk=0)
-
-    def test_pipe_spec_ipc(self):
-        p = PipeSpec(latency_clk=16, initiation_interval_clk=2)
-        assert p.ipc(100) == 0.5
-        assert p.ipc(4) == 0.25
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(min_value=1, max_value=1000),
-           st.floats(min_value=0.1, max_value=100),
-           st.floats(min_value=0.1, max_value=1000))
-    def test_ipc_bounded(self, latency, ii_frac, inflight):
-        ii = min(ii_frac, latency)
-        ipc = sustained_ipc(latency, ii, inflight)
-        assert 0 < ipc <= 1.0 / ii + 1e-12
-        assert ipc <= inflight / latency + 1e-12
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(min_value=1, max_value=100),
-           st.floats(min_value=1, max_value=100))
-    def test_ipc_monotone_in_inflight(self, a, b):
-        lo, hi = sorted((a, b))
-        assert sustained_ipc(50, 2, lo) <= sustained_ipc(50, 2, hi)

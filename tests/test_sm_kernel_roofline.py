@@ -1,4 +1,4 @@
-"""Tests for the generic kernel model and roofline."""
+"""Tests for the kernel spec and the roofline."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import get_device
-from repro.sm import BlockConfig, KernelModel, KernelSpec, Roofline
+from repro.sm import BlockConfig, KernelSpec, Roofline
 
 
 def _spec(**kw):
@@ -35,72 +35,6 @@ class TestKernelSpec:
             _spec(num_blocks=0)
         with pytest.raises(ValueError):
             _spec(flops_per_thread=-1)
-        with pytest.raises(ValueError):
-            _spec(memory_ilp=0)
-
-
-class TestKernelModel:
-    def test_streaming_kernel_is_dram_bound(self, h800):
-        m = KernelModel(h800)
-        est = m.estimate(_spec(dram_bytes_per_thread=64,
-                               flops_per_thread=4,
-                               num_blocks=h800.num_sms * 64))
-        assert est.limiter == "DRAM bandwidth"
-        assert est.achieved_gbps == pytest.approx(
-            h800.dram.effective_bandwidth_gbps(0.8), rel=0.02)
-        # a 10..1e5 FLOP/thread ladder over the same traffic prices
-        for i in range(1, 6):
-            m.estimate(KernelSpec(name=f"k{i}",
-                                  block=BlockConfig(threads=256),
-                                  num_blocks=1024,
-                                  flops_per_thread=float(10 ** i),
-                                  dram_bytes_per_thread=64.0))
-
-    def test_gemm_like_kernel_is_tc_bound(self, h800):
-        m = KernelModel(h800)
-        est = m.estimate(_spec(tc_flops_per_thread=1e5,
-                               dram_bytes_per_thread=8,
-                               num_blocks=h800.num_sms * 64))
-        assert est.limiter == "tensor cores"
-        assert est.achieved_tflops == pytest.approx(
-            0.9 * h800.tc_peak_tflops("fp16"), rel=0.02)
-
-    def test_underpopulated_kernel_is_latency_bound(self, h800):
-        m = KernelModel(h800)
-        est = m.estimate(_spec(
-            block=BlockConfig(threads=32, regs_per_thread=255),
-            num_blocks=h800.num_sms,
-            dram_bytes_per_thread=512, memory_ilp=1.0,
-        ))
-        assert est.limiter == "memory latency"
-
-    def test_partial_wave_stretches_time(self, h800):
-        m = KernelModel(h800)
-        full = m.estimate(_spec(
-            block=BlockConfig(threads=1024, regs_per_thread=32),
-            num_blocks=2 * h800.num_sms,
-            flops_per_thread=1e4))
-        straggler = m.estimate(_spec(
-            block=BlockConfig(threads=1024, regs_per_thread=32),
-            num_blocks=2 * h800.num_sms + 1,
-            flops_per_thread=1e4))
-        assert straggler.seconds > full.seconds
-        assert straggler.waves == full.waves + 1
-
-    def test_unlaunchable_kernel(self, h800):
-        m = KernelModel(h800)
-        with pytest.raises(ValueError, match="cannot launch"):
-            m.estimate(_spec(block=BlockConfig(
-                threads=128, smem_bytes=10 ** 7)))
-
-    def test_resource_breakdown_complete(self, a100):
-        est = KernelModel(a100).estimate(
-            _spec(flops_per_thread=10, dram_bytes_per_thread=10,
-                  smem_bytes_per_thread=10, tc_flops_per_thread=10))
-        assert set(est.resource_seconds) == {
-            "FP32 pipes", "tensor cores", "DRAM bandwidth",
-            "shared memory", "memory latency"}
-        assert est.seconds >= max(est.resource_seconds.values())
 
 
 class TestRoofline:
