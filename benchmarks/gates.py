@@ -310,6 +310,66 @@ def init_scalar(mh: MemoryHierarchy) -> tuple:
     return init_outcome(mh, {lvl: counts[lvl] for lvl in LEVEL_CODES})
 
 
+# -- the widened closed form vs the lockstep path ---------------------------
+#
+# The L1 laps of CacheProbe.detect() that the closed form took over from
+# the lockstep path, on all five devices: each over-L1 capacity point's
+# measured lap (lines 0-511, 32 B loads) into the L1 its warm-up pass
+# filled, and each sub-sector stride point's lap (512 loads of 4 B at
+# stride 4, 8 or 16, every sector repeated in a row) into an empty L1.
+# Both sides start from the same warmed states and return, per lap, the
+# hit vector, the CacheStats and the state digest of the sets it touched.
+
+_SUB_SECTOR_STRIDES = (4, 8, 16)
+
+
+def closed_form_tasks() -> List[Tuple[Any, int, np.ndarray, int]]:
+    """``(device, warm bytes, stream, access size)`` per lap."""
+    tasks = []
+    for name in list_devices():
+        device = get_device(name)
+        l1_bytes = device.cache.l1_size_bytes
+        lap = np.arange(512, dtype=np.int64)
+        for kib in capacity_sweep_sizes(16, 1024):
+            if kib * 1024 > l1_bytes:
+                tasks.append((device, kib * 1024, lap * 128, 32))
+        for stride in _SUB_SECTOR_STRIDES:
+            tasks.append((device, 0, lap * stride, 4))
+    return tasks
+
+
+_CLOSED_FORM_TASKS = closed_form_tasks()
+
+
+def warmed_l1s():
+    """A fresh L1 per lap, warmed as the probe point leaves it."""
+    prepared = []
+    for device, warm, stream, size in _CLOSED_FORM_TASKS:
+        l1 = MemoryHierarchy(device).l1_for_sm(0)
+        if warm:
+            l1.warm(0, warm)
+        prepared.append((l1, stream, size))
+    return prepared
+
+
+def lap_outcome(l1, stream: np.ndarray, hits: np.ndarray) -> tuple:
+    touched = np.flatnonzero(np.bincount(stream // l1.line_bytes
+                                         % l1.num_sets))
+    return hits.tolist(), l1.stats, l1.state_digest(touched)
+
+
+def laps_closed_form(prepared) -> list:
+    return [lap_outcome(l1, stream, l1.access_many(stream, size))
+            for l1, stream, size in prepared]
+
+
+def laps_lockstep(prepared) -> list:
+    return [lap_outcome(l1, stream,
+                        l1._lockstep_access(stream, size, allocate=True,
+                                            record=True))
+            for l1, stream, size in prepared]
+
+
 # -- the batched query service vs a one-at-a-time loop ----------------------
 
 
@@ -447,6 +507,15 @@ def gate_table(scratch: Path) -> List[Gate]:
              fast=Side(init_load_many, init_hierarchy),
              reference=Side(init_scalar, init_hierarchy),
              repeat=5, min_ratio=20.0),
+        # 2.2-3.1x over 10 runs on a 2-vCPU host (the state digests,
+        # taken on both sides, dilute it); ~1.0x with the closed form
+        # switched off
+        Gate("closed-form laps vs lockstep",
+             f"{len(_CLOSED_FORM_TASKS)} over-L1 capacity and "
+             f"sub-sector stride laps of the cache probe, 5 devices",
+             fast=Side(laps_closed_form, warmed_l1s),
+             reference=Side(laps_lockstep, warmed_l1s),
+             repeat=5, min_ratio=1.6),
         Gate("chase engine vs scalar chase",
              "every paper-budget cache-detection chase, 3 devices",
              fast=Side(chase_engine, warmed_hierarchies),

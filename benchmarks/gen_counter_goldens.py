@@ -35,8 +35,10 @@ from repro.perf import run_experiments  # noqa: E402
 
 #: the gated experiment set: every "dark engine" family the
 #: instrumentation PR lit up (DSM Fig 8–9, async Table XIII–XIV, the
-#: TMA extension) plus the memory-hierarchy probe whose counters have
-#: been live the longest — all fast and byte-deterministic.
+#: TMA extension) plus the memory-hierarchy probes — Table IV's, whose
+#: counters have been live the longest, and the cache-detection sweeps,
+#: which drive every path of the cache model (closed-form fills,
+#: all-hit laps, scalar conflict ladders) — all byte-deterministic.
 GOLDEN_EXPERIMENTS = (
     "table04_mem_latency",
     "fig08_dsm_rbc",
@@ -44,6 +46,7 @@ GOLDEN_EXPERIMENTS = (
     "table13_async_h800",
     "table14_async_a100",
     "ext_tma_vs_cpasync",
+    "ext_cache_detection",
 )
 
 DEFAULT_OUTDIR = Path(__file__).resolve().parent.parent \

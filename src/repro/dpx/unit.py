@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.arch import DeviceSpec
-from repro.isa.lowering import lower_dpx
 from repro.dpx.functions import DpxFunction
 from repro.sm.occupancy import BlockConfig
 from repro.sm.scheduler import KernelLaunch, schedule_blocks
@@ -67,14 +66,6 @@ class DpxTimingModel:
     @property
     def hardware(self) -> bool:
         return self.device.pack.has_dpx_hardware
-
-    def lowered(self, fn: DpxFunction):
-        return lower_dpx(
-            fn.name,
-            arch=self.device.pack,
-            hw_mnemonics=fn.hw_sass,
-            emulation_mnemonics=fn.emu_sass,
-        )
 
     # -- latency -----------------------------------------------------------
 

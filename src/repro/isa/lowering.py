@@ -9,9 +9,10 @@ headline findings live:
 * On Hopper, INT4 ``mma`` no longer maps to the tensor core at all: it
   lowers to a long sequence of CUDA-core ``IMAD`` instructions, so its
   performance falls far short of tensor-core levels.
-* DPX intrinsics lower to single hardware instructions (``VIMNMX``,
-  ``VIADDMNMX``) on Hopper but to multi-instruction CUDA-core
-  emulation sequences on Ampere/Ada.
+
+(DPX intrinsics, single hardware instructions on Hopper but CUDA-core
+emulation sequences on Ampere/Ada, are priced by :mod:`repro.dpx` from
+each function's two SASS sequences.)
 
 Every per-generation decision is data-driven: the rules gate on
 capability flags and lowering deltas of the target's
@@ -25,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import singledispatch
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.arch import ArchPack
 from repro.isa.dtypes import DType
@@ -38,7 +39,6 @@ __all__ = [
     "LoweredOp",
     "UnsupportedInstruction",
     "lower",
-    "lower_dpx",
     "sass_table",
 ]
 
@@ -232,35 +232,6 @@ def _lower_tma(instr: TmaCopy, arch: ArchPack) -> LoweredOp:
         ptx=instr.opcode, arch=arch,
         sass=(SassInstruction("UBLKCP", FunctionalUnit.TMA),),
     )
-
-
-# -- DPX lowering ---------------------------------------------------------------
-
-
-def lower_dpx(
-    name: str,
-    *,
-    arch: ArchPack,
-    hw_mnemonics: Sequence[str],
-    emulation_mnemonics: Sequence[str],
-) -> LoweredOp:
-    """Lower a DPX intrinsic.
-
-    On Hopper the intrinsic maps to the short hardware sequence
-    (``VIMNMX``-family); elsewhere the compiler emits the CUDA-core
-    emulation sequence.  The caller (:mod:`repro.dpx`) supplies both,
-    since the sequences are per-function properties.
-    """
-    if arch.has_dpx_hardware:
-        sass = tuple(
-            SassInstruction(m, FunctionalUnit.DPX) for m in hw_mnemonics
-        )
-    else:
-        sass = tuple(
-            SassInstruction(m, FunctionalUnit.CUDA_CORE_INT)
-            for m in emulation_mnemonics
-        )
-    return LoweredOp(ptx=name, arch=arch, sass=sass)
 
 
 # -- Table VI ------------------------------------------------------------------

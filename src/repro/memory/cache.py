@@ -16,18 +16,31 @@ lookup index, so a scalar :meth:`access` is O(1) in the associativity
 instead of a linear way scan, and constructing a cache is O(1) in its
 capacity (the matrices are callocated, never eagerly initialised).
 
-The batched :meth:`access_many` resolves the warm-up shape in closed
-form: an ascending single-sector stream into an empty cache whose
-distinct lines lie a constant ``d`` lines apart — what :meth:`warm`
-(``d = 1``, every sector of each line) and the P-chase initialisation
-passes (one sector per line) emit.  Its sets repeat with period
+The batched :meth:`access_many` resolves one stream shape in closed
+form: a non-decreasing single-sector stream whose distinct lines lie a
+constant ``d`` lines apart and are all absent before the batch, in an
+empty cache or not.  Every line's first access is a tag miss, every
+further sector of it a sector miss and every consecutive repeat of a
+sector a hit.  The lines' sets repeat with period
 ``P = num_sets / gcd(d, num_sets)``, so true LRU keeps exactly the last
-``min(m, P · ways)`` of its ``m`` lines, each in way ``⌊i / P⌋`` of its
-set (``i`` counting the kept lines); the state matrices are written in
-O(kept lines) without sorting or visiting the evicted ones.
-:meth:`warm` goes through the same closed form.  Every other stream —
-non-constant strides, pointer chases, a non-empty cache — takes the
-exact lockstep path (or, for tiny or multi-sector batches, the scalar
+``min(m, P · ways)`` of its ``m`` lines; in each set they take the free
+ways first, then the ways of the set's least-recently-used lines in
+(stamp, insertion) order, the victims the lockstep path picks.  The
+state matrices are written in O(kept lines), as slices when the kept
+lines' sets are consecutive (``d = 1``), without sorting or visiting
+the evicted lines.  This covers
+
+* :meth:`warm` (``d = 1``, every sector of each line, empty cache),
+  which goes through the same form without materialising addresses;
+* the P-chase initialisation passes (one sector per line);
+* chase laps over lines LRU has already evicted (capacity and
+  global-latency chases past a cache's capacity);
+* sub-sector strides (each sector repeated consecutively).
+
+A stream with a resident line, a sector repeated non-consecutively
+(e.g. a wrapped multi-period stream) or a non-constant line stride
+takes :meth:`_all_hit_fast` when every access hits, else the exact
+lockstep path (or, for tiny or multi-sector batches, the scalar
 loop).
 
 The matrices are way-major because that fill writes way by way: each
@@ -247,8 +260,7 @@ class SetAssociativeCache:
         without touching :attr:`stats` — the warm-up path, so reported
         hit rates cover only the measured phase.
         """
-        self._clock += 1
-        clock = self._clock
+        self._clock = clock = self._clock + 1
         obs = self._obs if record else NULL_COUNTERS
         if record:
             self.stats.accesses += 1
@@ -259,8 +271,10 @@ class SetAssociativeCache:
             # single-sector fast path — the overwhelmingly common
             # shape (4–32 B aligned loads); same transitions as the
             # loop below, minus the span bookkeeping
-            span = (self._locate(addr),)
-            hi = span[0][1] + 1
+            line_addr = addr // self.line_bytes
+            hi = line_addr % self.num_sets + 1
+            span = ((line_addr, hi - 1,
+                     addr % self.line_bytes // self.sector_bytes),)
         else:
             span = self._sector_span(addr, size)
             hi = max(s for _, s, _ in span) + 1
@@ -268,11 +282,13 @@ class SetAssociativeCache:
             self._ensure_sets(hi)
         valid = self._valid
         stamp = self._stamp
-        where = self._index()
+        where = self._where
+        if where is None:
+            where = self._index()
         for line_addr, set_idx, sector in span:
             way = where.get(line_addr)
             bit = 1 << sector
-            if way is not None and int(valid[way, set_idx]) & bit:
+            if way is not None and valid.item(way, set_idx) & bit:
                 stamp[way, set_idx] = clock
                 continue
             all_hit = False
@@ -305,17 +321,19 @@ class SetAssociativeCache:
         ``access`` once per address in order; returns the per-access
         hit booleans.
 
-        An ascending single-sector stream into an empty cache whose
-        distinct lines lie a constant stride apart (the ``warm()`` /
-        initialisation-pass shape) is resolved in closed form without
-        a per-access loop (:meth:`_stream_fill`).  Every other
-        single-sector stream — other strides, pointer chases, a cache
-        already holding lines — runs on the lockstep path: sets are
-        independent, so the stream is split per set and one matrix
-        step resolves the *i*-th access of every touched set at once
-        (see :meth:`_lockstep_access`).  Batches under
-        ``_LOCKSTEP_MIN`` accesses and multi-sector accesses fall back
-        to the exact scalar path.
+        A non-decreasing single-sector stream whose distinct lines lie
+        a constant stride apart and are all absent (the ``warm()``,
+        initialisation-pass, evicted-chase and sub-sector-stride
+        shapes) is resolved in closed form without a per-access loop
+        (:meth:`_stream_fill`).  Every other single-sector stream —
+        resident lines, pointer chases, wrapped multi-period streams,
+        other strides — takes :meth:`_all_hit_fast` when it hits
+        throughout, else the lockstep path: sets are independent, so
+        the stream is split per set and one matrix step resolves the
+        *i*-th access of every touched set at once (see
+        :meth:`_lockstep_access`).  Batches under ``_LOCKSTEP_MIN``
+        accesses and multi-sector accesses fall back to the exact
+        scalar path.
         """
         a = np.ascontiguousarray(addrs, dtype=np.int64)
         if a.ndim != 1:
@@ -323,11 +341,12 @@ class SetAssociativeCache:
         n = len(a)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        if allocate and self._empty:
+        if allocate and (n >= _LOCKSTEP_MIN or self._empty):
             runs = self._stride_runs(a, size)
             if runs is not None:
-                self._run_fill(a, *runs, record)
-                return np.zeros(n, dtype=bool)
+                hit = self._run_fill(a, *runs, record)
+                if hit is not None:
+                    return hit
         if n >= _LOCKSTEP_MIN and self._lockstep_ok(a, size):
             hit = self._all_hit_fast(a, record=record)
             if hit is not None:
@@ -392,7 +411,7 @@ class SetAssociativeCache:
 
     def _insert(self, line_addr: int, set_idx: int, sector_bits: int,
                 record: bool) -> None:
-        fill = int(self._set_fill[set_idx])
+        fill = self._set_fill.item(set_idx)
         if fill >= self.ways:
             # true LRU: smallest stamp; ties (multi-line accesses share
             # one clock) broken by insertion order, like the scalar
@@ -406,7 +425,7 @@ class SetAssociativeCache:
                 ins = self._ins[:, set_idx].tolist()
                 way = min((i for i, s in enumerate(row) if s == lo),
                           key=ins.__getitem__)
-            del self._where[int(self._lines[way, set_idx])]
+            del self._where[self._lines.item(way, set_idx)]
             if record:
                 self.stats.evictions += 1
                 if self._obs.enabled:
@@ -423,111 +442,235 @@ class SetAssociativeCache:
         self._empty = False
 
     def _stride_runs(self, a: np.ndarray, size: int) \
-            -> Optional[Tuple[int, Optional[np.ndarray]]]:
-        """``(d, first)`` if ``a`` is an ascending single-sector stream
-        whose distinct lines lie a constant ``d`` lines apart, else
-        None.
+            -> Optional[Tuple[int, Optional[np.ndarray],
+                              Optional[np.ndarray]]]:
+        """``(d, first, repeat)`` if ``a`` is a non-decreasing
+        single-sector stream whose distinct lines lie a constant ``d``
+        lines apart, else None.
 
-        Ascending means every sector is touched once, so a line's
-        accesses are one consecutive run; ``first`` holds the run
-        starts, or is None when every access is its own line (the
-        init-pass shape, where the run bookkeeping is skipped).
+        Non-decreasing means a line's accesses are one consecutive run
+        and so are a sector's.  ``first`` holds the line-run starts,
+        or is None when every access is its own line (the init-pass
+        shape, where the run bookkeeping is skipped); ``repeat`` flags
+        the accesses that repeat their predecessor's sector, or is
+        None when none does.
         """
         sb = self.sector_bytes
         if not 0 < size <= sb or a[0] < 0 or np.any(a % sb > sb - size):
             return None
         step = np.diff(a // self.line_bytes)
         if not len(step):
-            return 1, None
+            return 1, None, None
         lo, hi = int(step.min()), int(step.max())
         if lo == hi > 0:
-            return lo, None
-        if lo != 0 or np.any(np.diff(a // sb) <= 0) \
-                or np.any((step != 0) & (step != hi)):
+            return lo, None, None
+        if lo != 0 or (hi > 1 and np.any((step != 0) & (step != hi))):
             return None
-        return max(hi, 1), np.flatnonzero(np.r_[True, step > 0])
+        dsec = np.diff(a // sb)
+        if dsec.min() < 0:
+            return None
+        first = np.zeros(np.count_nonzero(step) + 1, dtype=np.int64)
+        first[1:] = np.flatnonzero(step) + 1
+        repeat = None
+        if not dsec.all():
+            repeat = np.zeros(len(a), dtype=bool)
+            repeat[1:] = dsec == 0
+        return max(hi, 1), first, repeat
 
     def _kept(self, m: int, d: int) -> int:
-        """How many of ``m`` distinct lines ``d`` apart, streamed in
-        ascending order into an empty cache, LRU keeps.
+        """How many of ``m`` absent lines ``d`` apart, streamed in
+        ascending order, LRU keeps.
 
         Their sets repeat with period ``P = S / gcd(d, S)``, so every
-        ``P``-th line shares a set and a line survives iff fewer than
+        ``P``-th line shares a set and, being more recent than every
+        line the set held before, a line survives iff fewer than
         ``ways`` later lines land on its set: the last
         ``min(m, P · ways)`` lines stay.
         """
         S = self.num_sets
         return min(m, S // gcd(d, S) * self.ways)
 
-    def _stream_fill(self, l0: int, d: int, m: int, n: int,
+    def _absent(self, l0: int, d: int, m: int) -> bool:
+        """Is none of the ``m`` lines ``l0 + r·d`` resident?
+
+        The first line is looked up alone first: a stream over a
+        resident footprint (the all-hit chase) fails there.  Unoccupied
+        ways may hold stale lines, so a match is only checked against
+        occupancy when there is one.
+        """
+        if self._empty:
+            return True
+        S, alloc = self.num_sets, self._alloc_sets
+        s = l0 % S
+        if s < alloc:
+            fill = self._set_fill.item(s)
+            if fill and l0 in self._lines[:fill, s].tolist():
+                return False
+        lines = l0 + np.arange(m, dtype=np.int64) * d
+        sets = lines % S
+        if int(sets.max()) >= alloc:   # sets past the prefix hold none
+            inside = sets < alloc
+            lines, sets = lines[inside], sets[inside]
+        match = self._lines[:, sets] == lines
+        if not match.any():
+            return True
+        occ = (np.arange(self.ways, dtype=np.int64)[:, None]
+               < self._set_fill[sets])
+        return not np.any(match & occ)
+
+    def _slots(self, sets: np.ndarray, fill: np.ndarray,
+               kept: np.ndarray) -> np.ndarray:
+        """``(ways, T)``: row ``j`` is the way the ``j``-th kept new
+        line of each touched set takes — the set's free ways
+        ``fill, fill + 1, …`` first, then the ways of its
+        least-recently-used lines in (stamp, insertion) order, the
+        victims :meth:`_insert` and the lockstep path pick.  Only the
+        sets that lose lines are ranked, one LRU pick per lost line,
+        by column minima (a way-major block reduces fast along its
+        ways, where an ``argmin`` over them does not)."""
+        W = self.ways
+        j = np.arange(W, dtype=np.int64)[:, None]
+        slot = fill + j
+        lose = fill + kept - W            # old lines each set loses
+        if lose.max() <= 0:
+            return slot
+        rows = np.flatnonzero(lose > 0)
+        f, out = fill[rows], lose[rows]
+        stamp = np.where(j < f, self._stamp[:, sets[rows]], _I64_MAX)
+        ins = self._ins[:, sets[rows]]
+        for e in range(int(out.max())):
+            # the LRU line: least stamp, ties to the first inserted
+            # (insertion numbers are unique)
+            oldest = np.where(stamp == stamp.min(axis=0), ins, _I64_MAX)
+            pick = oldest == oldest.min(axis=0)
+            way = (pick * j).max(axis=0)
+            take = out > e
+            slot[(W - f + e)[take], rows[take]] = way[take]
+            stamp[pick] = _I64_MAX
+        return slot
+
+    def _stream_fill(self, l0: int, d: int, m: int, n: int, hits: int,
                      valid: np.ndarray, last: np.ndarray,
                      record: bool) -> None:
-        """Closed-form fill of an empty cache by ``n`` ascending
-        single-sector accesses over the ``m`` lines ``l0 + r·d``.
+        """Closed-form replay of ``n`` non-decreasing single-sector
+        accesses over the ``m`` absent lines ``l0 + r·d``.
 
-        Every access misses (first touch of its sector): a tag miss per
-        line, a sector miss per further access in its run, an eviction
-        per line LRU drops.  ``valid`` and ``last`` are the sector
+        The ``hits`` accesses that repeat their predecessor's sector
+        hit; every other access misses: a tag miss per line, a sector
+        miss per further sector.  ``valid`` and ``last`` are the sector
         masks and the 1-based stream position of the last access of
         the ``K = len(valid) = _kept(m, d)`` surviving lines, ranks
-        ``m - K .. m - 1``.  The ``i``-th of them goes to set
-        ``sets[i % P]``, way ``i // P`` — a set's kept lines in arrival
-        order (which way holds a line is unobservable: lookups go by
-        tag, LRU by stamp) — so each matrix takes one ``(K // P, P)``
-        block, a row per full way, plus a partial way.  Stamps are the
-        clock after a line's last access and insertion numbers its
-        rank, so state, stats and clocks come out as streaming the
-        accesses one at a time leaves them, in O(K): nothing is sorted
-        or built per access.
+        ``m - K .. m - 1``.  The ``i``-th of them is the
+        ``⌊i / P⌋``-th kept line of set ``sets[i % P]`` and takes the
+        way :meth:`_slots` names for it; a set that held no line gives
+        its ``j``-th kept line way ``j`` (which way holds a line is
+        unobservable: lookups go by tag, LRU by stamp), so with no
+        line in the touched sets each matrix takes one
+        ``(K // P, P)`` block, a row per full way, plus a partial way
+        — written as slices when the sets are consecutive (``d = 1``,
+        wrapping once past the last set), else scattered.  Evictions
+        are the lines LRU drops: ``m - K`` new ones plus the old ones
+        the kept lines displace.  Stamps are the clock after a line's
+        last access and insertion numbers its rank, so state, stats
+        and clocks come out as streaming the accesses one at a time
+        leaves them, in O(K): nothing is sorted or built per access.
         """
-        S = self.num_sets
+        S, W = self.num_sets, self.ways
         P = S // gcd(d, S)
         K = len(valid)
         k0 = m - K
+        T = min(P, K)                       # the sets the stream touches
         full, rem = divmod(K, P)
-        t = np.arange(min(P, K), dtype=np.int64)
-        sets = (l0 + (k0 + t) * d) % S       # every way repeats these
-        self._ensure_sets(int(sets.max()) + 1)
-
-        def put(matrix: np.ndarray, values: np.ndarray) -> None:
-            if full:
-                matrix[:full, sets] = values[:full * P].reshape(full, P)
-            if rem:
-                matrix[full, sets[:rem]] = values[full * P:]
-
-        rank = np.arange(k0, m, dtype=np.int64)
-        put(self._lines, l0 + rank * d)
-        put(self._valid, valid)
-        put(self._stamp, self._clock + last)
-        put(self._ins, self._ins_counter + rank)
-        self._set_fill[sets] = full + (t < rem)
+        s0 = (l0 + k0 * d) % S
+        # consecutive sets: columns [0, split) are sets s0.., the rest
+        # wrap round to sets 0..
+        split = min(T, S - s0) if d % S == 1 else 0
+        sets = None
+        if split:
+            self._ensure_sets(s0 + split if split == T else S)
+        else:
+            sets = (s0 + np.arange(T, dtype=np.int64) * d) % S
+            self._ensure_sets(int(sets.max()) + 1)
+        fill = None
+        if not self._empty:
+            if sets is None:
+                sets = (s0 + np.arange(T, dtype=np.int64)) % S
+            fill = self._set_fill[sets]
+            if not fill.any():
+                fill = None                 # no line to displace
+        columns = (
+            (self._lines, np.arange(l0 + k0 * d, l0 + m * d, d,
+                                    dtype=np.int64)),
+            (self._valid, valid),
+            (self._stamp, self._clock + last),
+            (self._ins, np.arange(self._ins_counter + k0,
+                                  self._ins_counter + m, dtype=np.int64)))
+        displaced = 0
+        if fill is None and split:
+            for t0, t1, c0 in ((0, split, s0), (split, T, 0)):
+                r1 = min(t1, rem)
+                for matrix, values in columns:
+                    if full and t1 > t0:
+                        matrix[:full, c0:c0 + t1 - t0] = \
+                            values[:full * P].reshape(full, P)[:, t0:t1]
+                    if r1 > t0:
+                        matrix[full, c0:c0 + r1 - t0] = \
+                            values[full * P + t0:full * P + r1]
+                if t1 > t0:
+                    self._set_fill[c0:c0 + t1 - t0] = full
+                if r1 > t0:
+                    self._set_fill[c0:c0 + r1 - t0] = full + 1
+        else:
+            kept = full + (np.arange(T, dtype=np.int64) < rem)
+            if fill is None:
+                fill = np.zeros(T, dtype=np.int64)
+            # slot (j, t) lies at flat index j·T + t = i when T = P,
+            # and when T = K < P (one row), so the kept lines' ways are
+            # the slot table's first K cells
+            way = self._slots(sets, fill, kept).reshape(-1)[:K]
+            cell = way * self._alloc_sets + np.resize(sets, K)
+            for matrix, values in columns:
+                matrix.reshape(-1)[cell] = values
+            self._set_fill[sets] = np.minimum(fill + kept, W)
+            displaced = int(np.maximum(fill + kept - W, 0).sum())
         self._where = None               # index rebuilt lazily
         self._empty = False
 
         self._clock += n
         self._ins_counter += m
         if record:
-            evicted = m - K
+            sector = n - hits - m
+            evicted = m - K + displaced
             self.stats.accesses += n
+            self.stats.hits += hits
             self.stats.tag_misses += m
-            self.stats.sector_misses += n - m
+            self.stats.sector_misses += sector
             self.stats.evictions += evicted
             obs = self._obs
             if obs.enabled:
                 obs.add(self._k_acc, n)
+                if hits:
+                    obs.add(self._k_hit, hits)
                 obs.add(self._k_tag, m)
-                if n - m:
-                    obs.add(self._k_sector, n - m)
+                if sector:
+                    obs.add(self._k_sector, sector)
                 if evicted:
                     obs.add(self._k_evict, evicted)
 
     def _run_fill(self, a: np.ndarray, d: int,
-                  first: Optional[np.ndarray], record: bool) -> None:
+                  first: Optional[np.ndarray],
+                  repeat: Optional[np.ndarray],
+                  record: bool) -> Optional[np.ndarray]:
         """:meth:`_stream_fill` for a stream :meth:`_stride_runs`
-        accepted: only the kept lines' masks and stamps are gathered."""
+        accepted, returning its hits (the sector repeats) — or None,
+        with nothing changed, when one of its lines is resident.  Only
+        the kept lines' masks and stamps are gathered."""
         n = len(a)
         lb, sb = self.line_bytes, self.sector_bytes
+        l0 = int(a[0]) // lb
         m = n if first is None else len(first)
+        if not self._absent(l0, d, m):
+            return None
         k0 = m - self._kept(m, d)
         if first is None:
             valid = np.int64(1) << (a[k0:] % lb // sb)
@@ -537,7 +680,12 @@ class SetAssociativeCache:
             bits = np.int64(1) << (a[heads[0]:] % lb // sb)
             valid = np.bitwise_or.reduceat(bits, heads - heads[0])
             last = np.r_[heads[1:], n]
-        self._stream_fill(int(a[0]) // lb, d, m, n, valid, last, record)
+        if repeat is None:
+            self._stream_fill(l0, d, m, n, 0, valid, last, record)
+            return np.zeros(n, dtype=bool)
+        self._stream_fill(l0, d, m, n, int(np.count_nonzero(repeat)),
+                          valid, last, record)
+        return repeat
 
     def _warm_fill(self, start: int, end: int, record: bool) -> None:
         """:meth:`warm` into an empty cache: the sector-ascending pass
@@ -551,16 +699,18 @@ class SetAssociativeCache:
         l0 = s0 // spl
         m = (s1 - 1) // spl + 1 - l0
         k0 = m - self._kept(m, 1)
-        lines = np.arange(l0 + k0, l0 + m, dtype=np.int64)
         full = (np.int64(1) << spl) - np.int64(1)
-        valid = np.full(len(lines), full, dtype=np.int64)
+        valid = np.full(m - k0, full, dtype=np.int64)
         # the first / last line of the range may be partial
         if s0 % spl and not k0:
             valid[0] &= ~((np.int64(1) << (s0 % spl)) - 1)
         if s1 % spl:
             valid[-1] &= (np.int64(1) << (s1 % spl)) - 1
-        last = np.minimum((lines + 1) * spl, s1) - s0
-        self._stream_fill(l0, 1, m, s1 - s0, valid, last, record)
+        # a line's last sector ends its run, the range's end the last
+        last = np.arange((l0 + k0 + 1) * spl - s0, (l0 + m + 1) * spl - s0,
+                         spl, dtype=np.int64)
+        last[-1] = s1 - s0
+        self._stream_fill(l0, 1, m, s1 - s0, 0, valid, last, record)
 
     def _all_hit_fast(self, a: np.ndarray, *,
                       record: bool) -> Optional[np.ndarray]:
@@ -569,9 +719,10 @@ class SetAssociativeCache:
         A steady-state chase over a resident footprint — the measured
         phase of every under-capacity P-chase point — only ever bumps
         LRU stamps: no fills, no evictions, no state beyond the
-        clock.  Residency of the whole batch is decided by one
-        gather; on the first non-hit the caller falls back to the
-        exact general paths, having mutated nothing.
+        clock.  Residency of the whole batch is decided by a gather of
+        way 0 and, for the accesses not found there, one of every
+        way; on the first non-hit the caller falls back to the exact
+        general paths, having mutated nothing.
 
         Stamps are position-based (``clock0 + i + 1``) exactly as on
         the scalar and lockstep paths, and a line accessed several
@@ -583,24 +734,34 @@ class SetAssociativeCache:
             return None
         line = a // self.line_bytes
         set_idx = line % self.num_sets
-        hi = int(set_idx.max()) + 1
-        if hi > self._alloc_sets:
+        alloc = self._alloc_sets
+        if int(set_idx.max()) >= alloc:
             return None        # an untouched set means a sure miss
-        cols = self._lines[:, set_idx]
-        occ = (np.arange(self.ways, dtype=np.int64)[:, None]
-               < self._set_fill[set_idx][None, :])
-        match = (cols == line[None, :]) & occ
-        tag_hit = match.any(axis=0)
-        if not tag_hit.all():
-            return None
-        way = match.argmax(axis=0)
+        fill = self._set_fill[set_idx]
+        # way 0 first: a stream over a warmed footprint finds its lines
+        # there (the closed-form fill puts a set's oldest kept line in
+        # way 0); the rest are matched against every way.  ``cell`` is
+        # the flat (way, set) index into the way-major matrices.
+        cell = set_idx
+        found = (self._lines[0, set_idx] == line) & (fill > 0)
+        if not found.all():
+            rest = np.flatnonzero(~found)
+            ways = np.arange(self.ways, dtype=np.int64)[:, None]
+            match = (self._lines[:, set_idx[rest]] == line[rest]) \
+                & (ways < fill[rest])
+            # an occupied way holds a line at most once
+            way = (match * (ways + 1)).max(axis=0) - 1
+            if np.any(way < 0):
+                return None
+            cell = set_idx.copy()
+            cell[rest] += way * alloc
         bits = np.int64(1) << ((a % self.line_bytes)
                                // self.sector_bytes)
-        if np.any(self._valid[way, set_idx] & bits == 0):
+        if np.any(self._valid.reshape(-1)[cell] & bits == 0):
             return None
         n = len(a)
-        self._stamp[way, set_idx] = \
-            self._clock + 1 + np.arange(n, dtype=np.int64)
+        self._stamp.reshape(-1)[cell] = \
+            np.arange(self._clock + 1, self._clock + n + 1, dtype=np.int64)
         self._clock += n
         if record:
             self.stats.accesses += n
@@ -842,8 +1003,12 @@ class SetAssociativeCache:
             h = hashlib.blake2b(digest_size=16)
             payload = []
             for r in rows.tolist():
-                fill = int(self._set_fill[r])
+                fill = self._set_fill.item(r)
                 payload.append(fill)
+                if fill == 1:         # one line: nothing to order
+                    payload.append(self._lines.item(0, r))
+                    payload.append(self._valid.item(0, r))
+                    continue
                 occ = sorted(
                     zip(self._stamp[:fill, r].tolist(),
                         self._ins[:fill, r].tolist(),

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.isa.memory_ops import CacheOp
 from repro.memory.hierarchy import (BatchAccessResult, MemLevel,
-                                    MemoryHierarchy)
+                                    MemoryHierarchy, Tally, split_tally)
 from repro.obs.session import active_tracer
 from repro.obs.trace import SIM_TRACK
 
@@ -92,7 +92,11 @@ def chase_total_clk(counts: Mapping[float, int]) -> float:
 def _touched_sets(seq: np.ndarray, cache) -> np.ndarray:
     """The ascending distinct sets of ``cache`` that ``seq`` maps to —
     ``np.unique`` by counting, O(num_sets) and without the
-    ``numpy.ma`` import a plain ``np.unique`` pulls in."""
+    ``numpy.ma`` import a plain ``np.unique`` pulls in; a short chain
+    (a conflict ladder) sorts a Python set instead."""
+    if len(seq) < 32:
+        return np.array(sorted({a // cache.line_bytes % cache.num_sets
+                                for a in seq.tolist()}), dtype=np.int64)
     return np.flatnonzero(np.bincount(
         (seq // cache.line_bytes) % cache.num_sets))
 
@@ -182,9 +186,7 @@ class ChaseEngine:
         else:
             stream = seq
 
-        counts: Dict[float, int] = {}
-        levels: Dict[MemLevel, int] = {}
-        tlb_hits = 0
+        tally: Tally = {}
         simulated = extrapolated = 0
 
         obs = h._obs
@@ -206,16 +208,14 @@ class ChaseEngine:
                 # steady state is digest-equivalent to the state the
                 # true tail would have started from.
                 res = self._lap(stream[:remaining])
-                self._absorb(res, counts, levels)
-                tlb_hits += res.tlb_hits
+                self._absorb(res, tally)
                 simulated += remaining
                 done = iters
                 break
             obs_snap = obs.as_dict() if obs.enabled else None
             stat_snap = self._stats_snapshot(l1, l2)
             res = self._lap(stream)
-            self._absorb(res, counts, levels)
-            tlb_hits += res.tlb_hits
+            self._absorb(res, tally)
             simulated += superlap
             done += superlap
             if tracer is not None:
@@ -261,8 +261,7 @@ class ChaseEngine:
                                   "extrapolated_laps": k,
                                   "extrapolated": k * superlap})
                     if k:
-                        self._absorb(res, counts, levels, scale=k)
-                        tlb_hits += res.tlb_hits * k
+                        self._absorb(res, tally, scale=k)
                         self._scale_stats(l1, l2, stat_snap, k)
                         if obs.enabled:
                             obs.add_scaled(obs.delta_since(obs_snap),
@@ -272,6 +271,7 @@ class ChaseEngine:
                         if tracer is not None:
                             cycle_cursor += k * lap_clk
                 prev_sig = sig
+        counts, levels, tlb_hits = split_tally(tally)
         return ChaseStats(iters=iters, latency_counts=counts,
                           level_counts=levels, tlb_hits=tlb_hits,
                           simulated=simulated,
@@ -285,23 +285,13 @@ class ChaseEngine:
                                         cache_op=self.cache_op)
 
     @staticmethod
-    def _absorb(res: BatchAccessResult, counts: Dict[float, int],
-                levels: Dict[MemLevel, int], scale: int = 1) -> None:
-        # an access's latency is a function of its serving level and
-        # TLB outcome, so a lap holds at most six distinct values:
-        # count the (level, TLB miss) codes instead of sorting the
-        # latencies.  Every access of a code writes the same latency.
-        codes = res.levels * 2 + ~res.tlb_hit
-        n = np.bincount(codes, minlength=6)
-        latency = np.zeros(6)
-        latency[codes] = res.latency_clk
-        present = np.flatnonzero(n)
-        for v, c in sorted(zip(latency[present].tolist(),
-                               n[present].tolist())):
-            counts[v] = counts.get(v, 0) + c * scale
-        for lvl, c in res.level_counts.items():
-            if c:
-                levels[lvl] = levels.get(lvl, 0) + c * scale
+    def _absorb(res: BatchAccessResult, tally: Tally,
+                scale: int = 1) -> None:
+        # a lap's loads come tallied per (latency, level, TLB outcome),
+        # at most six entries whatever the lap's length, so merging
+        # them costs a few dict updates and no array pass
+        for key, c in res.tally.items():
+            tally[key] = tally.get(key, 0) + c * scale
 
     def _signature(self, res: BatchAccessResult, l1, l1_sets, l2,
                    l2_sets) -> bytes:

@@ -50,16 +50,25 @@ class Tlb:
 
         Runs of one page collapse first (the head decides, the repeats
         are guaranteed hits), so the sorts below scale with the page
-        runs, not the accesses.  When every touched page is already
-        resident nothing can be evicted, so the whole batch hits and
-        only the recency order needs fixing: each touched page moves to
-        the MRU end in order of its *last* run.  Otherwise the run
-        heads replay through :meth:`access`.
+        runs, not the accesses; a batch inside one page is one run.
+        When every touched page is already resident nothing can be
+        evicted, so the whole batch hits and only the recency order
+        needs fixing: each touched page moves to the MRU end in order
+        of its *last* run.  Otherwise the run heads replay through
+        :meth:`access`.
         """
         a = np.ascontiguousarray(addrs, dtype=np.int64)
         n = len(a)
         hits = np.empty(n, dtype=bool)
         if not n:
+            return hits
+        page = int(a[0]) // self.page_bytes
+        if int(a.min()) // self.page_bytes == page \
+                == int(a.max()) // self.page_bytes:
+            # one page (every probe chase): its first access decides
+            hits.fill(True)
+            hits[0] = self.access(page * self.page_bytes)
+            self.hits += n - 1
             return hits
         pages = a // self.page_bytes
         starts = np.flatnonzero(np.r_[True, pages[1:] != pages[:-1]])

@@ -222,34 +222,48 @@ class ResultCache:
         return self._digest
 
     def key_for(self, name: str,
-                context: Optional[RunContext] = None) -> str:
-        """The full content-address of one (experiment, context)."""
+                context: Optional[RunContext] = None, *,
+                devices: Optional[str] = None) -> str:
+        """The full content-address of one (experiment, context).
+
+        ``devices`` is ``device_digest(context.devices)`` when the
+        caller already holds it — a caller keying many experiments
+        under one context hashes the device specs once, not per key.
+        """
         import repro
 
         ctx = DEFAULT_CONTEXT if context is None else context
+        if devices is None:
+            devices = device_digest(ctx.devices)
         h = hashlib.sha256()
         h.update(f"schema={_SCHEMA}\n".encode())
         h.update(f"version={repro.__version__}\n".encode())
         h.update(f"name={name}\n".encode())
         h.update(f"builder={get_experiment(name).target}\n".encode())
         h.update(f"context={ctx.token()}\n".encode())
-        h.update(f"devices={device_digest(ctx.devices)}\n".encode())
+        h.update(f"devices={devices}\n".encode())
         h.update(f"source={self.digest}\n".encode())
         return h.hexdigest()
 
     def path_for(self, name: str,
-                 context: Optional[RunContext] = None) -> Path:
-        return self.root / f"{name}-{self.key_for(name, context)[:20]}.pkl"
+                 context: Optional[RunContext] = None, *,
+                 key: Optional[str] = None) -> Path:
+        """Where ``name``'s entry under ``context`` lives; ``key`` is
+        its :meth:`key_for` when the caller already derived it."""
+        if key is None:
+            key = self.key_for(name, context)
+        return self.root / f"{name}-{key[:20]}.pkl"
 
     # -- the cache protocol -------------------------------------------------
 
     def get(self, name: str,
-            context: Optional[RunContext] = None) \
-            -> Optional[ExperimentResult]:
+            context: Optional[RunContext] = None, *,
+            key: Optional[str] = None) -> Optional[ExperimentResult]:
         """Return the cached result for ``name`` under ``context``
-        (default context when omitted), or ``None``."""
+        (default context when omitted), or ``None``.  ``key`` as in
+        :meth:`path_for`."""
         ctx = DEFAULT_CONTEXT if context is None else context
-        path = self.path_for(name, ctx)
+        path = self.path_for(name, ctx, key=key)
         try:
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
@@ -274,10 +288,12 @@ class ResultCache:
         return result
 
     def put(self, name: str, result: ExperimentResult,
-            context: Optional[RunContext] = None) -> Path:
-        """Store ``result`` under ``name`` + context (atomic)."""
+            context: Optional[RunContext] = None, *,
+            key: Optional[str] = None) -> Path:
+        """Store ``result`` under ``name`` + context (atomic).  ``key``
+        as in :meth:`path_for`."""
         ctx = context or result.context or DEFAULT_CONTEXT
-        path = self.path_for(name, ctx)
+        path = self.path_for(name, ctx, key=key)
         payload = {
             "schema": _SCHEMA,
             "name": name,

@@ -66,7 +66,7 @@ from repro.core.registry import (
 )
 from repro.obs import session as _obs
 from repro.obs.session import ObsSession
-from repro.perf.cache import ResultCache
+from repro.perf.cache import ResultCache, device_digest
 
 __all__ = ["ExperimentTiming", "Profiler", "RunReport",
            "run_experiments", "parallel_imap"]
@@ -184,14 +184,21 @@ def run_experiments(
         return tracer.span(label, cat="runner", tid="runner",
                            args=args or None)
 
-    # 1. serve what we can from the cache
+    # 1. serve what we can from the cache.  Each key is derived once,
+    # for the lookup, and reused by the store; the device specs are
+    # hashed once per call — never memoized across calls, so a device
+    # re-registered between two calls re-keys the second
     pending: List[str] = []
+    keys: Dict[str, str] = {}
+    devices = device_digest(ctx.devices) if cache is not None else None
     for name in names:
         hit = None
         if cache is not None:
             with _span("runner.cache_lookup", experiment=name):
                 t0 = time.perf_counter()
-                hit = cache.get(name, ctx)
+                keys[name] = key = cache.key_for(name, ctx,
+                                                 devices=devices)
+                hit = cache.get(name, ctx, key=key)
                 wall = time.perf_counter() - t0
         if hit is not None:
             results[name] = hit
@@ -220,7 +227,7 @@ def run_experiments(
                     sess.counters.add("exp.completed")
                 if cache is not None:
                     with _span("runner.cache_store", experiment=name):
-                        cache.put(name, res, ctx)
+                        cache.put(name, res, ctx, key=keys[name])
 
     # 3. deterministic merge: requested order, whatever ran where
     ordered = {name: results[name] for name in names}

@@ -415,8 +415,8 @@ class TestNoStaleAnswers:
         assert run_total().endswith("(1 cached, 0 run)")
         assert entries() == stored
 
-        edit("memory/hierarchy.py", "        ) + extra\n",
-             "        ) + extra + 100\n")
+        edit("memory/hierarchy.py", "lat.l2_hit_clk + lat.dram_clk)",
+             "lat.l2_hit_clk + lat.dram_clk + 100)")
         edit("serve/dispatch.py", "float(len(result.table.rows))",
              "float(len(result.table.rows) + 1)")
         warm = answers()

@@ -15,7 +15,7 @@ from repro.isa import (
     sass_table,
 )
 from repro.isa.dtypes import DType
-from repro.isa.lowering import UnsupportedInstruction, lower_dpx
+from repro.isa.lowering import UnsupportedInstruction
 
 H = HOPPER
 A = AMPERE
@@ -127,23 +127,6 @@ class TestMemoryOpLowering:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             lower(object(), H)
-
-
-class TestDpxLowering:
-    def test_hardware_path(self):
-        lo = lower_dpx("__vimax3_s32", arch=H,
-                       hw_mnemonics=["VIMNMX3"],
-                       emulation_mnemonics=["IMNMX", "IMNMX"])
-        assert [s.mnemonic for s in lo.sass] == ["VIMNMX3"]
-        assert lo.primary.unit is FunctionalUnit.DPX
-
-    def test_emulation_path(self):
-        lo = lower_dpx("__vimax3_s32", arch=A,
-                       hw_mnemonics=["VIMNMX3"],
-                       emulation_mnemonics=["IMNMX", "IMNMX"])
-        assert [s.mnemonic for s in lo.sass] == ["IMNMX", "IMNMX"]
-        assert all(s.unit is FunctionalUnit.CUDA_CORE_INT
-                   for s in lo.sass)
 
 
 class TestSassTable:

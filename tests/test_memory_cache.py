@@ -6,7 +6,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.memory import CacheStats, SetAssociativeCache
 from reference import ScalarSetAssociativeCache
@@ -380,6 +380,209 @@ class TestStrideFill:
             _state_fingerprint(ref, addrs)
         for x in addrs[::-3]:
             assert vec.access(x) == ref.access(x), x
+
+
+def _lru_view(cache, sets):
+    """Per set: its resident ``(line, valid mask)`` pairs LRU first —
+    what ``state_digest`` hashes — and its lines in insertion order.
+    Reads either cache model: the matrices of
+    :class:`SetAssociativeCache` (order by ``(stamp, _ins)``), or the
+    reference's per-set lists (appended on insertion; ``min`` by
+    stamp breaks ties by list position)."""
+    view = []
+    for r in sets:
+        if isinstance(cache, ScalarSetAssociativeCache):
+            lines = cache._sets[r]
+            lru = sorted(range(len(lines)), key=lambda i: lines[i].stamp)
+            view.append((
+                [(lines[i].tag * cache.num_sets + r,
+                  lines[i].valid_sectors) for i in lru],
+                [ln.tag * cache.num_sets + r for ln in lines]))
+            continue
+        fill = int(cache._set_fill[r])
+        rows = list(zip(cache._stamp[:fill, r].tolist(),
+                        cache._ins[:fill, r].tolist(),
+                        cache._lines[:fill, r].tolist(),
+                        cache._valid[:fill, r].tolist()))
+        view.append(([(ln, vd) for _, _, ln, vd in sorted(rows)],
+                     [ln for _, ln in sorted((i, ln)
+                                             for _, i, ln, _ in rows)]))
+    return view
+
+
+def _spy_paths(monkeypatch, cache):
+    """The batched paths ``cache.access_many`` calls, in order."""
+    calls = []
+    for name in ("_stream_fill", "_lockstep_access", "_access_loop",
+                 "_all_hit_fast"):
+        real = getattr(cache, name)
+        monkeypatch.setattr(
+            cache, name,
+            lambda *a, _n=name, _f=real, **kw:
+            calls.append(_n) or _f(*a, **kw))
+    return calls
+
+
+@st.composite
+def closed_form_streams(draw):
+    """A cache state and a closed-form stream into it.
+
+    The state is ``small_cache()`` (S = 8 sets, W = 4 ways) left empty
+    or warmed by 40–120 aligned 4-byte scalar accesses to lines 0–63,
+    which fill most sets.  The stream is non-decreasing and
+    single-sector: ``m`` lines ``d`` apart from base line 64 or above
+    (so none is resident), each touching a sorted set of its sectors,
+    each sector several times in a row: up to eight 4-byte accesses
+    anywhere in it (a sub-sector stride), or one or two whole 32-byte
+    reads.  ``m`` is drawn so each touched set takes fewer, about as
+    many or more new lines than it has ways."""
+    sets, ways = 8, 4
+    warm = draw(st.one_of(
+        st.just([]),
+        st.lists(st.integers(0, (64 << 5) - 1).map(lambda w: 4 * w),
+                 min_size=40, max_size=120)))
+    d = draw(st.sampled_from((1, 2, 3, 8, 16)))
+    period = sets // gcd(d, sets)
+    m = draw(st.one_of(st.integers(1, period),
+                       st.integers(period, period * ways),
+                       st.integers(period * ways + 1,
+                                   period * ways + 2 * sets)))
+    base = 64 + draw(st.integers(0, 256))
+    size = draw(st.sampled_from((4, 32)))
+    addrs = []
+    for r in range(m):
+        for sector in sorted(draw(st.sets(st.integers(0, 3),
+                                          min_size=1))):
+            for _ in range(draw(st.integers(1, 8 if size == 4 else 2))):
+                offset = draw(st.integers(0, 7)) * 4 if size == 4 else 0
+                addrs.append((base + r * d) * 128 + sector * 32 + offset)
+    return warm, d, m, size, addrs
+
+
+class TestClosedFormFill:
+    """``access_many``'s closed form takes any non-decreasing
+    single-sector constant-line-stride stream whose lines are all
+    absent, into an empty or a warmed cache: first touches of a line
+    are tag misses, further sectors sector misses, consecutive sector
+    repeats hits, and each set's new lines displace its LRU lines.
+    Held to the scalar reference access for access, and to the
+    vectorized cache's own scalar path for ``state_digest`` and the
+    insertion counter."""
+
+    @staticmethod
+    def _caches(warm):
+        vec, seq = small_cache(), small_cache()
+        ref = ScalarSetAssociativeCache(
+            4096, line_bytes=128, sector_bytes=32, ways=4, name="ref")
+        for cache in (vec, seq, ref):
+            for a in warm:
+                cache.access(a)
+        return vec, seq, ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=closed_form_streams(), record=st.booleans())
+    def test_matches_scalar(self, stream, record):
+        warm, d, m, size, addrs = stream
+        vec, seq, ref = self._caches(warm)
+        a = np.asarray(addrs, dtype=np.int64)
+        assert vec._stride_runs(a, size)[0] == (d if m > 1 else 1)
+        closed = bool(vec._empty) or len(a) >= 32
+        for cache in (vec, seq, ref):
+            cache.stats.reset()
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_paths(mp, vec)
+            got = vec.access_many(a, size, record=record)
+        assert calls == (["_stream_fill"] if closed else ["_access_loop"])
+        want = [ref.access(x, size) for x in addrs]
+        for x in addrs:
+            seq.access(x, size, record=record)
+        assert got.tolist() == want
+        assert got.sum() == len(addrs) - len(set(x // 32 for x in addrs))
+        if record:
+            assert vec.stats == ref.stats
+        else:
+            assert vec.stats == CacheStats()
+        assert vec._clock == ref._clock == seq._clock
+        assert vec._ins_counter == seq._ins_counter
+        touched = sorted({x // 128 % vec.num_sets for x in addrs})
+        assert _lru_view(vec, touched) == _lru_view(ref, touched)
+        assert vec.state_digest(touched) == seq.state_digest(touched)
+        # the LRU order the fill left decides every later eviction
+        for i in range(40):
+            x = (addrs[0] // 128 + (i * 5) % (m + 8) * d) * 128 \
+                + 32 * (i % 4)
+            assert vec.access(x) == ref.access(x), (i, x)
+        assert _lru_view(vec, range(8)) == _lru_view(ref, range(8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=closed_form_streams(), pick=st.integers(0, 1 << 16))
+    def test_resident_line_is_not_closed_form(self, stream, pick):
+        """One line of the stream already resident: the exact paths
+        answer, and it hits where the closed form would have missed."""
+        warm, _, _, size, addrs = stream
+        resident = addrs[pick % len(addrs)]
+        vec, _, ref = self._caches(warm + [resident])
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_paths(mp, vec)
+            got = vec.access_many(np.asarray(addrs, dtype=np.int64),
+                                  size)
+        assert "_stream_fill" not in calls
+        assert got.tolist() == [ref.access(x, size) for x in addrs]
+        assert vec.stats == ref.stats
+        assert _lru_view(vec, range(8)) == _lru_view(ref, range(8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=closed_form_streams(), laps=st.integers(2, 3))
+    def test_wrapped_stream_is_not_closed_form(self, stream, laps):
+        """A stream over two or more sectors replayed ``laps`` times (a
+        multi-period chase lap) repeats its sectors non-consecutively:
+        never closed form."""
+        warm, _, _, size, addrs = stream
+        assume(len({x // 32 for x in addrs}) > 1)
+        vec, _, ref = self._caches(warm)
+        wrapped = addrs * laps
+        a = np.asarray(wrapped, dtype=np.int64)
+        assert vec._stride_runs(a, size) is None
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_paths(mp, vec)
+            got = vec.access_many(a, size)
+        assert "_stream_fill" not in calls
+        assert got.tolist() == [ref.access(x, size) for x in wrapped]
+        assert vec.stats == ref.stats
+        assert _lru_view(vec, range(8)) == _lru_view(ref, range(8))
+
+
+class TestAllHitStream:
+    """A stream every access of which hits takes ``_all_hit_fast``,
+    which only moves LRU stamps — in stream order, to whichever way of
+    its set each line sits in (a full warm puts lines in every way)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.integers(1, 32), base=st.integers(0, 64),
+           picks=st.lists(st.integers(0, 1 << 16), min_size=32,
+                          max_size=120))
+    def test_matches_scalar(self, lines, base, picks):
+        vec = small_cache()
+        ref = ScalarSetAssociativeCache(
+            4096, line_bytes=128, sector_bytes=32, ways=4, name="ref")
+        lo, size = base * 128, lines * 128
+        for cache in (vec, ref):
+            cache.warm(lo, size)
+            cache.stats.reset()
+        addrs = [lo + p % (size // 4) * 4 for p in picks]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_paths(mp, vec)
+            got = vec.access_many(np.asarray(addrs, dtype=np.int64))
+        assert calls == ["_all_hit_fast"]
+        assert got.tolist() == [ref.access(x) for x in addrs]
+        assert got.all() and vec.stats == ref.stats
+        assert vec._clock == ref._clock
+        assert _lru_view(vec, range(8)) == _lru_view(ref, range(8))
+        # the stamps it moved decide which lines later misses evict
+        for i in range(24):
+            x = (lo + (lines + i) * 128 + 32 * (i % 4)) % (1 << 14)
+            assert vec.access(x) == ref.access(x), (i, x)
+        assert _lru_view(vec, range(8)) == _lru_view(ref, range(8))
 
 
 class TestAllocationRetention:
