@@ -91,7 +91,3 @@ class TmaModel:
         if obs.enabled:
             obs.add("async.cp_async.equiv_instructions", instrs)
         return instrs
-
-    def issue_reduction(self, copy: TmaCopy) -> float:
-        """Instruction-issue savings factor of TMA over cp.async."""
-        return float(self.cp_async_equivalent_instructions(copy.tile_bytes))

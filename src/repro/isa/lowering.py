@@ -30,7 +30,6 @@ from typing import List, Tuple
 
 from repro.arch import ArchPack
 from repro.isa.dtypes import DType
-from repro.isa.memory_ops import TmaCopy
 from repro.isa.mma import MmaInstruction, WgmmaInstruction
 
 __all__ = [
@@ -56,7 +55,6 @@ class FunctionalUnit(enum.Enum):
     CUDA_CORE_FP64 = "fp64 unit"
     DPX = "dpx unit"
     LSU = "load/store unit"
-    TMA = "tma engine"
 
 
 @dataclass(frozen=True)
@@ -221,16 +219,6 @@ def _lower_wgmma(instr: WgmmaInstruction, arch: ArchPack) -> LoweredOp:
         ptx=instr.opcode,
         arch=arch,
         sass=(SassInstruction(mnemonic, FunctionalUnit.TENSOR_CORE),),
-    )
-
-
-@lower.register
-def _lower_tma(instr: TmaCopy, arch: ArchPack) -> LoweredOp:
-    if not arch.has_tma:
-        raise UnsupportedInstruction("TMA requires Hopper (sm_90)")
-    return LoweredOp(
-        ptx=instr.opcode, arch=arch,
-        sass=(SassInstruction("UBLKCP", FunctionalUnit.TMA),),
     )
 
 

@@ -45,17 +45,7 @@ class TmaCopy:
     """
 
     tile_bytes: int
-    dims: int = 2
-    multicast: bool = False     # cluster multicast (DSM integration)
 
     def __post_init__(self) -> None:
         if self.tile_bytes <= 0:
             raise ValueError("tile_bytes must be positive")
-        if not 1 <= self.dims <= 5:
-            raise ValueError("TMA supports 1-5 dimensional tensors")
-
-    @property
-    def opcode(self) -> str:
-        mc = ".multicast::cluster" if self.multicast else ""
-        return f"cp.async.bulk.tensor.{self.dims}d{mc}.shared::cluster" \
-               f".global"

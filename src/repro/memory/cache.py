@@ -65,9 +65,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.obs.counters import NULL_COUNTERS
-from repro.obs.session import counters_or_null
-
 __all__ = ["SetAssociativeCache", "CacheStats"]
 
 #: below this batch size the per-access loop beats the lockstep setup
@@ -117,12 +114,10 @@ class SetAssociativeCache:
         Associativity.
     name:
         For diagnostics only.
-    level:
-        Observability label (``"l1"``/``"l2"``).  When set *and* an
-        :class:`~repro.obs.session.ObsSession` is active at
-        construction, recorded accesses additionally feed the
-        session's ``cache.<level>.*`` counters; otherwise the cache
-        holds the null sink and instrumentation costs one flag check.
+
+    Recorded accesses count into :attr:`stats` and nowhere else;
+    :class:`~repro.memory.hierarchy.MemoryHierarchy` turns its caches'
+    stats into the session's ``cache.<level>.*`` counters.
     """
 
     def __init__(
@@ -133,7 +128,6 @@ class SetAssociativeCache:
         sector_bytes: int = 32,
         ways: int = 4,
         name: str = "cache",
-        level: Optional[str] = None,
     ) -> None:
         if size_bytes <= 0 or size_bytes % line_bytes:
             raise ValueError("size must be a positive multiple of the line")
@@ -152,13 +146,6 @@ class SetAssociativeCache:
         self.num_sets = num_lines // ways
         self.sectors_per_line = line_bytes // sector_bytes
         self.stats = CacheStats()
-        self.level = level
-        self._obs = counters_or_null() if level else NULL_COUNTERS
-        self._k_acc = f"cache.{level}.accesses"
-        self._k_hit = f"cache.{level}.hits"
-        self._k_sector = f"cache.{level}.sector_misses"
-        self._k_tag = f"cache.{level}.tag_misses"
-        self._k_evict = f"cache.{level}.evictions"
         self._clock = 0
         self._ins_counter = 0   # global insertion sequence (LRU tie-break)
         self._alloc_state()
@@ -261,11 +248,8 @@ class SetAssociativeCache:
         hit rates cover only the measured phase.
         """
         self._clock = clock = self._clock + 1
-        obs = self._obs if record else NULL_COUNTERS
         if record:
             self.stats.accesses += 1
-            if obs.enabled:
-                obs.add(self._k_acc)
         all_hit = True
         if 0 < size <= self.sector_bytes - addr % self.sector_bytes:
             # single-sector fast path — the overwhelmingly common
@@ -295,22 +279,16 @@ class SetAssociativeCache:
             if way is not None:
                 if record:
                     self.stats.sector_misses += 1
-                    if obs.enabled:
-                        obs.add(self._k_sector)
                 if allocate:
                     valid[way, set_idx] |= bit
                     stamp[way, set_idx] = clock
             else:
                 if record:
                     self.stats.tag_misses += 1
-                    if obs.enabled:
-                        obs.add(self._k_tag)
                 if allocate:
                     self._insert(line_addr, set_idx, bit, record)
         if all_hit and record:
             self.stats.hits += 1
-            if obs.enabled:
-                obs.add(self._k_hit)
         return all_hit
 
     def access_many(self, addrs: Union[Sequence[int], np.ndarray],
@@ -428,8 +406,6 @@ class SetAssociativeCache:
             del self._where[self._lines.item(way, set_idx)]
             if record:
                 self.stats.evictions += 1
-                if self._obs.enabled:
-                    self._obs.add(self._k_evict)
         else:
             way = fill
             self._set_fill[set_idx] = fill + 1
@@ -639,23 +615,11 @@ class SetAssociativeCache:
         self._clock += n
         self._ins_counter += m
         if record:
-            sector = n - hits - m
-            evicted = m - K + displaced
             self.stats.accesses += n
             self.stats.hits += hits
             self.stats.tag_misses += m
-            self.stats.sector_misses += sector
-            self.stats.evictions += evicted
-            obs = self._obs
-            if obs.enabled:
-                obs.add(self._k_acc, n)
-                if hits:
-                    obs.add(self._k_hit, hits)
-                obs.add(self._k_tag, m)
-                if sector:
-                    obs.add(self._k_sector, sector)
-                if evicted:
-                    obs.add(self._k_evict, evicted)
+            self.stats.sector_misses += n - hits - m
+            self.stats.evictions += m - K + displaced
 
     def _run_fill(self, a: np.ndarray, d: int,
                   first: Optional[np.ndarray],
@@ -766,10 +730,6 @@ class SetAssociativeCache:
         if record:
             self.stats.accesses += n
             self.stats.hits += n
-            obs = self._obs
-            if obs.enabled:
-                obs.add(self._k_acc, n)
-                obs.add(self._k_hit, n)
         return np.ones(n, dtype=bool)
 
     def _lockstep_ok(self, addrs: np.ndarray, size: int) -> bool:
@@ -964,17 +924,6 @@ class SetAssociativeCache:
             st.sector_misses += n_sector
             st.tag_misses += n_tag
             st.evictions += n_evict
-            obs = self._obs
-            if obs.enabled:
-                obs.add(self._k_acc, n)
-                if n_hit:
-                    obs.add(self._k_hit, n_hit)
-                if n_sector:
-                    obs.add(self._k_sector, n_sector)
-                if n_tag:
-                    obs.add(self._k_tag, n_tag)
-                if n_evict:
-                    obs.add(self._k_evict, n_evict)
         return out
 
     # -- introspection -------------------------------------------------------------

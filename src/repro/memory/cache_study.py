@@ -96,7 +96,9 @@ def _stride_point(mh: MemoryHierarchy, stride: int, array_kib: int,
     mh.flush()
     mh.warm_tlb(0, size)
     mh.warm_l2(0, size)
-    n = size // stride
+    # a chase of ``iters`` no longer than the period reads only the
+    # period's first ``iters`` addresses
+    n = min(size // stride, iters)
     seq = np.arange(n, dtype=np.int64) * stride
     eng = ChaseEngine(mh, size=4, cache_op=CacheOp.CACHE_ALL)
     return eng.run(seq, iters).mean_latency_clk
@@ -124,13 +126,9 @@ class CacheProbe:
         self._mh: Optional[MemoryHierarchy] = None
 
     def _hierarchy(self) -> MemoryHierarchy:
-        """One reusable hierarchy for the sweeps.  Rebuilt if the
-        observability sink changed (a session started or ended since
-        it was made) so counters land in the right bank."""
-        from repro.obs.session import counters_or_null
-
-        sink = counters_or_null()
-        if self._mh is None or self._mh._obs is not sink:
+        """One reusable hierarchy for the sweeps (its loads record
+        into whichever session is active when they run)."""
+        if self._mh is None:
             self._mh = MemoryHierarchy(self.device)
         return self._mh
 

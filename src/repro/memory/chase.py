@@ -26,11 +26,12 @@ fixed point: the digest captures all behaviour-relevant state
 ordinally (LRU decisions compare stamps, never read them), so every
 future lap must repeat the confirming lap's outcomes *and* its
 counter increments exactly.  The engine then accounts the remaining
-whole laps analytically — outcome counts, ``CacheStats`` fields,
-TLB hit/miss totals and the active :class:`ObsSession` counter bank
-all advance by ``k ×`` the confirming lap's delta — and simulates
-only the final partial lap, which by the same equivalence argument
-is exact.  Nothing about the result is approximate: property tests
+whole laps analytically — its outcome counts advance by ``k ×`` the
+confirming lap's tally, and the hierarchy advances its caches'
+``CacheStats`` by ``k ×`` that lap's deltas and records ``k ×`` its
+counters into the active :class:`ObsSession` — and simulates only
+the final partial lap, which by the same equivalence argument is
+exact.  Nothing about the result is approximate: property tests
 in ``tests/test_memory_chase.py`` run the same chases one ``load()``
 at a time and assert exact cycle totals and counter-bank equality.
 
@@ -135,9 +136,10 @@ class ChaseEngine:
 
     Parameters mirror the scalar chase loops: ``size`` is the access
     width, ``cache_op`` the PTX cache operator, ``sm_id`` the issuing
-    SM.  The engine shares the hierarchy's observability sink, so a
-    chase fires exactly the counters the equivalent scalar loop
-    would.
+    SM.  The engine records no counter itself: the hierarchy's load
+    calls do, and its :meth:`~MemoryHierarchy._scale_stats` records
+    the extrapolated laps', so a chase fires exactly the counters the
+    equivalent scalar loop would.
     """
 
     def __init__(self, hierarchy: MemoryHierarchy, *, size: int = 32,
@@ -189,7 +191,6 @@ class ChaseEngine:
         tally: Tally = {}
         simulated = extrapolated = 0
 
-        obs = h._obs
         # Sampled tracing: the trace stays small no matter how long
         # the chase is — one span for the steady-state (confirming)
         # superlap plus one fixed-point instant, on the sim-cycle
@@ -212,8 +213,7 @@ class ChaseEngine:
                 simulated += remaining
                 done = iters
                 break
-            obs_snap = obs.as_dict() if obs.enabled else None
-            stat_snap = self._stats_snapshot(l1, l2)
+            stat_snap = h._stats_snapshot(l1)
             res = self._lap(stream)
             self._absorb(res, tally)
             simulated += superlap
@@ -262,10 +262,8 @@ class ChaseEngine:
                                   "extrapolated": k * superlap})
                     if k:
                         self._absorb(res, tally, scale=k)
-                        self._scale_stats(l1, l2, stat_snap, k)
-                        if obs.enabled:
-                            obs.add_scaled(obs.delta_since(obs_snap),
-                                           k)
+                        h._scale_stats(res.tally, self.size, stat_snap,
+                                       k)
                         extrapolated += k * superlap
                         done += k * superlap
                         if tracer is not None:
@@ -306,35 +304,3 @@ class ChaseEngine:
         h.update(l2.state_digest(l2_sets))
         h.update(self.hierarchy.tlb.state_digest())
         return h.digest()
-
-    def _stats_snapshot(self, l1, l2):
-        def cache_fields(c):
-            s = c.stats
-            return (s.accesses, s.hits, s.sector_misses, s.tag_misses,
-                    s.evictions)
-
-        tlb = self.hierarchy.tlb
-        return (cache_fields(l1) if l1 is not None else None,
-                cache_fields(l2), (tlb.hits, tlb.misses))
-
-    def _scale_stats(self, l1, l2, snap, k: int) -> None:
-        """Advance ``CacheStats`` / TLB totals by ``k`` laps' worth of
-        the deltas recorded since ``snap``."""
-        l1_snap, l2_snap, tlb_snap = snap
-
-        def bump(c, before):
-            s = c.stats
-            now = (s.accesses, s.hits, s.sector_misses, s.tag_misses,
-                   s.evictions)
-            s.accesses += (now[0] - before[0]) * k
-            s.hits += (now[1] - before[1]) * k
-            s.sector_misses += (now[2] - before[2]) * k
-            s.tag_misses += (now[3] - before[3]) * k
-            s.evictions += (now[4] - before[4]) * k
-
-        if l1 is not None:
-            bump(l1, l1_snap)
-        bump(l2, l2_snap)
-        tlb = self.hierarchy.tlb
-        tlb.hits += (tlb.hits - tlb_snap[0]) * k
-        tlb.misses += (tlb.misses - tlb_snap[1]) * k

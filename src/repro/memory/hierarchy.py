@@ -4,6 +4,13 @@ Routes loads through L1 → L2 → DRAM honouring PTX cache operators
 (``.ca`` allocates in L1+L2, ``.cg`` bypasses L1) and accumulates the
 latency of the level that actually serves each request.  This is the
 machine the P-chase driver (:mod:`repro.memory.pchase`) runs on.
+
+It is also the one place memory events become counters.  The caches
+and the TLB keep no counter sink: a cache tallies its outcomes in its
+:class:`~repro.memory.cache.CacheStats` alone.  Each load call reads
+the active session's sink when it starts and, when it is on, records
+``mem.*`` from the batch's tally and ``cache.<level>.*`` from what the
+stats of the caches it touched gained.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from repro.isa.memory_ops import CacheOp
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.dram import DramChannel
 from repro.memory.tlb import Tlb
+from repro.obs.counters import CounterSet
 from repro.obs.session import counters_or_null
 
 __all__ = ["MemLevel", "AccessResult", "BatchAccessResult",
@@ -50,6 +58,26 @@ LEVEL_CODES = (MemLevel.L1, MemLevel.L2, MemLevel.GLOBAL)
 #: function of its serving level and TLB outcome, so a batch's loads
 #: are counted per such triple (at most six), never per access
 Tally = Dict[Tuple[float, int, bool], int]
+
+#: the :class:`CacheStats` fields, in :func:`_fields` order, and each
+#: level's ``cache.<level>.*`` counter names for them
+_STAT_FIELDS = ("accesses", "hits", "sector_misses", "tag_misses",
+                "evictions")
+_L1_KEYS = tuple(f"cache.l1.{field}" for field in _STAT_FIELDS)
+_L2_KEYS = tuple(f"cache.l2.{field}" for field in _STAT_FIELDS)
+
+#: per cache a batch touches: its counter names, the cache and its
+#: :func:`_fields` before the batch
+StatsSnapshot = List[Tuple[Tuple[str, ...], SetAssociativeCache,
+                           Tuple[int, ...]]]
+
+
+def _fields(cache: SetAssociativeCache) -> Tuple[int, ...]:
+    """The :class:`CacheStats` fields of ``cache``, each read by name:
+    the chase engine takes this per lap, where a ``getattr`` loop over
+    the field names costs measurably more."""
+    s = cache.stats
+    return s.accesses, s.hits, s.sector_misses, s.tag_misses, s.evictions
 
 
 def split_tally(tally: Tally) \
@@ -118,7 +146,6 @@ class MemoryHierarchy:
             sector_bytes=geo.sector_bytes,
             ways=geo.l2_associativity,
             name=f"{device.name}-L2",
-            level="l2",
         )
         self.tlb = Tlb()
         self.dram = DramChannel.for_device(device)
@@ -129,10 +156,6 @@ class MemoryHierarchy:
         self._level_clk_array = np.array(self._level_clk,
                                          dtype=np.float64)
         self._tlb_miss_clk = lat.tlb_miss_clk
-        # observability sink captured at construction: the null object
-        # when no session is active, so the load paths pay one flag
-        # check with observability off
-        self._obs = counters_or_null()
 
     # -- caches -----------------------------------------------------------
 
@@ -150,7 +173,6 @@ class MemoryHierarchy:
                 sector_bytes=geo.sector_bytes,
                 ways=geo.l1_associativity,
                 name=f"{self.device.name}-L1[{sm_id}]",
-                level="l1",
             )
         return self._l1[sm_id]
 
@@ -178,13 +200,14 @@ class MemoryHierarchy:
         """
         if addr < 0:
             raise ValueError("negative address")
+        obs = counters_or_null()
         l1 = self.l1_for_sm(sm_id) if cache_op.allocates_l1 else None
+        snap = self._stats_snapshot(l1) if obs.enabled else None
         latency, code, tlb_hit = self._load1(addr, size, l1,
                                              cache_op.allocates_l2)
-        level = LEVEL_CODES[code]
-        if self._obs.enabled:
-            self._count({(latency, code, tlb_hit): 1}, size)
-        return AccessResult(latency, level, tlb_hit)
+        if obs.enabled:
+            self._publish(obs, {(latency, code, tlb_hit): 1}, size, snap)
+        return AccessResult(latency, LEVEL_CODES[code], tlb_hit)
 
     def _load1(self, addr: int, size: int,
                l1: Optional[SetAssociativeCache],
@@ -193,7 +216,7 @@ class MemoryHierarchy:
         :meth:`_load_small`: ``(latency, level code, TLB hit)``, the
         code indexing :data:`LEVEL_CODES`; ``l1`` is None when the
         cache operator bypasses L1.  Builds no result object and
-        records no ``mem.*`` counter."""
+        records no counter."""
         tlb_hit = self.tlb.access(addr)
         if l1 is not None and l1.access(addr, size):
             code = 0
@@ -206,14 +229,27 @@ class MemoryHierarchy:
                 + (0.0 if tlb_hit else self._tlb_miss_clk),
                 code, tlb_hit)
 
-    def _count(self, tally: Tally, size: int) -> None:
-        """Record the ``mem.*`` counters of the loads ``tally`` counts
-        per ``(latency, level code, TLB hit)`` — the increments one
-        :meth:`load` per access makes, summed."""
-        obs = self._obs
+    # -- counters -------------------------------------------------------------
+
+    def _stats_snapshot(self, l1: Optional[SetAssociativeCache]) \
+            -> StatsSnapshot:
+        """The stats of the caches a batch through ``l1`` (None when
+        it bypasses L1) can touch, taken before it."""
+        snap = [(_L2_KEYS, self.l2, _fields(self.l2))]
+        if l1 is not None:
+            snap.append((_L1_KEYS, l1, _fields(l1)))
+        return snap
+
+    def _publish(self, obs: CounterSet, tally: Tally, size: int,
+                 snap: StatsSnapshot, k: int = 1) -> None:
+        """Record ``k`` times the counters of the loads since ``snap``:
+        ``mem.*`` from their ``tally`` (per ``(latency, level code,
+        TLB hit)``), ``cache.<level>.*`` from what each cache's stats
+        gained; a field that gained nothing adds no key."""
         n = tlb_hits = 0
         for (latency, code, tlb_hit), c in tally.items():
             name = LEVEL_CODES[code].value
+            c *= k
             n += c
             tlb_hits += c if tlb_hit else 0
             obs.add(f"mem.bytes.{name}", c * size)
@@ -223,6 +259,28 @@ class MemoryHierarchy:
             obs.add("mem.tlb.hits", tlb_hits)
         if n - tlb_hits:
             obs.add("mem.tlb.misses", n - tlb_hits)
+        for keys, cache, before in snap:
+            for key, now, was in zip(keys, _fields(cache), before):
+                if now != was:
+                    obs.add(key, (now - was) * k)
+
+    def _scale_stats(self, tally: Tally, size: int, snap: StatsSnapshot,
+                     k: int) -> None:
+        """Account ``k`` more runs of the batch since ``snap`` without
+        replaying them — how the chase engine extrapolates a steady
+        state: each cache's stats advance by ``k`` times what they
+        gained, and an active sink records ``k`` times the batch's
+        counters."""
+        obs = counters_or_null()
+        if obs.enabled:
+            self._publish(obs, tally, size, snap, k)
+        for _, cache, before in snap:
+            s = cache.stats
+            s.accesses += (s.accesses - before[0]) * k
+            s.hits += (s.hits - before[1]) * k
+            s.sector_misses += (s.sector_misses - before[2]) * k
+            s.tag_misses += (s.tag_misses - before[3]) * k
+            s.evictions += (s.evictions - before[4]) * k
 
     def load_many(
         self,
@@ -250,10 +308,13 @@ class MemoryHierarchy:
                                     cache_op=cache_op)
         if int(a.min()) < 0:
             raise ValueError("negative address")
+        obs = counters_or_null()
+        l1 = self.l1_for_sm(sm_id) if cache_op.allocates_l1 else None
+        snap = self._stats_snapshot(l1) if obs.enabled else None
         tlb_hit = self._tlb_access_many(a)
         n_tlb = int(np.count_nonzero(tlb_hit))
-        if cache_op.allocates_l1:
-            l1_hit = self.l1_for_sm(sm_id).access_many(a, size)
+        if l1 is not None:
+            l1_hit = l1.access_many(a, size)
             n_l1 = int(np.count_nonzero(l1_hit))
         else:
             l1_hit, n_l1 = np.zeros(n, dtype=bool), 0
@@ -291,8 +352,8 @@ class MemoryHierarchy:
             if c - h:
                 tally[self._level_clk[code] + self._tlb_miss_clk,
                       code, False] = c - h
-        if self._obs.enabled:
-            self._count(tally, size)
+        if obs.enabled:
+            self._publish(obs, tally, size, snap)
         return BatchAccessResult(latency, levels, tlb_hit, tally)
 
     def _load_small(self, addrs: List[int], size: int, *, sm_id: int,
@@ -302,15 +363,17 @@ class MemoryHierarchy:
         batch."""
         if addrs and min(addrs) < 0:
             raise ValueError("negative address")
+        obs = counters_or_null()
         l1 = self.l1_for_sm(sm_id) if cache_op.allocates_l1 else None
+        snap = self._stats_snapshot(l1) if obs.enabled else None
         allocate_l2 = cache_op.allocates_l2
         core = self._load1
         out = [core(addr, size, l1, allocate_l2) for addr in addrs]
         tally: Tally = {}
         for key in out:
             tally[key] = tally.get(key, 0) + 1
-        if self._obs.enabled and out:
-            self._count(tally, size)
+        if obs.enabled and out:
+            self._publish(obs, tally, size, snap)
         latency, levels, tlb_hit = zip(*out) if out else ((), (), ())
         return BatchAccessResult(np.array(latency, dtype=np.float64),
                                  np.array(levels, dtype=np.uint8),

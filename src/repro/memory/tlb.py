@@ -27,17 +27,13 @@ class Tlb:
         self.entries = entries
         self.page_bytes = page_bytes
         self._pages: "OrderedDict[int, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def access(self, addr: int) -> bool:
         """Translate ``addr``; returns True on a TLB hit."""
         page = addr // self.page_bytes
         if page in self._pages:
             self._pages.move_to_end(page)
-            self.hits += 1
             return True
-        self.misses += 1
         self._pages[page] = None
         if len(self._pages) > self.entries:
             self._pages.popitem(last=False)
@@ -68,7 +64,6 @@ class Tlb:
             # one page (every probe chase): its first access decides
             hits.fill(True)
             hits[0] = self.access(page * self.page_bytes)
-            self.hits += n - 1
             return hits
         pages = a // self.page_bytes
         starts = np.flatnonzero(np.r_[True, pages[1:] != pages[:-1]])
@@ -76,7 +71,6 @@ class Tlb:
         resident = self._pages
         if all(p in resident for p in set(heads.tolist())):
             hits.fill(True)
-            self.hits += n
             rev_uniq, rev_idx = np.unique(heads[::-1],
                                           return_index=True)
             last = len(heads) - 1 - rev_idx   # last run per page
@@ -89,7 +83,6 @@ class Tlb:
             hits[s] = self.access(page * self.page_bytes)
             if e > s + 1:
                 hits[s + 1:e] = True
-                self.hits += e - s - 1
         return hits
 
     def warm(self, base: int, size: int) -> None:
@@ -101,8 +94,6 @@ class Tlb:
 
     def flush(self) -> None:
         self._pages.clear()
-        self.hits = 0
-        self.misses = 0
 
     @property
     def resident_pages(self) -> int:
@@ -110,8 +101,7 @@ class Tlb:
 
     def state_digest(self) -> bytes:
         """Digest of the resident pages *in recency order* — the full
-        behavioural state of an LRU TLB (hit/miss counts excluded:
-        they are outcomes, not state)."""
+        behavioural state of an LRU TLB."""
         import hashlib
 
         arr = np.fromiter(self._pages.keys(), dtype=np.int64,

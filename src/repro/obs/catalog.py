@@ -68,27 +68,27 @@ CATALOG: Tuple[CounterEntry, ...] = (
                  "repro.memory.hierarchy",
                  "Access latency per serving level."),
     CounterEntry("cache.l1.accesses", "counter", "accesses",
-                 "repro.memory.cache", "L1 lookups."),
+                 "repro.memory.hierarchy", "L1 lookups."),
     CounterEntry("cache.l1.hits", "counter", "accesses",
-                 "repro.memory.cache", "L1 sector hits."),
+                 "repro.memory.hierarchy", "L1 sector hits."),
     CounterEntry("cache.l1.sector_misses", "counter", "accesses",
-                 "repro.memory.cache",
+                 "repro.memory.hierarchy",
                  "L1 misses with the line resident (sector fill)."),
     CounterEntry("cache.l1.tag_misses", "counter", "accesses",
-                 "repro.memory.cache", "L1 full line misses."),
+                 "repro.memory.hierarchy", "L1 full line misses."),
     CounterEntry("cache.l1.evictions", "counter", "lines",
-                 "repro.memory.cache", "L1 lines evicted."),
+                 "repro.memory.hierarchy", "L1 lines evicted."),
     CounterEntry("cache.l2.accesses", "counter", "accesses",
-                 "repro.memory.cache", "L2 lookups."),
+                 "repro.memory.hierarchy", "L2 lookups."),
     CounterEntry("cache.l2.hits", "counter", "accesses",
-                 "repro.memory.cache", "L2 sector hits."),
+                 "repro.memory.hierarchy", "L2 sector hits."),
     CounterEntry("cache.l2.sector_misses", "counter", "accesses",
-                 "repro.memory.cache",
+                 "repro.memory.hierarchy",
                  "L2 misses with the line resident (sector fill)."),
     CounterEntry("cache.l2.tag_misses", "counter", "accesses",
-                 "repro.memory.cache", "L2 full line misses."),
+                 "repro.memory.hierarchy", "L2 full line misses."),
     CounterEntry("cache.l2.evictions", "counter", "lines",
-                 "repro.memory.cache", "L2 lines evicted."),
+                 "repro.memory.hierarchy", "L2 lines evicted."),
     # -- SM execution -------------------------------------------------------
     CounterEntry("sm.sim.runs", "counter", "kernels",
                  "repro.trace.engine", "Trace-simulator invocations."),

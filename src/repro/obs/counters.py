@@ -15,16 +15,16 @@ runners therefore emit byte-identical counter dumps for the same seed
 and context.
 
 The hot-loop contract is the :class:`NullCounterSet` fast path: code
-holds either a real :class:`CounterSet` or the shared
-:data:`NULL_COUNTERS` sentinel and guards instrumentation with the
-class-level ``enabled`` flag::
+asks for either a real :class:`CounterSet` or the shared
+:data:`NULL_COUNTERS` sentinel once per batch and guards
+instrumentation with the class-level ``enabled`` flag::
 
-    obs = self._obs                  # CounterSet or NULL_COUNTERS
+    obs = counters_or_null()         # CounterSet or NULL_COUNTERS
     if obs.enabled:
-        obs.add("cache.l1.hits")
+        obs.add("mem.loads", n)
 
-With observability off that is a single attribute load per batch — the
-vectorized paths pay nothing measurable.
+With observability off that is one call and one attribute load per
+batch — the vectorized paths pay nothing measurable.
 """
 
 from __future__ import annotations
@@ -161,23 +161,6 @@ class CounterSet:
         bounds)."""
         return json.dumps(self.as_dict(), sort_keys=False,
                           separators=(",", ":"))
-
-    def delta_since(self, snapshot: Mapping[str, int]) \
-            -> Dict[str, int]:
-        """Counter increments since ``snapshot`` (a prior
-        :meth:`as_dict`).  Counters are monotonic, so every live key
-        dominates the snapshot and the delta is non-negative."""
-        return {k: d for k, v in self._counters.items()
-                if (d := v - snapshot.get(k, 0))}
-
-    def add_scaled(self, delta: Mapping[str, int], k: int) -> None:
-        """Apply ``delta`` ``k`` times over — how a steady-state
-        engine accounts the counters of extrapolated iterations
-        without replaying them."""
-        if k <= 0:
-            return
-        for name, value in delta.items():
-            self.add(name, value * k)
 
     # -- composition --------------------------------------------------------
 

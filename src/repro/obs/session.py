@@ -57,7 +57,8 @@ def active_counters() -> Optional[CounterSet]:
 
 def counters_or_null() -> CounterSet:
     """The active session's counters, else the shared null sink —
-    what hot constructors capture once and branch on ``.enabled``."""
+    what hot paths fetch once per batch (or per constructor) and
+    branch on ``.enabled``."""
     s = ACTIVE
     return s.counters if s is not None else NULL_COUNTERS
 

@@ -1,7 +1,7 @@
 """Tensor-core functional and timing models.
 
 * :mod:`repro.tensorcore.functional` — bit-accurate execution of
-  ``mma``/``wgmma`` tiles: operands quantised with
+  ``wgmma`` tiles and of any tensor-core matmul: operands quantised with
   :mod:`repro.numerics`, products formed exactly, accumulation rounded
   in the accumulator precision.
 * :mod:`repro.tensorcore.sparse` — 2:4 structured sparsity: pruning,
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.tensorcore.functional import (
     matmul_quantized,
-    mma_functional,
     wgmma_functional,
 )
 from repro.tensorcore.sparse import (
@@ -40,7 +39,6 @@ from repro.tensorcore.timing import (
 )
 
 __all__ = [
-    "mma_functional",
     "wgmma_functional",
     "matmul_quantized",
     "prune_2_4",

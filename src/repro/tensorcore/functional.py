@@ -24,10 +24,10 @@ from typing import Optional
 import numpy as np
 
 from repro.isa.dtypes import DType
-from repro.isa.mma import MmaInstruction, WgmmaInstruction
+from repro.isa.mma import WgmmaInstruction
 from repro.numerics.integers import INT32, IntFormat, INT4, INT8
 
-__all__ = ["mma_functional", "wgmma_functional", "matmul_quantized"]
+__all__ = ["wgmma_functional", "matmul_quantized"]
 
 
 def _quantize_input(x: np.ndarray, dt: DType) -> np.ndarray:
@@ -105,32 +105,6 @@ def matmul_quantized(
     return d
 
 
-def mma_functional(
-    instr: MmaInstruction,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Execute one warp-level ``mma`` tile: ``D = A×B + C``.
-
-    Shapes must match the instruction's *effective* shape (sparse
-    callers pass the decompressed A — see
-    :func:`repro.tensorcore.sparse.decompress_2_4`).
-    """
-    eff = instr.effective_shape
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != (eff.m, eff.k):
-        raise ValueError(f"A must be {(eff.m, eff.k)}, got {a.shape}")
-    if b.shape != (eff.k, eff.n):
-        raise ValueError(f"B must be {(eff.k, eff.n)}, got {b.shape}")
-    if c is not None and np.shape(c) != (eff.m, eff.n):
-        raise ValueError(f"C must be {(eff.m, eff.n)}, got {np.shape(c)}")
-    return matmul_quantized(
-        a, b, ab_type=instr.ab_type, cd_type=instr.cd_type, c=c
-    )
-
-
 def wgmma_functional(
     instr: WgmmaInstruction,
     a: np.ndarray,
@@ -140,7 +114,9 @@ def wgmma_functional(
     """Execute one warp-group ``wgmma`` tile: ``D = A×B + D``.
 
     Note the asymmetry with ``mma``: the accumulator is D itself (the
-    paper highlights this difference in Fig 2).
+    paper highlights this difference in Fig 2).  Shapes must match the
+    instruction's *effective* shape (sparse callers pass the
+    decompressed A — see :func:`repro.tensorcore.sparse.decompress_2_4`).
     """
     eff = instr.effective_shape
     a = np.asarray(a, dtype=np.float64)

@@ -140,4 +140,3 @@ class TestTma:
     def test_issue_reduction(self, h800):
         m = TmaModel(h800)
         assert m.cp_async_equivalent_instructions(16384) == 32
-        assert m.issue_reduction(TmaCopy(tile_bytes=16384)) == 32

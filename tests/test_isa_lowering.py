@@ -9,7 +9,6 @@ from repro.isa import (
     FunctionalUnit,
     MatrixShape,
     MmaInstruction,
-    TmaCopy,
     WgmmaInstruction,
     lower,
     sass_table,
@@ -119,11 +118,6 @@ class TestWgmmaLowering:
 
 
 class TestMemoryOpLowering:
-    def test_tma_gated(self):
-        assert lower(TmaCopy(4096), H).primary.mnemonic == "UBLKCP"
-        with pytest.raises(UnsupportedInstruction):
-            lower(TmaCopy(4096), A)
-
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             lower(object(), H)

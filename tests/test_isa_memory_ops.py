@@ -22,16 +22,6 @@ class TestCacheOp:
 
 
 class TestTmaCopy:
-    def test_valid(self):
-        t = TmaCopy(tile_bytes=16384, dims=2)
-        assert "bulk.tensor.2d" in t.opcode
-
-    def test_multicast_marker(self):
-        t = TmaCopy(tile_bytes=1024, multicast=True)
-        assert "multicast::cluster" in t.opcode
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TmaCopy(tile_bytes=0)
-        with pytest.raises(ValueError):
-            TmaCopy(tile_bytes=64, dims=6)

@@ -3,8 +3,8 @@
 :class:`~repro.memory.chase.ChaseEngine` claims to be *exact*: any
 periodic chase it runs — simulated laps, batched tails and
 analytically extrapolated fixed-point laps alike — must produce the
-same latency histogram, summed cycles, level counts, TLB hits,
-``CacheStats`` fields and observability counter bank as the scalar
+same latency histogram, summed cycles, level counts, TLB hits and
+state, ``CacheStats`` fields and observability counter bank as the scalar
 one-``load()``-at-a-time loop it replaced.  This suite makes that
 claim a property over random chains, strides, cache operators and
 iteration budgets, and pins the :class:`~repro.memory.pchase.PChase`
@@ -66,15 +66,29 @@ def _scalar_chase(mh, seq, iters, *, size=32, cache_op=CacheOp.CACHE_ALL):
     return lats, levels, tlb_hits
 
 
+_STAT_FIELDS = ("accesses", "hits", "sector_misses", "tag_misses",
+                "evictions")
+
+
 def _counter_bank(mh):
-    """Every post-run counter a chase can influence."""
+    """Every post-run counter a chase can influence, and the TLB
+    state."""
     def fields(c):
-        s = c.stats
-        return (s.accesses, s.hits, s.sector_misses, s.tag_misses,
-                s.evictions)
+        return tuple(getattr(c.stats, f) for f in _STAT_FIELDS)
 
     return (fields(mh.l1_for_sm(0)), fields(mh.l2),
-            (mh.tlb.hits, mh.tlb.misses))
+            mh.tlb.state_digest())
+
+
+def _stats_counters(mh):
+    """The ``cache.*`` counters a hierarchy's ``CacheStats`` amount
+    to: one key per non-zero field."""
+    out = {}
+    for level, cache in (("l1", mh.l1_for_sm(0)), ("l2", mh.l2)):
+        for f in _STAT_FIELDS:
+            if getattr(cache.stats, f):
+                out[f"cache.{level}.{f}"] = getattr(cache.stats, f)
+    return out
 
 
 class TestEngineEquivalence:
@@ -124,23 +138,33 @@ class TestEngineEquivalence:
 
     @settings(max_examples=20, deadline=None)
     @given(n=chain_lengths(32),
-           iters=st.integers(min_value=1, max_value=300),
-           seed=st.sampled_from((None, 7)))
-    def test_obs_counter_bank_matches_scalar(self, n, iters, seed):
+           iters=st.integers(min_value=1, max_value=300)
+           | st.sampled_from((2500, 4000)),
+           seed=st.sampled_from((None, 7)),
+           op=cache_ops)
+    def test_obs_counter_bank_matches_scalar(self, n, iters, seed, op):
         """Under an active ObsSession the engine fires exactly the
         counters (and latency-histogram buckets — they share the
-        namespace) the scalar loop fires."""
+        namespace) the scalar loop fires, extrapolated laps included,
+        and its ``cache.*`` counters are the caches' stats."""
         seq = _chain_order(n, seed=seed) * 128
 
         s_sess = ObsSession()
         with s_sess.activate():
-            _scalar_chase(MemoryHierarchy(_TINY), seq, iters)
+            _scalar_chase(MemoryHierarchy(_TINY), seq, iters,
+                          cache_op=op)
 
         v_sess = ObsSession()
         with v_sess.activate():
-            ChaseEngine(MemoryHierarchy(_TINY)).run(seq, iters)
+            mh = MemoryHierarchy(_TINY)
+            stats = ChaseEngine(mh, cache_op=op).run(seq, iters)
+        if iters >= 2500:
+            assert stats.extrapolated > 0
 
-        assert s_sess.counters.as_dict() == v_sess.counters.as_dict()
+        bank = v_sess.counters.as_dict()
+        assert s_sess.counters.as_dict() == bank
+        assert {k: v for k, v in bank.items()
+                if k.startswith("cache.")} == _stats_counters(mh)
 
     def test_extrapolation_engages_on_long_chases(self):
         stats = ChaseEngine(MemoryHierarchy(_TINY)).run(

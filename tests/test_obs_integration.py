@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from repro.arch import get_device
 from repro.cli import main
 from repro.core.context import RunContext
 from repro.core.registry import Experiment, get_experiment
+from repro.memory.chase import ChaseEngine
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import ObsSession
 from repro.obs import session as obs_session
@@ -144,6 +147,33 @@ class TestCounterConsistency:
         assert c.get("mem.loads") == 256
         # every load lands in exactly one level's byte counter
         assert c.total("mem.bytes.") == 256 * 32
+
+    def test_counters_go_to_the_session_active_at_load(self):
+        """A hierarchy's loads record into the session active when
+        they run, whenever the hierarchy was built: one built with no
+        session records like one built inside it, and one chased
+        after its session ended adds nothing to that session."""
+        device = get_device("H800")
+        seq = np.arange(64, dtype=np.int64) * 128
+
+        def chase(mh):
+            stats = ChaseEngine(mh).run(seq, 4096)
+            assert stats.extrapolated > 0
+
+        inside = ObsSession()
+        with inside.activate():
+            built_inside = MemoryHierarchy(device)
+            chase(built_inside)
+        built_outside = MemoryHierarchy(device)
+        later = ObsSession()
+        with later.activate():
+            chase(built_outside)
+        bank = inside.counters.as_dict()
+        assert bank["cache.l1.accesses"] == 4096
+        assert later.counters.as_dict() == bank
+
+        chase(built_inside)
+        assert inside.counters.as_dict() == bank
 
     def test_latency_histogram_covers_every_load(self):
         session = ObsSession()

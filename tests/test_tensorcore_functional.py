@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.isa import MatrixShape, MmaInstruction, WgmmaInstruction
+from repro.isa import WgmmaInstruction
 from repro.isa.dtypes import DType
 from repro.numerics import FP16
 from repro.tensorcore import (
     compress_2_4,
     decompress_2_4,
     matmul_quantized,
-    mma_functional,
     prune_2_4,
     wgmma_functional,
 )
@@ -131,32 +130,7 @@ class TestMatmulQuantized:
 
 
 class TestInstructionWrappers:
-    def test_mma_shapes_enforced(self):
-        i = MmaInstruction(DType.FP16, DType.FP32, MatrixShape(16, 8, 16))
-        with pytest.raises(ValueError, match="A must be"):
-            mma_functional(i, np.ones((16, 8)), np.ones((16, 8)))
-        with pytest.raises(ValueError, match="B must be"):
-            mma_functional(i, np.ones((16, 16)), np.ones((8, 8)))
-        with pytest.raises(ValueError, match="C must be"):
-            mma_functional(i, np.ones((16, 16)), np.ones((16, 8)),
-                           c=np.ones((8, 8)))
-
-    def test_mma_computes(self):
-        i = MmaInstruction(DType.FP16, DType.FP32, MatrixShape(16, 8, 16))
-        a = _rand((16, 16), 2)
-        b = _rand((16, 8), 3)
-        d = mma_functional(i, a, b)
-        ref = FP16.quantize(a) @ FP16.quantize(b)
-        assert d.shape == (16, 8)
-        assert np.allclose(d, ref, rtol=1e-6)
-
     def test_sparse_mma_uses_effective_shape(self):
-        i = MmaInstruction(DType.FP16, DType.FP32,
-                           MatrixShape(16, 8, 16), sparse=True)
-        a = _rand((16, 32), 4)   # decompressed A: m × 2k
-        b = _rand((32, 8), 5)
-        d = mma_functional(i, a, b)
-        assert d.shape == (16, 8)
         # the sparse wgmma pipeline: prune, compress, decompress, MMA
         w = WgmmaInstruction(DType.FP16, DType.FP32, 64, sparse=True)
         op = compress_2_4(prune_2_4(_rand((64, 32), 6)))
