@@ -19,7 +19,9 @@ intentional change, rerun this script and commit the diff; the
 review then shows precisely which counters moved.
 
 ``--check`` regenerates in memory and exits 1 if any committed golden
-differs (the CI drift step), without touching the tree.
+differs, without touching the tree.  CI's drift step does not run it:
+it runs ``hopperdissect stats EXPERIMENT --diff GOLDEN`` over every
+committed golden.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.arch import DeviceSpec
-from repro.obs.session import counters_or_null
+from repro.obs import session as _obs
 from repro.sm.occupancy import BlockConfig, occupancy
 
 __all__ = [
@@ -217,8 +217,9 @@ class TiledMatmulModel:
             copy_issue_clk=self.copy_issue_clk(cfg),
             overhead_clk=self._overhead_clk(cfg),
         )
-        obs = counters_or_null()
-        if obs.enabled:
+        sess = _obs.ACTIVE
+        if sess is not None:
+            obs = sess.counters
             # pipeline-stage decomposition of the priced step: load =
             # tile-copy issue, compute = the shared-memory-bound inner
             # product, drain = exposed latency + barrier/bookkeeping

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.arch import DeviceSpec
 from repro.isa.lowering import UnsupportedInstruction
 from repro.isa.memory_ops import TmaCopy
-from repro.obs.session import counters_or_null
+from repro.obs import session as _obs
 
 __all__ = ["TmaTransfer", "TmaModel"]
 
@@ -76,8 +76,9 @@ class TmaModel:
             issuing_instructions=1,
             pipelined_cycles=_TMA_ISSUE_CLK + stream,
         )
-        obs = counters_or_null()
-        if obs.enabled:
+        sess = _obs.ACTIVE
+        if sess is not None:
+            obs = sess.counters
             obs.add("async.tma.transfers")
             obs.add("async.bytes.tma", copy.tile_bytes)
             obs.observe("async.latency.tma", transfer.cycles)
@@ -87,7 +88,7 @@ class TmaModel:
         """Warp instructions a cp.async version of the copy would issue
         — the occupancy the TMA engine hands back to the program."""
         instrs = max(1, round(tile_bytes / _CP_ASYNC_BYTES_PER_INSTR))
-        obs = counters_or_null()
-        if obs.enabled:
-            obs.add("async.cp_async.equiv_instructions", instrs)
+        sess = _obs.ACTIVE
+        if sess is not None:
+            sess.counters.add("async.cp_async.equiv_instructions", instrs)
         return instrs

@@ -24,7 +24,7 @@ import numpy as np
 from repro.arch import DeviceSpec
 from repro.dsm.network import SmToSmNetwork
 from repro.memory.shared import SharedMemory
-from repro.obs.session import counters_or_null
+from repro.obs import session as _obs
 
 __all__ = ["Cluster", "RemoteSharedHandle"]
 
@@ -93,7 +93,6 @@ class Cluster:
     access_cycles: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        self._obs = counters_or_null()
         self.network = SmToSmNetwork(self.device)  # validates arch
         if not 1 <= self.cluster_size <= self.device.max_cluster_size:
             raise ValueError(
@@ -137,8 +136,9 @@ class Cluster:
         else:
             self.local_accesses += 1
         self.access_cycles += cycles
-        obs = self._obs
-        if obs.enabled:
+        sess = _obs.ACTIVE
+        if sess is not None:
+            obs = sess.counters
             # a remote access is one hop across the GPC fabric; a
             # local one never leaves the SM
             kind = "remote" if remote else "local"

@@ -29,7 +29,7 @@ import numpy as np
 from repro.arch import DeviceSpec
 from repro.dsm.cluster import Cluster
 from repro.dsm.network import SmToSmNetwork
-from repro.obs.session import counters_or_null
+from repro.obs import session as _obs
 from repro.sm.occupancy import BlockConfig, occupancy
 
 __all__ = ["HistogramConfig", "HistogramResult", "DsmHistogram"]
@@ -153,12 +153,12 @@ class DsmHistogram:
         return lat.global_clk + atomic + overhead
 
     def measure(self, cfg: HistogramConfig) -> HistogramResult:
-        obs = counters_or_null()
+        sess = _obs.ACTIVE
         nb = self.resident_blocks(cfg)
         if nb == 0:
-            if obs.enabled:
-                obs.add("dsm.hist.configs")
-                obs.add("dsm.hist.limited_by.shared_memory")
+            if sess is not None:
+                sess.counters.add("dsm.hist.configs")
+                sess.counters.add("dsm.hist.limited_by.shared_memory")
             return HistogramResult(cfg, 0, 0.0, 0.0, "shared memory")
         candidates = {}
         inflight = nb * cfg.block_threads
@@ -177,7 +177,8 @@ class DsmHistogram:
             )
         limiter = min(candidates, key=candidates.get)
         e_clk = candidates[limiter]
-        if obs.enabled:
+        if sess is not None:
+            obs = sess.counters
             obs.add("dsm.hist.configs")
             obs.add(f"dsm.hist.limited_by.{_LIMITER_SLUGS[limiter]}")
             obs.observe("dsm.latency.element",

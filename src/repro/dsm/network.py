@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.arch import DeviceSpec
 from repro.isa.lowering import UnsupportedInstruction
-from repro.obs.session import counters_or_null
+from repro.obs import session as _obs
 
 __all__ = ["SmToSmNetwork"]
 
@@ -70,8 +70,9 @@ class SmToSmNetwork:
         eff = cal.link_bytes_per_clk / (
             1.0 + cal.contention_alpha * (cluster_size - 1)
         )
-        obs = counters_or_null()
-        if obs.enabled:
+        sess = _obs.ACTIVE
+        if sess is not None:
+            obs = sess.counters
             obs.add("dsm.fabric.queries")
             # cycles one 128 B packet loses to fabric sharing vs an
             # uncontended link — the contention-stall distribution

@@ -22,7 +22,7 @@ from typing import Iterable, List
 from repro.arch import DeviceSpec
 from repro.dsm.cluster import Cluster
 from repro.dsm.network import SmToSmNetwork
-from repro.obs.session import counters_or_null
+from repro.obs import session as _obs
 
 __all__ = ["RingCopyBenchmark", "RingCopyResult"]
 
@@ -87,8 +87,9 @@ class RingCopyBenchmark:
         # one block per SM; every SM of every cluster communicates
         active = (self.device.num_sms // cluster_size) * cluster_size
         agg = per_sm * active * self.device.clocks.observed_hz / 1e12
-        obs = counters_or_null()
-        if obs.enabled:
+        sess = _obs.ACTIVE
+        if sess is not None:
+            obs = sess.counters
             # per-link accounting of one modeled ring step: every
             # communicating SM drives its fabric link with one remote
             # hop of warps × ILP in-flight stores

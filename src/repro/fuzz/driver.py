@@ -24,7 +24,6 @@ replayable repro files.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -131,13 +130,9 @@ def run_fuzz(
     report = FuzzReport(seed=gen.seed, budget=budget,
                         devices=gen.devices)
     sess = _obs.ACTIVE
-    tracer = sess.tracer if sess is not None else None
 
     def _span(label: str, **args):
-        if tracer is None:
-            return nullcontext()
-        return tracer.span(label, cat="fuzz", tid="fuzz",
-                           args=args or None)
+        return _obs.span(label, cat="fuzz", tid="fuzz", args=args)
 
     with _span("fuzz.generate", budget=budget):
         scenarios = [gen.scenario(i) for i in range(budget)]

@@ -135,13 +135,7 @@ class CacheProbe:
     def _span(self, name: str, points: int, iters: int):
         """A wall-clock trace span around one sweep (or a null
         context when tracing is off)."""
-        from contextlib import nullcontext
-
-        tracer = _obs.ACTIVE.tracer if _obs.ACTIVE is not None \
-            else None
-        if tracer is None:
-            return nullcontext()
-        return tracer.span(
+        return _obs.span(
             f"{name} {self.device.name}", cat="probe",
             args={"device": self.device.name,
                   "points": points, "iters": iters,

@@ -52,7 +52,7 @@ import numpy as np
 from repro.isa.memory_ops import CacheOp
 from repro.memory.hierarchy import (BatchAccessResult, MemLevel,
                                     MemoryHierarchy, Tally, split_tally)
-from repro.obs.session import active_tracer
+from repro.obs import session as _obs
 from repro.obs.trace import SIM_TRACK
 
 __all__ = ["ChaseEngine", "ChaseStats", "chase_total_clk",
@@ -195,7 +195,8 @@ class ChaseEngine:
         # the chase is — one span for the steady-state (confirming)
         # superlap plus one fixed-point instant, on the sim-cycle
         # clock, instead of an event per access or per lap.
-        tracer = active_tracer()
+        sess = _obs.ACTIVE
+        tracer = sess.tracer if sess is not None else None
         cycle_cursor = 0.0
         prev_sig: Optional[bytes] = None
         done = 0

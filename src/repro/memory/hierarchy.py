@@ -10,7 +10,9 @@ and the TLB keep no counter sink: a cache tallies its outcomes in its
 :class:`~repro.memory.cache.CacheStats` alone.  Each load call reads
 the active session's sink when it starts and, when it is on, records
 ``mem.*`` from the batch's tally and ``cache.<level>.*`` from what the
-stats of the caches it touched gained.
+stats of the caches it touched gained.  The ``mem.*`` counter names
+of every load outcome a hierarchy can produce are built once, with the
+hierarchy.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from repro.isa.memory_ops import CacheOp
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.dram import DramChannel
 from repro.memory.tlb import Tlb
-from repro.obs.counters import CounterSet
-from repro.obs.session import counters_or_null
+from repro.obs import session as _obs
+from repro.obs.counters import CounterSet, bucket_label
 
 __all__ = ["MemLevel", "AccessResult", "BatchAccessResult",
            "LEVEL_CODES", "MemoryHierarchy"]
@@ -156,6 +158,17 @@ class MemoryHierarchy:
         self._level_clk_array = np.array(self._level_clk,
                                          dtype=np.float64)
         self._tlb_miss_clk = lat.tlb_miss_clk
+        #: per tally key ``(latency, level code, TLB hit)`` a load can
+        #: produce (three levels, TLB hit or miss): its
+        #: ``mem.bytes.<level>`` and ``mem.latency.<level>.le…`` names
+        self._mem_keys: Dict[Tuple[float, int, bool], Tuple[str, str]] = {}
+        for code, level in enumerate(LEVEL_CODES):
+            for hit in (True, False):
+                latency = self._level_clk[code] \
+                    + (0.0 if hit else self._tlb_miss_clk)
+                self._mem_keys[latency, code, hit] = (
+                    f"mem.bytes.{level.value}",
+                    bucket_label(f"mem.latency.{level.value}", latency))
 
     # -- caches -----------------------------------------------------------
 
@@ -200,13 +213,14 @@ class MemoryHierarchy:
         """
         if addr < 0:
             raise ValueError("negative address")
-        obs = counters_or_null()
+        sess = _obs.ACTIVE
         l1 = self.l1_for_sm(sm_id) if cache_op.allocates_l1 else None
-        snap = self._stats_snapshot(l1) if obs.enabled else None
+        snap = self._stats_snapshot(l1) if sess is not None else None
         latency, code, tlb_hit = self._load1(addr, size, l1,
                                              cache_op.allocates_l2)
-        if obs.enabled:
-            self._publish(obs, {(latency, code, tlb_hit): 1}, size, snap)
+        if sess is not None:
+            self._publish(sess.counters, {(latency, code, tlb_hit): 1},
+                          size, snap)
         return AccessResult(latency, LEVEL_CODES[code], tlb_hit)
 
     def _load1(self, addr: int, size: int,
@@ -247,13 +261,14 @@ class MemoryHierarchy:
         TLB hit)``), ``cache.<level>.*`` from what each cache's stats
         gained; a field that gained nothing adds no key."""
         n = tlb_hits = 0
-        for (latency, code, tlb_hit), c in tally.items():
-            name = LEVEL_CODES[code].value
+        names = self._mem_keys
+        for key, c in tally.items():
+            bytes_key, latency_key = names[key]
             c *= k
             n += c
-            tlb_hits += c if tlb_hit else 0
-            obs.add(f"mem.bytes.{name}", c * size)
-            obs.observe(f"mem.latency.{name}", latency, c)
+            tlb_hits += c if key[2] else 0
+            obs.add(bytes_key, c * size)
+            obs.add(latency_key, c)
         obs.add("mem.loads", n)
         if tlb_hits:
             obs.add("mem.tlb.hits", tlb_hits)
@@ -271,9 +286,9 @@ class MemoryHierarchy:
         state: each cache's stats advance by ``k`` times what they
         gained, and an active sink records ``k`` times the batch's
         counters."""
-        obs = counters_or_null()
-        if obs.enabled:
-            self._publish(obs, tally, size, snap, k)
+        sess = _obs.ACTIVE
+        if sess is not None:
+            self._publish(sess.counters, tally, size, snap, k)
         for _, cache, before in snap:
             s = cache.stats
             s.accesses += (s.accesses - before[0]) * k
@@ -308,9 +323,9 @@ class MemoryHierarchy:
                                     cache_op=cache_op)
         if int(a.min()) < 0:
             raise ValueError("negative address")
-        obs = counters_or_null()
+        sess = _obs.ACTIVE
         l1 = self.l1_for_sm(sm_id) if cache_op.allocates_l1 else None
-        snap = self._stats_snapshot(l1) if obs.enabled else None
+        snap = self._stats_snapshot(l1) if sess is not None else None
         tlb_hit = self._tlb_access_many(a)
         n_tlb = int(np.count_nonzero(tlb_hit))
         if l1 is not None:
@@ -352,8 +367,8 @@ class MemoryHierarchy:
             if c - h:
                 tally[self._level_clk[code] + self._tlb_miss_clk,
                       code, False] = c - h
-        if obs.enabled:
-            self._publish(obs, tally, size, snap)
+        if sess is not None:
+            self._publish(sess.counters, tally, size, snap)
         return BatchAccessResult(latency, levels, tlb_hit, tally)
 
     def _load_small(self, addrs: List[int], size: int, *, sm_id: int,
@@ -363,17 +378,17 @@ class MemoryHierarchy:
         batch."""
         if addrs and min(addrs) < 0:
             raise ValueError("negative address")
-        obs = counters_or_null()
+        sess = _obs.ACTIVE
         l1 = self.l1_for_sm(sm_id) if cache_op.allocates_l1 else None
-        snap = self._stats_snapshot(l1) if obs.enabled else None
+        snap = self._stats_snapshot(l1) if sess is not None else None
         allocate_l2 = cache_op.allocates_l2
         core = self._load1
         out = [core(addr, size, l1, allocate_l2) for addr in addrs]
         tally: Tally = {}
         for key in out:
             tally[key] = tally.get(key, 0) + 1
-        if obs.enabled and out:
-            self._publish(obs, tally, size, snap)
+        if sess is not None and out:
+            self._publish(sess.counters, tally, size, snap)
         latency, levels, tlb_hit = zip(*out) if out else ((), (), ())
         return BatchAccessResult(np.array(latency, dtype=np.float64),
                                  np.array(levels, dtype=np.uint8),

@@ -20,35 +20,31 @@ must appear in — rendered to ``docs/counters.md`` and enforced in CI.
 Import those three from their modules: the package does not load
 them, so a command that only counts or traces never pays for them.
 
+Instrumented code reaches the run's session one way: it reads
+``repro.obs.session.ACTIVE`` when a call starts (``None`` means off)
+and opens wall-clock spans with :func:`repro.obs.session.span`.  The
+package does not re-export ``ACTIVE``: a copied binding would stay
+``None``.
+
 This package is an import leaf: it depends only on the standard
-library (NumPy lazily), so every simulator layer can instrument
-itself without cycles.
+library, so every simulator layer can instrument itself without
+cycles.
 """
 
 from __future__ import annotations
 
 from repro.obs.counters import (
-    NULL_COUNTERS,
     CounterSet,
-    NullCounterSet,
     bucket_bound,
     bucket_label,
     counter_sort_key,
     split_bucket,
 )
-from repro.obs.session import (
-    ObsSession,
-    active,
-    active_counters,
-    active_tracer,
-    counters_or_null,
-)
+from repro.obs.session import ObsSession, span
 from repro.obs.trace import SIM_TRACK, WALL_TRACK, Tracer
 
 __all__ = [
     "CounterSet",
-    "NullCounterSet",
-    "NULL_COUNTERS",
     "bucket_bound",
     "bucket_label",
     "counter_sort_key",
@@ -57,8 +53,5 @@ __all__ = [
     "WALL_TRACK",
     "SIM_TRACK",
     "ObsSession",
-    "active",
-    "active_counters",
-    "active_tracer",
-    "counters_or_null",
+    "span",
 ]

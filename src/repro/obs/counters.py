@@ -14,17 +14,16 @@ of workers — produces bit-identical totals.  The serial and parallel
 runners therefore emit byte-identical counter dumps for the same seed
 and context.
 
-The hot-loop contract is the :class:`NullCounterSet` fast path: code
-asks for either a real :class:`CounterSet` or the shared
-:data:`NULL_COUNTERS` sentinel once per batch and guards
-instrumentation with the class-level ``enabled`` flag::
+Instrumented code holds no bank of its own: it reads the active
+session when a call starts (see :mod:`repro.obs.session`) and adds to
+that session's bank only when there is one::
 
-    obs = counters_or_null()         # CounterSet or NULL_COUNTERS
-    if obs.enabled:
-        obs.add("mem.loads", n)
+    sess = _obs.ACTIVE               # None when observability is off
+    if sess is not None:
+        sess.counters.add("mem.loads", n)
 
-With observability off that is one call and one attribute load per
-batch — the vectorized paths pay nothing measurable.
+With observability off that is one attribute read and one ``is None``
+test per call — the vectorized paths pay nothing measurable.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "CounterSet",
-    "NullCounterSet",
-    "NULL_COUNTERS",
     "bucket_bound",
     "bucket_label",
     "counter_sort_key",
@@ -99,9 +96,6 @@ class CounterSet:
 
     __slots__ = ("_counters",)
 
-    #: class-level flag hot loops branch on (see module docstring)
-    enabled = True
-
     def __init__(self,
                  values: Optional[Mapping[str, int]] = None) -> None:
         self._counters: Dict[str, int] = {}
@@ -118,19 +112,6 @@ class CounterSet:
     def observe(self, name: str, value: float, n: int = 1) -> None:
         """Record ``value`` into ``name``'s power-of-two histogram."""
         self.add(bucket_label(name, value), n)
-
-    def observe_many(self, name: str, values) -> None:
-        """Vectorized :meth:`observe` over an array of values."""
-        import numpy as np
-
-        a = np.asarray(values)
-        if a.size == 0:
-            return
-        # each value's bucket is 2**e; count the exponents
-        exponents = np.ceil(np.log2(np.maximum(a, 1.0))).astype(np.int64)
-        counts = np.bincount(exponents)
-        for e in np.flatnonzero(counts).tolist():
-            self.add(f"{name}.le{1 << e:08d}", int(counts[e]))
 
     # -- reads --------------------------------------------------------------
 
@@ -183,35 +164,3 @@ class CounterSet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<CounterSet: {len(self._counters)} counters>"
-
-
-class NullCounterSet(CounterSet):
-    """The disabled-observability sentinel.
-
-    Every mutator is a no-op and ``enabled`` is False, so hot loops
-    holding it skip instrumentation with one attribute check while
-    cold paths may still call the mutators unconditionally.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def add(self, name: str, n: int = 1) -> None:
-        pass
-
-    def observe(self, name: str, value: float, n: int = 1) -> None:
-        pass
-
-    def observe_many(self, name: str, values) -> None:
-        pass
-
-    def merge(self, other) -> None:
-        pass
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<NullCounterSet>"
-
-
-#: the shared do-nothing sink — hold this when no session is active
-NULL_COUNTERS = NullCounterSet()

@@ -26,7 +26,7 @@ from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.obs.counters import counter_sort_key
 
-__all__ = ["CounterDrift", "DriftReport", "diff_payloads", "diff_files"]
+__all__ = ["CounterDrift", "DriftReport", "diff_payloads"]
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,3 @@ def diff_payloads(
                    drifts)
     return DriftReport(baseline_label=baseline_label,
                        drifts=tuple(drifts))
-
-
-def diff_files(baseline_path, current_path) -> DriftReport:
-    """Diff two counters/v2 files on disk."""
-    from repro.obs.export import load_counters_v2
-
-    baseline = load_counters_v2(baseline_path)
-    current = load_counters_v2(current_path)
-    return diff_payloads(baseline, current,
-                         baseline_label=str(baseline_path))

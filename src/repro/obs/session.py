@@ -3,10 +3,15 @@
 An :class:`ObsSession` owns one :class:`~repro.obs.counters.CounterSet`
 and (optionally) one :class:`~repro.obs.trace.Tracer` for the duration
 of a run.  Exactly one session is *active* per process at a time,
-published through the module-global :data:`ACTIVE`; instrumented code
-asks :func:`counters_or_null` / :func:`active_tracer` and pays a
-single ``None``/flag check when observability is off, keeping the
-default path byte-identical to an uninstrumented build.
+published through the module-global :data:`ACTIVE`.  Instrumented code
+reaches it one way: it reads ``ACTIVE`` as a module attribute when a
+call starts (``from repro.obs import session as _obs``, then
+``_obs.ACTIVE`` — a ``from``-import of the name would bind ``None`` at
+import time) and records only when it is not ``None``.  Wall-clock
+spans open through :func:`span`, a null context unless the active
+session traces.  With observability off either costs one attribute
+read and one ``is None`` test, keeping the default path byte-identical
+to an uninstrumented build.
 
 Wiring into the pool: :func:`repro.perf.runner.parallel_imap` runs
 every item under a **fresh nested session** — in workers *and* on
@@ -26,46 +31,26 @@ CLI-level one.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Any, Dict, Optional
 
-from repro.obs.counters import NULL_COUNTERS, CounterSet
+from repro.obs.counters import CounterSet
 from repro.obs.trace import Tracer
 
-__all__ = [
-    "ObsSession",
-    "ACTIVE",
-    "active",
-    "active_counters",
-    "active_tracer",
-    "counters_or_null",
-]
+__all__ = ["ObsSession", "ACTIVE", "span"]
 
 #: the process's active session (``None`` — the default — means off)
 ACTIVE: Optional["ObsSession"] = None
 
 
-def active() -> Optional["ObsSession"]:
-    """The active session, or ``None`` when observability is off."""
-    return ACTIVE
-
-
-def active_counters() -> Optional[CounterSet]:
+def span(name: str, *, cat: str = "", tid: str = "main",
+         args: Optional[Dict[str, Any]] = None):
+    """A wall-clock span on the active session's tracer, or a null
+    context when no session is active or it does not trace."""
     s = ACTIVE
-    return s.counters if s is not None else None
-
-
-def counters_or_null() -> CounterSet:
-    """The active session's counters, else the shared null sink —
-    what hot paths fetch once per batch (or per constructor) and
-    branch on ``.enabled``."""
-    s = ACTIVE
-    return s.counters if s is not None else NULL_COUNTERS
-
-
-def active_tracer() -> Optional[Tracer]:
-    s = ACTIVE
-    return s.tracer if s is not None else None
+    if s is None or s.tracer is None:
+        return nullcontext()
+    return s.tracer.span(name, cat=cat, tid=tid, args=args or None)
 
 
 class ObsSession:

@@ -1,13 +1,12 @@
 """Structured span/event tracing with Chrome-trace export.
 
-The tracer records three event shapes on named tracks:
+The tracer records two event shapes on named tracks:
 
 * **complete spans** (``ph="X"``) — a name, a start timestamp and a
   duration.  Each experiment records one where it runs (wall clock);
   the probe sweeps emit one per sweep with their budget in ``args``.
 * **instant events** (``ph="i"``) — point markers (a result-cache hit,
   a wave boundary, a tensor-core instruction issue).
-* **counter samples** (``ph="C"``) — optional numeric series.
 
 Two clock domains coexist: *wall* tracks use microseconds since the
 tracer's epoch (``time.perf_counter``), while *sim* tracks use the
@@ -104,13 +103,6 @@ class Tracer:
         self._event(name, "i", ev_ts, cat=cat, pid=pid, tid=tid,
                     args=args)
         self.events[-1]["s"] = "t"      # instant scope: thread
-
-    def counter(self, name: str, values: Dict[str, float], *,
-                ts: Optional[float] = None, pid: str = WALL_TRACK,
-                tid: str = "main") -> None:
-        """A counter sample (renders as a stacked series)."""
-        ev_ts = self.now_us() if ts is None else ts
-        self._event(name, "C", ev_ts, pid=pid, tid=tid, args=values)
 
     @contextmanager
     def span(self, name: str, *, cat: str = "", tid: str = "main",

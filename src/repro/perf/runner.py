@@ -45,7 +45,6 @@ which renders the ``run --profile`` table.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -128,7 +127,8 @@ def _build(task: Tuple[str, RunContext]) -> Tuple[Any, tuple, float]:
     t0 = time.perf_counter()
     result = exp.run(ctx)
     wall = time.perf_counter() - t0
-    tracer = _obs.active_tracer()
+    sess = _obs.ACTIVE
+    tracer = sess.tracer if sess is not None else None
     if tracer is not None:
         tracer.complete(name, tracer.at_us(t0), wall * 1e6,
                         cat="experiment")
@@ -173,16 +173,12 @@ def run_experiments(
     timings: Dict[str, Tuple[float, bool]] = {}
 
     sess = _obs.ACTIVE
-    tracer = sess.tracer if sess is not None else None
 
     def _span(label: str, **args):
         """A ``runner.*`` self-profiling span on the wall track —
         orchestration overhead (cache probes, dispatch, merge) shows
         up in the trace next to the experiment spans."""
-        if tracer is None:
-            return nullcontext()
-        return tracer.span(label, cat="runner", tid="runner",
-                           args=args or None)
+        return _obs.span(label, cat="runner", tid="runner", args=args)
 
     # 1. serve what we can from the cache.  Each key is derived once,
     # for the lookup, and reused by the store; the device specs are

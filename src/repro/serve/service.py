@@ -355,7 +355,8 @@ class QueryService:
         traces, a ``serve.<stage>`` span from the same clock reads."""
         micros = (time.perf_counter() - t0) * 1e6
         self.stats.observe(f"serve.wall.{stage}_us", max(micros, 1.0))
-        tracer = _obs.active_tracer()
+        sess = _obs.ACTIVE
+        tracer = sess.tracer if sess is not None else None
         if tracer is not None:
             tracer.complete(f"serve.{stage}", tracer.at_us(t0), micros,
                             cat="serve", tid="serve")

@@ -7,6 +7,7 @@ import pytest
 
 from repro.dsm import Cluster, SmToSmNetwork
 from repro.isa.lowering import UnsupportedInstruction
+from repro.obs import ObsSession
 
 
 class TestNetwork:
@@ -86,6 +87,27 @@ class TestCluster:
             h800.mem_latencies.shared_clk + 180.0)
         c.reset_stats()
         assert c.total_accesses == 0
+
+    def test_counts_into_the_session_active_when_it_accesses(self, h800):
+        # built with no session, accessed inside one: the 180-cycle
+        # remote trip lands in the 256 bucket
+        c = Cluster(h800, cluster_size=2, smem_bytes_per_block=4096)
+        session = ObsSession()
+        with session.activate():
+            c.map_shared_rank(0, 1).atomic_add_u32(0)
+        assert session.counters.as_dict() == {
+            "dsm.bytes.remote": 4, "dsm.hops": 1,
+            "dsm.latency.remote.le00000256": 1}
+
+    def test_an_ended_session_counts_nothing_more(self, h800):
+        session = ObsSession()
+        with session.activate():
+            c = Cluster(h800, cluster_size=2, smem_bytes_per_block=4096)
+            c.map_shared_rank(0, 1).atomic_add_u32(0)
+        counted = session.counters.as_dict()
+        c.map_shared_rank(0, 1).atomic_add_u32(0)
+        c.map_shared_rank(0, 0).read_u32(0)
+        assert counted and session.counters.as_dict() == counted
 
     def test_bulk_read_write(self, h800):
         c = Cluster(h800, cluster_size=2, smem_bytes_per_block=64)

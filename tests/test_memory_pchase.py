@@ -9,6 +9,8 @@ import pytest
 from repro.arch import get_device
 from repro.memory import CacheProbe, PChase, measure_latencies
 from repro.memory.pchase import _chain, _coprime_stride
+from repro.obs import ObsSession
+from repro.obs.counters import bucket_bound
 
 #: Table IV reference values
 PAPER_TABLE4 = {
@@ -132,6 +134,24 @@ class TestPerLevelLatency:
         assert r.hits_at_level == 1.0   # every access served by DRAM
         assert r.mean_latency_clk == pytest.approx(
             lat.l2_hit_clk + lat.dram_clk + lat.tlb_miss_clk)
+
+    def test_cold_tlb_counters_bucket_the_miss_penalty(self, tiny_device):
+        """Every load of the cold chase is a DRAM access with a TLB
+        miss, so all 128 fall in the bucket of ``l2_hit + dram +
+        tlb_miss`` (828.8 cycles on the H800): 1024, where a TLB hit's
+        478.8 would read 512.  The names are spelled out here, not
+        taken from the hierarchy's name table."""
+        lat = tiny_device.mem_latencies
+        assert bucket_bound(lat.l2_hit_clk + lat.dram_clk
+                            + lat.tlb_miss_clk) == 1024
+        session = ObsSession()
+        with session.activate():
+            PChase(tiny_device).global_latency_cold_tlb(iters=128)
+        counters = session.counters
+        assert counters.get("mem.latency.global.le00001024") == 128
+        assert counters.total("mem.latency.") == 128
+        assert counters.get("mem.bytes.global") == 128 * 32
+        assert counters.get("mem.tlb.misses") == 128
 
 
 class TestTable4:

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.obs.counters import (
-    NULL_COUNTERS,
     CounterSet,
-    NullCounterSet,
     bucket_bound,
     bucket_label,
     counter_sort_key,
@@ -95,23 +92,6 @@ class TestHistogramBuckets:
     def test_bucket_label_zero_padded(self):
         assert bucket_label("lat", 300) == "lat.le00000512"
 
-    def test_scalar_matches_vectorized(self):
-        """The doubling-loop scalar path and the log2 vectorized path
-        must land every value in the same bucket."""
-        values = [0.5, 1, 2, 3, 4, 4.5, 5, 31, 32, 33, 128, 129,
-                  273.25, 478.0, 1024, 1025]
-        scalar = CounterSet()
-        for v in values:
-            scalar.observe("lat", v)
-        vec = CounterSet()
-        vec.observe_many("lat", np.array(values))
-        assert scalar.dump() == vec.dump()
-
-    def test_observe_many_empty(self):
-        c = CounterSet()
-        c.observe_many("lat", np.array([]))
-        assert not c
-
 
 class TestBucketDumpOrdering:
     """Dumps must list histogram buckets in *numeric* bound order.
@@ -170,19 +150,3 @@ class TestBucketDumpOrdering:
         assert rendered.index("lat.le134217728") \
             < rendered.index("lat.le1073741824")
 
-
-class TestNullCounterSet:
-    def test_all_mutators_noop(self):
-        n = NullCounterSet()
-        n.add("x", 5)
-        n.observe("y", 3.0)
-        n.observe_many("z", np.array([1.0, 2.0]))
-        n.merge({"w": 1})
-        assert not n and n.dump() == "{}"
-
-    def test_enabled_flags(self):
-        assert CounterSet().enabled is True
-        assert NULL_COUNTERS.enabled is False
-
-    def test_shared_singleton_is_null(self):
-        assert isinstance(NULL_COUNTERS, NullCounterSet)

@@ -14,6 +14,7 @@ The three contracts this file pins down:
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -102,11 +103,91 @@ class TestTraceAlignment:
         assert all(self._inside(p, detection) for p in probes)
 
 
+class TestSpanSites:
+    """Every wall-clock span opens through
+    :func:`repro.obs.session.span`, which reads the session active
+    when it is called: under a tracing session a site's span keeps
+    its name, category, track and args; under any other it records
+    nothing."""
+
+    @staticmethod
+    def _traced(fn):
+        session = ObsSession(trace=True)
+        with session.activate():
+            fn()
+        return session.tracer.events
+
+    def test_span_is_a_null_context_unless_the_session_traces(self):
+        assert isinstance(obs_session.span("off"), nullcontext)
+        with ObsSession().activate():
+            assert isinstance(obs_session.span("untraced", args={"a": 1}),
+                              nullcontext)
+
+    def test_span_keeps_name_category_track_and_args(self):
+        def spans():
+            with obs_session.span("work", cat="probe", tid="t1",
+                                  args={"points": 3}):
+                pass
+            with obs_session.span("bare", args={}):
+                pass
+
+        work, bare = self._traced(spans)
+        assert (work["name"], work["ph"], work["cat"], work["tid"],
+                work["args"]) == ("work", "X", "probe", "t1",
+                                  {"points": 3})
+        assert work["dur"] >= 0.0
+        assert bare["name"] == "bare" and bare["tid"] == "main"
+        assert "cat" not in bare and "args" not in bare
+
+    def test_runner_spans(self, tmp_path):
+        events = self._traced(lambda: run_experiments(
+            ["table03_devices"], cache=ResultCache(tmp_path / "rc")))
+        runner = {ev["name"]: ev for ev in events
+                  if ev.get("cat") == "runner"}
+        assert set(runner) == {"runner.cache_lookup", "runner.dispatch",
+                               "runner.merge", "runner.cache_store"}
+        assert all(ev["tid"] == "runner" for ev in runner.values())
+        one = {"experiment": "table03_devices"}
+        assert runner["runner.cache_lookup"]["args"] == one
+        assert runner["runner.dispatch"]["args"] == {"jobs": 1,
+                                                     "pending": 1}
+        assert runner["runner.merge"]["args"] == one
+        assert runner["runner.cache_store"]["args"] == one
+
+    def test_fuzz_spans(self):
+        from repro.fuzz import run_fuzz
+
+        events = self._traced(lambda: run_fuzz(1, 2))
+        fuzz = {ev["name"]: ev for ev in events
+                if ev.get("cat") == "fuzz"}
+        assert fuzz["fuzz.generate"]["args"] == {"budget": 2}
+        assert fuzz["fuzz.dispatch"]["args"] == {"jobs": 1,
+                                                 "scenarios": 2}
+        assert all(ev["tid"] == "fuzz" for ev in fuzz.values())
+
+    def test_probe_sweep_spans(self):
+        from repro.memory import CacheProbe
+        from repro.memory.cache_study import (PROBE_BUDGET,
+                                              capacity_sweep_sizes)
+
+        events = self._traced(CacheProbe(get_device("H800")).detect)
+        sweeps = [ev for ev in events if ev.get("cat") == "probe"]
+        assert [ev["name"] for ev in sweeps] == [
+            "capacity_sweep H800", "stride_sweep H800",
+            "conflict_sweep H800"]
+        budget = [(len(capacity_sweep_sizes(16, 1024)),
+                   PROBE_BUDGET["capacity_iters"]),
+                  (6, PROBE_BUDGET["stride_iters"]),
+                  (16, PROBE_BUDGET["conflict_iters"])]
+        for ev, (points, iters) in zip(sweeps, budget):
+            assert ev["args"] == {
+                "device": "H800", "points": points, "iters": iters,
+                "warmup_passes": PROBE_BUDGET["warmup_passes"]}
+
+
 class TestOffMeansOff:
     def test_no_session_active_by_default(self):
         assert obs_session.ACTIVE is None
-        assert obs_session.active_counters() is None
-        assert obs_session.active_tracer() is None
 
     def test_results_identical_with_and_without_session(self):
         plain = run_experiments(CHEAP, cache=None).results

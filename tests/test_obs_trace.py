@@ -58,7 +58,6 @@ class TestChromeExport:
         t.complete("sweep", 0.0, 10.0, cat="probe")
         t.complete("LDG", 5.0, 2.0, pid=SIM_TRACK, tid="sched1")
         t.instant("cache hit", ts=3.0)
-        t.counter("stalls", {"scoreboard": 4}, ts=7.0)
         return t
 
     def test_payload_is_perfetto_shaped(self):

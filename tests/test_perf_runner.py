@@ -77,9 +77,9 @@ def _square(x):
 
 def _counted_square(x):
     """Counts ``x`` under its own name in the active session."""
-    from repro.obs.session import counters_or_null
+    from repro.obs import session
 
-    counters_or_null().add(f"test.item.{x}", x + 1)
+    session.ACTIVE.counters.add(f"test.item.{x}", x + 1)
     return x * x
 
 
@@ -132,12 +132,11 @@ class TestWorkStealing:
             assert not outer.counters
 
     def test_nested_session_traces_only_if_the_caller_does(self):
-        from repro.obs import ObsSession
-        from repro.obs.session import active_tracer
+        from repro.obs import ObsSession, session
         from repro.perf import parallel_imap
 
         def traced(_x):
-            return active_tracer() is not None
+            return session.ACTIVE.tracer is not None
 
         for trace in (False, True):
             with ObsSession(trace=trace).activate():
